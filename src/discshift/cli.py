@@ -166,8 +166,9 @@ def _cmd_complete(args):
     col_graph = _load_graph(args.col_graph)
     pairs = _load_pairs(args.omega)
     omega = SampleSet(tuple(pairs), m=data.m, budget=len(pairs))
+    wanted = set(omega.pairs)
     positions = [idx for idx, (i, j) in enumerate(zip(data.rows, data.cols))
-                 if (int(i), int(j)) in set(omega.pairs)]
+                 if (int(i), int(j)) in wanted]
     if len(positions) != len(omega):
         raise SystemExit("omega contains entries missing from the ratings file")
     problem = CompletionProblem(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -19,6 +20,8 @@ from scipy.sparse.csgraph import connected_components
 from .graphs import ProductOperator, RatingMatrix, GraphLaplacian
 from .linalg import ConvergenceError, SolverOptions, cg_solve, lobpcg_smallest
 from .sampling import SampleSet, _random_unit
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -129,6 +132,9 @@ def dglr_solve(p: CompletionProblem, opts: Optional[SolverOptions] = None,
         eig_opts = SolverOptions(seed=opts.seed)
         rng = np.random.default_rng(eig_opts.seed)
         pair = lobpcg_smallest(op.apply, _random_unit(rng, op.size), eig_opts)
+        if not pair.converged:
+            _log.warning("lambda_min estimate did not converge (residual %.3e "
+                         "after %d iterations)", pair.residual, pair.iterations)
         lam = float(pair.value)
     return CompletionReport(
         x_star=x.reshape((p.m, p.n), order="F"),

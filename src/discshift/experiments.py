@@ -336,8 +336,9 @@ def run_experiment(cfg: ExperimentConfig) -> List[MetricsRow]:
                         alpha=cfg.alpha, beta=cfg.beta)
                     report = dglr_solve(problem, SolverOptions(tol=cfg.tol, seed=seed))
 
+                    picked = set(ss.pairs)
                     cell_eval = eval_pairs if eval_pairs else \
-                        [pr for pr in pool_pairs if pr not in set(ss.pairs)]
+                        [pr for pr in pool_pairs if pr not in picked]
                     rmse = rmse_eval(report.x_star, score_target, cell_eval)
 
                     save_sample_set(

@@ -425,9 +425,14 @@ def product_apply(op: ProductOperator, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (op.size,):
         raise ValueError(f"dimension mismatch: operator is {op.size}, vector is {x.shape}")
-    X = x.reshape((op.m, op.n), order="F")
-    smooth = op.alpha * (op._Lr @ X) + op.beta * (op._Lc @ X.T).T
-    return op.sample_diag * x + smooth.ravel(order="F")
+    # Y is the n x m C-order view of x, i.e. X transposed, so Lc @ Y and
+    # (Lr @ Y.T).T are already laid out as the output.
+    Y = x.reshape((op.n, op.m))
+    out = op.beta * (op._Lc @ Y)
+    out += op.alpha * (op._Lr @ Y.T).T
+    out = out.ravel()
+    out += op.sample_diag * x
+    return out
 
 
 def product_dense(op: ProductOperator, cap: int = 4096) -> np.ndarray:

@@ -1,17 +1,19 @@
 """Sparse symmetric linear algebra kernels.
 
 CSR storage, SpMV, conjugate gradient, a single-vector LOBPCG for the smallest
-eigenpair (with warm start), a dense symmetric eigendecomposition oracle for
-small problems, and Gershgorin disc utilities.
+eigenpair (with warm start; one operator application per iteration plus one
+that confirms the final residual), a dense symmetric eigendecomposition oracle
+for small problems, and Gershgorin disc utilities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 # Module-wide solver defaults. CG is used for linear systems, LOBPCG for the
 # smallest eigenpair; both caps are generous for the problem sizes here.
@@ -19,6 +21,14 @@ CG_TOL = 1e-8
 LOBPCG_TOL = 1e-6
 LOBPCG_MAX_ITER = 500
 DENSE_EIG_CAP = 512
+# LOBPCG leaves p out of a Rayleigh-Ritz step when the last Cholesky pivot of
+# the unit-diagonal Gram matrix of (x, w, p) is below RR_PIVOT_TOL, i.e. when p
+# lies within an angle of about RR_PIVOT_TOL of span{x, w}. A pivot taken from
+# a Gram matrix is off by about eps / pivot, 1e-10 at the cut, so the cut is
+# still well resolved. GCS and IGCS at 120x80 never came below 8e-4.
+# A step shorter than P_DROP_TOL (x has unit norm) leaves no p at all.
+RR_PIVOT_TOL = 1e-6
+P_DROP_TOL = 1e-14
 
 SYMMETRY_TOL = 1e-12
 
@@ -250,25 +260,43 @@ def cg_solve(apply: LinearOperator, b, opts: Optional[SolverOptions] = None,
     )
 
 
-def _orthonormalize(columns: Sequence[np.ndarray], drop_tol: float = 1e-12):
-    """Sequential Gram-Schmidt with a second orthogonalization pass.
+def _residual(V, AV, lam):
+    """Write A x - lambda x into V[2] (x = V[1]) and return its norm."""
+    np.multiply(V[1], lam, out=V[2])
+    np.subtract(AV[1], V[2], out=V[2])
+    return float(np.linalg.norm(V[2]))
 
-    Near-dependent columns are dropped, which is what turns a degenerate
-    three-term LOBPCG basis into a plain steepest-descent step.
+
+def _restart(A, V, AV):
+    """Normalize x = V[1] and apply A to it afresh; returns (lambda, residual)."""
+    V[1] /= np.linalg.norm(V[1])
+    AV[1] = A(V[1])
+    lam = float(V[1] @ AV[1])
+    return lam, _residual(V, AV, lam)
+
+
+def _ritz(M, K):
+    """Smallest eigenpair (lambda, c) of K c = lambda M c with c'Mc = 1.
+
+    Returns None when the Cholesky factor of the unit-diagonal Gram matrix
+    fails or its last pivot, the sine of the angle between the last basis
+    vector and the span of the others, is below RR_PIVOT_TOL.
     """
-    basis = []
-    for c in columns:
-        v = np.array(c, dtype=np.float64)
-        scale = np.linalg.norm(v)
-        if scale == 0.0:
-            continue
-        for _ in range(2):
-            for u in basis:
-                v -= (u @ v) * u
-        norm = np.linalg.norm(v)
-        if norm > drop_tol * scale:
-            basis.append(v / norm)
-    return basis
+    # LAPACK is called directly: numpy.linalg's checks cost more than the
+    # factorizations themselves at this size.
+    s = 1.0 / np.sqrt(M.diagonal())
+    S = s[:, None] * s
+    L, info = lapack.dpotrf(M * S, lower=1, clean=1)
+    if info != 0 or not L[-1, -1] >= RR_PIVOT_TOL:
+        return None
+    Linv, _ = lapack.dtrtri(L, lower=1)
+    evals, Y, _ = lapack.dsyevd(Linv @ (K * S) @ Linv.T)
+    return float(evals[0]), s * (Linv.T @ Y[:, 0])
+
+
+# Columns of the coefficient matrix for the rows of V[3 - k:], which hold
+# [p, x, w] (k = 3) or [x, w] (k = 2), on the Rayleigh-Ritz basis (x, w[, p]).
+_STORAGE_ORDER = {3: [2, 0, 1], 2: [0, 1]}
 
 
 def lobpcg_smallest(apply: LinearOperator, x0, opts: Optional[SolverOptions] = None,
@@ -279,6 +307,17 @@ def lobpcg_smallest(apply: LinearOperator, x0, opts: Optional[SolverOptions] = N
     (optionally Jacobi-preconditioned) residual and p the previous search
     direction. x0 seeds the subspace, so passing the previous eigenvector
     warm-starts the solve.
+
+    The operator is applied once per iteration, to w: A x and A p are carried
+    forward as the same linear combinations that produce x and p (Knyazev,
+    SIAM J. Sci. Comput. 23(2), 2001). The Gram matrices of the 3x3 (2x2
+    without p) Rayleigh-Ritz problem take their w entries from dot products
+    and their x and p entries from the previous step's coefficients; p is
+    left out when it is numerically in span{x, w} (see RR_PIVOT_TOL). Before
+    returning, A x is recomputed with one more operator application and the
+    reported residual is taken from it; a converged result whose fresh
+    residual is above tol goes on iterating, and the check is not counted
+    as an iteration.
 
     Parameters
     ----------
@@ -294,64 +333,84 @@ def lobpcg_smallest(apply: LinearOperator, x0, opts: Optional[SolverOptions] = N
     Returns
     -------
     EigenPair
-        Best iterate; `converged` is False if the tolerance was not reached
-        within max_iter.
+        Best iterate and its freshly computed residual; `converged` is False
+        if the tolerance was not reached within max_iter.
     """
     opts = opts or SolverOptions()
     A = as_apply(apply)
-    x = np.asarray(x0, dtype=np.float64).copy()
-    norm0 = np.linalg.norm(x)
+    x0 = np.asarray(x0, dtype=np.float64)
+    norm0 = np.linalg.norm(x0)
     if norm0 == 0.0 or not np.isfinite(norm0):
         raise ValueError("initial vector must be nonzero and finite")
-    x /= norm0
 
     tol = LOBPCG_TOL if opts.tol is None else opts.tol
     max_iter = LOBPCG_MAX_ITER if opts.max_iter is None else opts.max_iter
 
+    d = None
     if diag_precond is not None:
         d = np.asarray(diag_precond, dtype=np.float64)
         d = np.where(d > 1e-12, d, 1.0)
-        precond = lambda r: r / d
-    else:
-        precond = lambda r: r
 
-    Ax = A(x)
-    lam = float(x @ Ax)
-    p = None
-    res = np.linalg.norm(Ax - lam * x)
-
-    for it in range(max_iter):
+    # Rows of V are [p, x, w] and AV holds their images. Each step writes the
+    # next [p, x] into the other pair of buffers, and the pairs swap.
+    V, AV = np.zeros((3, x0.size)), np.zeros((3, x0.size))
+    V_next, AV_next = np.empty_like(V), np.empty_like(AV)
+    V[1] = x0
+    lam, res = _restart(A, V, AV)
+    fresh, has_p = True, False
+    # Gram matrices of the carried (x, p): B'B in G and B'AB in H.
+    G, H = np.eye(2), np.diag([lam, 0.0])
+    it = 0
+    while True:
         if res <= tol:
-            return EigenPair(lam, x, residual=float(res), iterations=it, converged=True)
-        w = precond(Ax - lam * x)
-        cand = [x, w] if p is None else [x, w, p]
-        basis = _orthonormalize(cand)
-        if len(basis) == 1:
-            # Residual vanished relative to the basis scale; polish the
-            # Rayleigh quotient and report what we have.
-            lam = float(x @ Ax)
-            res = np.linalg.norm(Ax - lam * x)
-            return EigenPair(lam, x, residual=float(res), iterations=it + 1,
-                             converged=bool(res <= tol))
-        B = np.column_stack(basis)
-        AB = np.column_stack([A(u) for u in basis])
-        G = B.T @ AB
-        G = 0.5 * (G + G.T)
-        evals, evecs = np.linalg.eigh(G)
-        c = evecs[:, 0]
-        x_new = B @ c
-        Ax_new = AB @ c
-        # Next conjugate direction: the part of the step outside the old x.
-        step = B[:, 1:] @ c[1:]
-        step_norm = np.linalg.norm(step)
-        p = step / step_norm if step_norm > 1e-14 else None
-        nrm = np.linalg.norm(x_new)
-        x = x_new / nrm
-        Ax = Ax_new / nrm
-        lam = float(evals[0])
-        res = np.linalg.norm(Ax - lam * x)
+            if fresh:
+                break
+            # The carried A x had drifted; go on from the fresh one, without
+            # the p whose image carries the same drift.
+            lam, res = _restart(A, V, AV)
+            fresh, has_p = True, False
+            G[0, 0], H[0, 0] = 1.0, lam
+            continue
+        if it == max_iter:
+            break
+        w = V[2]
+        if d is not None:
+            w /= d
+        AV[2] = A(w)
+        g = V @ w
+        h = AV @ w
+        # On the basis (x, w, p); the p row and column are unused without p.
+        M = np.array([[G[0, 0], g[1], G[0, 1]],
+                      [g[1], g[2], g[0]],
+                      [G[0, 1], g[0], G[1, 1]]])
+        K = np.array([[H[0, 0], h[1], H[0, 1]],
+                      [h[1], h[2], h[0]],
+                      [H[0, 1], h[0], H[1, 1]]])
+        k = 3 if has_p else 2
+        ritz = _ritz(M[:k, :k], K[:k, :k])
+        if ritz is None and k == 3:
+            k = 2
+            ritz = _ritz(M[:2, :2], K[:2, :2])
+        it += 1
+        if ritz is None:
+            break  # w adds no direction to x: nothing left to search
+        lam, c = ritz
+        # x_new = B c and p_new = x_new - c[0] x, the step away from the old x.
+        C = np.array([c, c])
+        C[1, 0] = 0.0
+        G = C @ M[:k, :k] @ C.T
+        H = C @ K[:k, :k] @ C.T
+        Cs = C[::-1][:, _STORAGE_ORDER[k]]
+        np.dot(Cs, V[3 - k:], out=V_next[:2])
+        np.dot(Cs, AV[3 - k:], out=AV_next[:2])
+        V, V_next, AV, AV_next = V_next, V, AV_next, AV
+        has_p = G[1, 1] > P_DROP_TOL ** 2
+        res = _residual(V, AV, lam)
+        fresh = False
 
-    return EigenPair(lam, x, residual=float(res), iterations=max_iter,
+    if not fresh:
+        lam, res = _restart(A, V, AV)
+    return EigenPair(lam, V[1].copy(), residual=res, iterations=it,
                      converged=bool(res <= tol))
 
 

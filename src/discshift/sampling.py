@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -28,6 +29,8 @@ from .linalg import (
     dense_sym_eig,
     lobpcg_smallest,
 )
+
+_log = logging.getLogger(__name__)
 
 # Magnitudes this close to the candidate max count as tied; the lowest linear
 # index wins. Calibrated to the eigenvector error of LOBPCG at its default
@@ -120,6 +123,9 @@ def _solve_step(apply, x0, opts, rng, n, what):
     """One eigensolve; retry once from a fresh random start before giving up."""
     pair = lobpcg_smallest(apply, x0, opts)
     if not pair.converged:
+        _log.warning("%s: eigensolver did not converge (residual %.3e after %d "
+                     "iterations); retrying from a random start",
+                     what, pair.residual, pair.iterations)
         retry = lobpcg_smallest(apply, _random_unit(rng, n), opts)
         retry = EigenPair(retry.value, retry.vec, retry.residual,
                           pair.iterations + retry.iterations, retry.converged)

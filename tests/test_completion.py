@@ -1,10 +1,14 @@
 """Tests for the dual-graph completion solver and its diagnostics."""
 
+import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+
+import discshift.completion as completion
 
 from discshift.completion import (
     CompletionProblem,
@@ -156,6 +160,21 @@ def test_solve_reports_small_residual_and_lambda():
     assert rep.residual <= 1e-8
     lam_ref = float(np.linalg.eigvalsh(product_dense(p.operator()))[0])
     assert abs(rep.lambda_min_est - lam_ref) <= 1e-6
+
+
+def test_solve_logs_unconverged_lambda_estimate(monkeypatch, caplog):
+    real = completion.lobpcg_smallest
+
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(completion, "lobpcg_smallest", unconverged)
+    p, _ = make_problem(5, 4, 7)
+    with caplog.at_level(logging.WARNING, logger="discshift.completion"):
+        rep = dglr_solve(p)
+    assert rep.residual <= 1e-8
+    assert np.isfinite(rep.lambda_min_est)
+    assert "lambda_min estimate did not converge" in caplog.text
 
 
 def test_solve_skips_lambda_when_disabled():

@@ -335,6 +335,23 @@ def test_product_apply_matches_kronecker():
         assert np.max(np.abs(product_apply(op, x) - Q @ x)) <= 1e-12
 
 
+def test_product_apply_bitwise_equals_column_major_formula():
+    # The column-major formula product_apply used before it worked on the
+    # (n, m) C-order view; the sums are the same, term for term.
+    def column_major(op, x):
+        X = x.reshape((op.m, op.n), order="F")
+        smooth = op.alpha * (op._Lr @ X) + op.beta * (op._Lc @ X.T).T
+        return op.sample_diag * x + smooth.ravel(order="F")
+
+    rng = np.random.default_rng(7)
+    for seed, (m, n) in enumerate([(30, 20), (7, 11), (2, 9)]):
+        diag = (rng.random(m * n) < 0.3).astype(np.float64)
+        op = ProductOperator(random_graph(m, seed), random_graph(n, 50 + seed),
+                             0.7, 1.3, diag)
+        x = rng.standard_normal(op.size)
+        assert np.array_equal(product_apply(op, x), column_major(op, x))
+
+
 def test_product_diagonal_matches_dense():
     rg, cg = random_graph(4, 1), random_graph(5, 2)
     diag = np.zeros(20)

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import discshift.linalg as linalg
+from discshift.bandlimited import aopt_local_search, bandlimited_basis
+from discshift.graphs import ProductOperator, synthetic_netflix
 from discshift.linalg import (
     ConvergenceError,
     SolverOptions,
@@ -16,6 +19,7 @@ from discshift.linalg import (
     save_edge_list,
     spmv,
 )
+from discshift.sampling import gcs_sample, igcs_sample
 
 
 def path_laplacian(n):
@@ -31,6 +35,11 @@ def path_laplacian(n):
 def random_spd(n, rng, shift=0.1):
     M = rng.standard_normal((n, n))
     return M @ M.T + shift * np.eye(n)
+
+
+def gapped_spd(n, rng):
+    """SPD with a clear gap below the second eigenvalue."""
+    return np.diag(np.linspace(1.0, 4.0, n)) + 0.05 * random_spd(n, rng, shift=0.0)
 
 
 def random_sparse_sym(n, rng, density=0.3):
@@ -181,6 +190,122 @@ def test_lobpcg_diag_precond_still_correct():
     A = np.diag(np.linspace(1.0, 100.0, 30)) + 0.1 * random_spd(30, rng, shift=0.0)
     pair = lobpcg_smallest(A, rng.standard_normal(30), diag_precond=np.diag(A))
     assert abs(pair.value - np.linalg.eigvalsh(A)[0]) <= 1e-6
+
+
+def counting(A):
+    """Dense operator that counts its applications in .calls."""
+    def apply(x):
+        apply.calls += 1
+        return A @ x
+    apply.calls = 0
+    return apply
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_lobpcg_one_application_per_iteration(warm):
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        A = gapped_spd(30, rng)
+        x0 = rng.standard_normal(30)
+        if warm:
+            x0 = np.linalg.eigh(A)[1][:, 0] + 1e-3 * x0
+        apply = counting(A)
+        pair = lobpcg_smallest(apply, x0)
+        assert pair.converged
+        assert apply.calls <= pair.iterations + 2
+
+
+def test_lobpcg_residual_is_fresh():
+    rng = np.random.default_rng(13)
+    for opts in (SolverOptions(), SolverOptions(tol=1e-14, max_iter=3)):
+        A = random_spd(25, rng)
+        pair = lobpcg_smallest(A, rng.standard_normal(25), opts)
+        v = pair.vec
+        dense = np.linalg.norm(A @ v - pair.value * v)
+        assert abs(pair.residual - dense) <= 1e-6 * dense + 1e-13
+
+
+def test_lobpcg_confirms_convergence_with_a_fresh_image():
+    # One application returns a wrong image. The error rides along in the
+    # carried A x, so the carried residual converges to the wrong place; the
+    # confirming application sees it and the iteration goes on from there.
+    rng = np.random.default_rng(15)
+    A = gapped_spd(30, rng)
+    e = rng.standard_normal(30)
+    apply = counting(A)
+
+    def corrupted(x):
+        y = apply(x)
+        return y + 1e-4 * np.linalg.norm(x) * e if apply.calls == 4 else y
+
+    pair = lobpcg_smallest(corrupted, rng.standard_normal(30))
+    v = pair.vec
+    assert pair.converged
+    assert apply.calls == pair.iterations + 3  # start, two confirmations
+    assert pair.residual == pytest.approx(np.linalg.norm(A @ v - pair.value * v),
+                                          rel=1e-6)
+    assert abs(pair.value - np.linalg.eigvalsh(A)[0]) <= 1e-9
+
+
+def test_lobpcg_converges_without_p(monkeypatch):
+    # Cut p from every step whose p is not almost orthogonal to span{x, w};
+    # w is orthogonal to x, so it stays and the steps become steepest descent.
+    rng = np.random.default_rng(14)
+    A = gapped_spd(30, rng)
+    monkeypatch.setattr(linalg, "RR_PIVOT_TOL", 0.99)
+    ritz = linalg._ritz
+    sizes = []
+
+    def spy(M, K):
+        out = ritz(M, K)
+        sizes.append((M.shape[0], out is None))
+        return out
+
+    monkeypatch.setattr(linalg, "_ritz", spy)
+    pair = lobpcg_smallest(A, rng.standard_normal(30))
+    assert (3, True) in sizes
+    assert pair.converged
+    assert abs(pair.value - np.linalg.eigvalsh(A)[0]) <= 1e-9
+
+
+# Picks and total LOBPCG iterations recorded with the three-application
+# Gram-Schmidt solver this one replaced; the samplers must not notice.
+GOLDEN = {
+    3: {
+        "gcs": ([0, 315, 16, 450, 405, 41, 80, 311, 466, 74, 114, 392, 436, 91,
+                 421, 199, 500, 188, 491, 49, 494, 191, 527, 232, 300, 31, 474,
+                 294, 320, 224], 1431),
+        "igcs": ([0, 300, 323, 293, 283, 313, 320, 290, 278, 308, 324, 294, 284,
+                  314, 327, 297, 270, 450, 473, 113, 103, 463, 470, 110, 98, 458,
+                  474, 114, 104, 464, 477, 117, 90, 390, 413, 53, 43, 403, 410,
+                  50], 1887),
+        "aopt": [8, 323, 452, 83, 311, 71, 413, 114, 474, 134, 206, 397],
+    },
+    4: {
+        "gcs": ([0, 300, 75, 321, 63, 366, 255, 585, 571, 246, 376, 53, 333, 128,
+                 347, 21, 156, 313, 145, 528, 211, 371, 227, 353, 13, 428, 161,
+                 324, 171, 517], 1503),
+        "igcs": ([0, 300, 321, 21, 6, 306, 323, 23, 13, 313, 324, 24, 11, 311,
+                  318, 18, 3, 303, 320, 20, 1, 301, 325, 25, 8, 308, 319, 19, 12,
+                  312, 322, 22, 9, 309, 317, 17, 7, 307, 327, 27], 1638),
+        "aopt": [6, 321, 306, 21, 68, 592, 81, 341, 382, 248, 126, 144],
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+def test_sampler_picks_golden(seed):
+    d = synthetic_netflix(30, 20, n_row_comm=2, n_col_comm=2, noise_sigma=0.6,
+                          seed=seed)
+    op = ProductOperator(d.row_graph, d.col_graph, 1.0, 1.0)
+    opts = SolverOptions(seed=seed)
+    want = GOLDEN[seed]
+    ss, state = gcs_sample(op, 30, opts=opts)
+    assert (ss.linear, sum(state.iter_counts)) == want["gcs"]
+    ss, state = igcs_sample(d.row_graph, d.col_graph, 1.0, 1.0, K=40, opts=opts)
+    assert (ss.linear, sum(state.iter_counts)) == want["igcs"]
+    basis = bandlimited_basis(d.row_graph, d.col_graph, 3, 3)
+    assert aopt_local_search(basis, op, 12, 10, opts=opts).linear == want["aopt"]
 
 
 # ---------------------------------------------------------------- dense eig

@@ -1,8 +1,13 @@
 """Tests for the greedy samplers, the split view, and sample-set persistence."""
 
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+
+import discshift.sampling as sampling
 
 from discshift.graphs import (
     ProductOperator,
@@ -112,6 +117,28 @@ def test_gcs_first_pick_is_linear_zero():
                              0.1, 0.1)
         ss, _ = gcs_sample(op, 1, opts=SolverOptions(seed=seed))
         assert ss.pairs[0] == (0, 0)
+
+
+def test_gcs_logs_eigensolver_retry(monkeypatch, caplog):
+    # The first solve reports no convergence; the sampler warns, retries
+    # from a random start and goes on with the retry's vector.
+    real = sampling.lobpcg_smallest
+    calls = []
+
+    def first_unconverged(apply, x0, opts):
+        pair = real(apply, x0, opts)
+        calls.append(pair)
+        return dataclasses.replace(pair, converged=len(calls) > 1)
+
+    monkeypatch.setattr(sampling, "lobpcg_smallest", first_unconverged)
+    op = ProductOperator(path_graph(3), path_graph(2), 0.1, 0.1)
+    with caplog.at_level(logging.WARNING, logger="discshift.sampling"):
+        ss, state = gcs_sample(op, 1)
+    assert len(calls) == 2
+    assert ss.pairs[0] == (0, 0)
+    assert state.iter_counts == [calls[0].iterations + calls[1].iterations]
+    assert "GCS step 0: eigensolver did not converge" in caplog.text
+    assert "retrying from a random start" in caplog.text
 
 
 def test_gcs_matches_dense_reference():
