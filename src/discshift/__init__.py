@@ -18,7 +18,6 @@ from .linalg import (
     lobpcg_smallest,
     load_edge_list,
     save_edge_list,
-    spmv,
 )
 from .graphs import (
     GraphLaplacian,
@@ -39,8 +38,6 @@ from .sampling import (
     GcsState,
     IgcsState,
     SampleSet,
-    SplitView,
-    build_split,
     exact_greedy_oracle,
     gcs_sample,
     igcs_sample,

@@ -74,11 +74,12 @@ class BandlimitedBasis:
 
     def rows(self, linear_indices) -> np.ndarray:
         """Stack of T's rows at the given product-graph indices."""
-        out = np.empty((len(linear_indices), self.rank))
-        for r, l in enumerate(linear_indices):
-            i, j = mat_index(int(l), self.m)
-            out[r] = np.kron(self.U[j], self.V[i])
-        return out
+        lin = np.asarray(linear_indices, dtype=np.int64)
+        if lin.size and lin.min() < 0:
+            raise ValueError(f"negative linear index {lin.min()}")
+        j, i = np.divmod(lin, self.m)
+        # Row r is kron(U[j_r], V[i_r]): entry p*k2 + q is U[j_r, p] * V[i_r, q].
+        return (self.U[j][:, :, None] * self.V[i][:, None, :]).reshape(lin.size, self.rank)
 
     def materialize(self, cap: int = 4096) -> np.ndarray:
         if self.m * self.n > cap:

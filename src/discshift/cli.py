@@ -8,63 +8,44 @@ sampler), complete (solve the regularized system), eval (RMSE), experiment
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
-import time
 
 import numpy as np
 
-from .bandlimited import aopt_local_search, bandlimited_basis
+# perfbench/layers.py traces the CLI's file I/O under the names _load_pairs
+# and _write_dense_csv.
 from .completion import CompletionProblem, dglr_solve, rmse_eval, save_report
+from .completion import write_dense_csv as _write_dense_csv
 from .experiments import (
     export_metrics,
     load_ratings,
     parse_config,
+    resolve_budget,
     run_experiment,
+    run_sampler,
     save_ratings,
 )
 from .graphs import (
-    ProductOperator,
     content_graph,
     knn_feature_graph,
     laplacian_from_weights,
     synthetic_netflix,
 )
 from .linalg import SolverOptions, load_edge_list, save_edge_list
-from .sampling import (
-    SampleSet,
-    gcs_sample,
-    igcs_sample,
-    random_sample,
-    save_sample_set,
-)
+from .sampling import load_sample_set, save_sample_set
 
 
 def _load_graph(path):
     return laplacian_from_weights(load_edge_list(path))
 
 
-def _load_pairs(path):
-    pairs = []
-    with open(path, newline="") as f:
-        for lineno, parts in enumerate(csv.reader(f), start=1):
-            if not parts:
-                continue
-            if lineno == 1 and parts[0].strip() == "row":
-                continue
-            try:
-                pairs.append((int(parts[0]), int(parts[1])))
-            except (ValueError, IndexError):
-                raise SystemExit(f"{path}:{lineno}: expected 'row,col'")
-    return pairs
-
-
-def _write_dense_csv(X, path):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        for row in np.asarray(X):
-            writer.writerow([repr(float(v)) for v in row])
+def _load_pairs(path, m):
+    """A `row,col` CSV as a SampleSet; a malformed file exits with its message."""
+    try:
+        return load_sample_set(path, m)[0]
+    except ValueError as e:
+        raise SystemExit(str(e))
 
 
 def _cmd_gen(args):
@@ -100,13 +81,6 @@ def _cmd_graph(args):
     return 0
 
 
-def _resolve_cli_budget(budget: str, mn: int) -> int:
-    value = float(budget)
-    if 0 < value < 1:
-        return int(round(value * mn))
-    return int(value)
-
-
 def _cmd_sample(args):
     row_graph = _load_graph(args.row_graph) if args.row_graph else None
     col_graph = _load_graph(args.col_graph) if args.col_graph else None
@@ -120,43 +94,16 @@ def _cmd_sample(args):
         raise SystemExit("pass --row-graph/--col-graph or --m/--n")
 
     mn = m * n
-    K = _resolve_cli_budget(args.budget, mn)
     allowed = None
     if args.pool:
-        mask = np.zeros(mn, dtype=bool)
-        for i, j in _load_pairs(args.pool):
-            mask[i + m * j] = True
-        allowed = mask
-    opts = SolverOptions(seed=args.seed)
-
-    t0 = time.perf_counter()
-    iter_counts = None
-    if args.method == "gcs":
-        op = ProductOperator(row_graph, col_graph, args.alpha, args.beta)
-        ss, state = gcs_sample(op, K, allowed=allowed, opts=opts)
-        iter_counts = state.iter_counts
-    elif args.method == "igcs":
-        ss, state = igcs_sample(row_graph, col_graph, args.alpha, args.beta,
-                                q=args.q, zeta=args.zeta, K=K, allowed=allowed,
-                                opts=opts)
-        iter_counts = state.iter_counts
-    elif args.method == "random":
-        ss = random_sample(m, n, K, seed=args.seed, allowed=allowed)
-    elif args.method == "aopt":
-        basis = bandlimited_basis(row_graph, col_graph, args.k1, args.k2)
-        op = ProductOperator(row_graph, col_graph, args.alpha, args.beta)
-        ss = aopt_local_search(basis, op, K, args.l_pool, opts=opts,
-                               allowed=allowed)
-    wall = time.perf_counter() - t0
-
-    save_sample_set(ss, args.out, meta={
-        "method": args.method, "K": K, "seed": args.seed,
-        "alpha": args.alpha, "beta": args.beta,
-        "q": args.q if args.method == "igcs" else None,
-        "zeta": args.zeta if args.method == "igcs" else None,
-        "iter_counts": iter_counts, "wall_time_seconds": wall,
-    })
-    print(f"wrote {args.out} ({len(ss)} samples, {wall:.3f}s)")
+        allowed = np.zeros(mn, dtype=bool)
+        allowed[_load_pairs(args.pool, m).linear] = True
+    pool_size = mn if allowed is None else int(allowed.sum())
+    K = resolve_budget(float(args.budget), mn, pool_size)
+    ss, meta = run_sampler(args, args.method, K, args.seed, m, n,
+                           row_graph, col_graph, allowed=allowed)
+    save_sample_set(ss, args.out, meta=meta)
+    print(f"wrote {args.out} ({len(ss)} samples, {meta['wall_time_seconds']:.3f}s)")
     return 0
 
 
@@ -164,17 +111,13 @@ def _cmd_complete(args):
     data = load_ratings(args.ratings)
     row_graph = _load_graph(args.row_graph)
     col_graph = _load_graph(args.col_graph)
-    pairs = _load_pairs(args.omega)
-    omega = SampleSet(tuple(pairs), m=data.m, budget=len(pairs))
-    wanted = set(omega.pairs)
-    positions = [idx for idx, (i, j) in enumerate(zip(data.rows, data.cols))
-                 if (int(i), int(j)) in wanted]
-    if len(positions) != len(omega):
-        raise SystemExit("omega contains entries missing from the ratings file")
-    problem = CompletionProblem(
-        observations=data.subset(np.array(positions, dtype=np.int64)),
-        omega=omega, row_graph=row_graph, col_graph=col_graph,
-        alpha=args.alpha, beta=args.beta)
+    omega = _load_pairs(args.omega, data.m)
+    try:
+        problem = CompletionProblem(
+            observations=data, omega=omega, row_graph=row_graph,
+            col_graph=col_graph, alpha=args.alpha, beta=args.beta)
+    except ValueError as e:
+        raise SystemExit(str(e))
     report = dglr_solve(problem, SolverOptions(tol=args.tol, seed=args.seed))
     save_report(report, args.out, x_csv_path=args.x_out)
     print(f"wrote {args.out} (residual {report.residual:.3e}, "
@@ -187,9 +130,9 @@ def _cmd_complete(args):
 def _cmd_eval(args):
     X = np.loadtxt(args.completed, delimiter=",", ndmin=2)
     truth = load_ratings(args.truth)
-    pairs = _load_pairs(args.eval_set)
-    rmse = rmse_eval(X, truth.to_dense(), pairs)
-    print(f"rmse {rmse!r} over {len(pairs)} entries")
+    eval_set = _load_pairs(args.eval_set, truth.m)
+    rmse = rmse_eval(X, truth.to_dense(), eval_set)
+    print(f"rmse {rmse!r} over {len(eval_set)} entries")
     return 0
 
 

@@ -39,10 +39,16 @@ class CompletionProblem:
         m, n = self.row_graph.n, self.col_graph.n
         if (self.observations.m, self.observations.n) != (m, n):
             raise ValueError("observation dims must match the graphs")
-        known = self.observations.known_mask
-        missing = [pair for pair in self.omega.pairs if pair not in known]
-        if missing:
-            raise ValueError(f"omega contains unobserved entries, e.g. {missing[0]}")
+        if len(self.omega):
+            rows, cols = np.array(self.omega.pairs).T
+            # Out-of-range pairs count as unobserved; checked before indexing
+            # because numpy would wrap a negative index.
+            known = (rows >= 0) & (rows < m) & (cols >= 0) & (cols < n)
+            known[known] = self.observations.mask_bool()[rows[known], cols[known]]
+            if not known.all():
+                pair = self.omega.pairs[int(np.argmin(known))]
+                raise ValueError("omega contains unobserved entries (missing from the "
+                                 f"ratings), e.g. {pair}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be nonnegative")
         if (self.alpha == 0 or self.beta == 0) and len(self.omega) < m * n:
@@ -89,8 +95,8 @@ def check_positive_definite(p: CompletionProblem) -> None:
     diagonal term removes a null direction iff the component holds a sample.
     """
     if p.alpha > 0 and p.beta > 0:
-        _, row_comp = connected_components(p.row_graph.weights._scipy(), directed=False)
-        _, col_comp = connected_components(p.col_graph.weights._scipy(), directed=False)
+        _, row_comp = connected_components(p.row_graph.weights.csr, directed=False)
+        _, col_comp = connected_components(p.col_graph.weights.csr, directed=False)
         hit = set()
         for i, j in p.omega.pairs:
             hit.add((int(row_comp[i]), int(col_comp[j])))
@@ -235,10 +241,15 @@ def save_report(report: CompletionReport, json_path, x_csv_path=None) -> None:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
     if x_csv_path is not None:
-        with open(x_csv_path, "w", newline="") as f:
-            writer = csv.writer(f)
-            for row in np.asarray(report.x_star):
-                writer.writerow([repr(float(v)) for v in row])
+        write_dense_csv(report.x_star, x_csv_path)
+
+
+def write_dense_csv(X, path) -> None:
+    """A dense matrix as row-major CSV; values round-trip exactly through repr."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        for row in np.asarray(X):
+            writer.writerow([repr(float(v)) for v in row])
 
 
 def attach_diagnostics(report: CompletionReport, p: CompletionProblem,
@@ -251,8 +262,4 @@ def attach_diagnostics(report: CompletionReport, p: CompletionProblem,
     rmse = None
     if eval_set is not None and len(eval_set) > 0:
         rmse = rmse_eval(report.x_star, ground_truth, eval_set)
-    return replace_report(report, rho=rho, bound=bound, rmse=rmse)
-
-
-def replace_report(report: CompletionReport, **kw) -> CompletionReport:
-    return replace(report, **kw)
+    return replace(report, rho=rho, bound=bound, rmse=rmse)

@@ -251,35 +251,44 @@ def resolve_budget(budget, mn: int, pool_size: int) -> int:
     return K
 
 
-def _run_sampler(cfg: ExperimentConfig, method: str, K: int, seed: int,
-                 row_graph, col_graph, gamma_diag, pool_mask):
-    """Dispatch one sampler; returns (SampleSet, lobpcg_total_iters, wall_time)."""
+def run_sampler(params, method: str, K: int, seed: int, m: int, n: int,
+                row_graph=None, col_graph=None, initial=None, allowed=None):
+    """Run one sampler; returns (SampleSet, sidecar metadata).
+
+    params supplies alpha, beta, q, zeta, l_pool, k1 and k2: an
+    ExperimentConfig or the CLI's parsed arguments. initial is the 0/1
+    diagonal of entries observed before sampling (GCS and A-opt only),
+    allowed the candidate pool as in the samplers. Only random sampling
+    runs without graphs. The metadata is what save_sample_set writes beside
+    the picks; iter_counts holds the per-pick LOBPCG iterations of GCS and
+    IGCS and is None for the others. Wall time covers the whole call.
+    """
     opts = SolverOptions(seed=seed)
-    m, n = row_graph.n, col_graph.n
+    iter_counts = None
     t0 = time.perf_counter()
     if method == "gcs":
-        op = ProductOperator(row_graph, col_graph, cfg.alpha, cfg.beta,
-                             gamma_diag.copy())
-        ss, state = gcs_sample(op, K, allowed=pool_mask, opts=opts)
-        iters = sum(state.iter_counts)
+        op = ProductOperator(row_graph, col_graph, params.alpha, params.beta, initial)
+        ss, state = gcs_sample(op, K, allowed=allowed, opts=opts)
+        iter_counts = state.iter_counts
     elif method == "igcs":
-        ss, state = igcs_sample(row_graph, col_graph, cfg.alpha, cfg.beta,
-                                q=cfg.q, zeta=cfg.zeta, K=K, allowed=pool_mask,
+        ss, state = igcs_sample(row_graph, col_graph, params.alpha, params.beta,
+                                q=params.q, zeta=params.zeta, K=K, allowed=allowed,
                                 opts=opts)
-        iters = sum(state.iter_counts)
+        iter_counts = state.iter_counts
     elif method == "random":
-        ss = random_sample(m, n, K, seed=seed, allowed=pool_mask)
-        iters = 0
+        ss = random_sample(m, n, K, seed=seed, allowed=allowed)
     elif method == "aopt":
-        basis = bandlimited_basis(row_graph, col_graph, cfg.k1, cfg.k2)
-        op = ProductOperator(row_graph, col_graph, cfg.alpha, cfg.beta,
-                             gamma_diag.copy())
-        ss = aopt_local_search(basis, op, K, cfg.l_pool, opts=opts,
-                               allowed=pool_mask)
-        iters = 0
+        basis = bandlimited_basis(row_graph, col_graph, params.k1, params.k2)
+        op = ProductOperator(row_graph, col_graph, params.alpha, params.beta, initial)
+        ss = aopt_local_search(basis, op, K, params.l_pool, opts=opts, allowed=allowed)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return ss, iters, time.perf_counter() - t0
+    wall = time.perf_counter() - t0
+    return ss, {"method": method, "K": K, "seed": seed,
+                "alpha": params.alpha, "beta": params.beta,
+                "q": params.q if method == "igcs" else None,
+                "zeta": params.zeta if method == "igcs" else None,
+                "iter_counts": iter_counts, "wall_time_seconds": wall}
 
 
 def run_experiment(cfg: ExperimentConfig) -> List[MetricsRow]:
@@ -300,18 +309,14 @@ def run_experiment(cfg: ExperimentConfig) -> List[MetricsRow]:
         m, n = data.m, data.n
         mn = m * n
 
-        pos_of = {(int(i), int(j)): idx
-                  for idx, (i, j) in enumerate(zip(data.rows, data.cols))}
         gamma_pairs = [(int(data.rows[p]), int(data.cols[p])) for p in gamma]
         pool_pairs = [(int(data.rows[p]), int(data.cols[p])) for p in pool]
         eval_pairs = [(int(data.rows[p]), int(data.cols[p])) for p in evalset]
 
         gamma_diag = np.zeros(mn)
-        for i, j in gamma_pairs:
-            gamma_diag[i + m * j] = 1.0
+        gamma_diag[data.rows[gamma] + m * data.cols[gamma]] = 1.0
         pool_mask = np.zeros(mn, dtype=bool)
-        for i, j in pool_pairs:
-            pool_mask[i + m * j] = True
+        pool_mask[data.rows[pool] + m * data.cols[pool]] = True
 
         score_target = truth if truth is not None else data.to_dense()
 
@@ -321,15 +326,14 @@ def run_experiment(cfg: ExperimentConfig) -> List[MetricsRow]:
                 try:
                     K = resolve_budget(budget, mn, pool.size)
                     tag = f"{method}_seed{seed}_K{K}"
-                    ss, iters, wall = _run_sampler(
-                        cfg, method, K, seed, row_graph, col_graph,
-                        gamma_diag, pool_mask)
+                    ss, meta = run_sampler(
+                        cfg, method, K, seed, m, n, row_graph, col_graph,
+                        initial=gamma_diag, allowed=pool_mask)
 
                     omega_pairs = gamma_pairs + list(ss.pairs)
-                    positions = [pos_of[pr] for pr in omega_pairs]
-                    observations = data.subset(np.array(positions, dtype=np.int64))
+                    # The solver reads only the omega entries of the ratings.
                     problem = CompletionProblem(
-                        observations=observations,
+                        observations=data,
                         omega=SampleSet(tuple(omega_pairs), m=m,
                                         budget=len(omega_pairs)),
                         row_graph=row_graph, col_graph=col_graph,
@@ -341,21 +345,15 @@ def run_experiment(cfg: ExperimentConfig) -> List[MetricsRow]:
                         [pr for pr in pool_pairs if pr not in picked]
                     rmse = rmse_eval(report.x_star, score_target, cell_eval)
 
-                    save_sample_set(
-                        ss, os.path.join(cfg.output_dir, tag + ".csv"),
-                        meta={"method": method, "K": K, "seed": seed,
-                              "alpha": cfg.alpha, "beta": cfg.beta,
-                              "q": cfg.q if method == "igcs" else None,
-                              "zeta": cfg.zeta if method == "igcs" else None,
-                              "iter_counts": None,
-                              "wall_time_seconds": wall})
+                    save_sample_set(ss, os.path.join(cfg.output_dir, tag + ".csv"), meta=meta)
                     report.rmse = rmse
                     save_report(report, os.path.join(cfg.output_dir, tag + "_report.json"))
 
                     rows.append(MetricsRow(
                         method=method, seed=seed, K=K, rmse=rmse,
                         lambda_min_est=report.lambda_min_est,
-                        wall_time_seconds=wall, lobpcg_total_iters=iters))
+                        wall_time_seconds=meta["wall_time_seconds"],
+                        lobpcg_total_iters=sum(meta["iter_counts"] or ())))
                 except Exception as e:  # failure isolation per cell
                     failures.append(
                         f"{method},{seed},{budget},{type(e).__name__}: {e}")

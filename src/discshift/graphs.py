@@ -45,18 +45,18 @@ class GraphLaplacian:
     max_degree: float
 
     def csr(self) -> sp.csr_matrix:
-        return self.laplacian._scipy()
+        return self.laplacian.csr
 
     def n_components(self) -> int:
         if self.n == 0:
             return 0
-        ncomp, _ = connected_components(self.weights._scipy(), directed=False)
+        ncomp, _ = connected_components(self.weights.csr, directed=False)
         return int(ncomp)
 
 
 def laplacian_from_weights(W: SparseSym) -> GraphLaplacian:
     """Build L = D - W from a nonnegative, zero-diagonal adjacency."""
-    Wm = W._scipy()
+    Wm = W.csr
     if Wm.nnz and Wm.data.min() < 0:
         raise ValueError("negative edge weight")
     diag = Wm.diagonal()
@@ -67,7 +67,7 @@ def laplacian_from_weights(W: SparseSym) -> GraphLaplacian:
     max_degree = float(degrees.max()) if W.n else 0.0
     lap = SparseSym.from_scipy(L)
     # Row sums of D - W are zero by construction; guard against bad input.
-    row_sums = lap._scipy() @ np.ones(W.n)
+    row_sums = lap.csr @ np.ones(W.n)
     if W.n and np.max(np.abs(row_sums)) > 1e-10:
         raise ValueError("Laplacian row sums exceed 1e-10")
     return GraphLaplacian(n=W.n, weights=W, laplacian=lap, max_degree=max_degree)
@@ -159,14 +159,6 @@ class RatingMatrix:
             lin = self.rows * self.n + self.cols
             if np.unique(lin).size != lin.size:
                 raise ValueError("duplicate (row, col) entry")
-
-    @property
-    def entries(self):
-        return list(zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()))
-
-    @property
-    def known_mask(self):
-        return set(zip(self.rows.tolist(), self.cols.tolist()))
 
     @property
     def n_known(self) -> int:
@@ -290,7 +282,7 @@ def community_graph(n_nodes: int, n_communities: int, p_in: float, p_out: float,
         W[iu[0][draw], iu[1][draw]] = 1.0
         W += W.T
         Wsp = SparseSym.from_dense(W)
-        ncomp, _ = connected_components(Wsp._scipy(), directed=False)
+        ncomp, _ = connected_components(Wsp.csr, directed=False)
         if ncomp == 1:
             return laplacian_from_weights(Wsp), labels
     raise RuntimeError(

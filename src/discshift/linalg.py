@@ -1,6 +1,6 @@
 """Sparse symmetric linear algebra kernels.
 
-CSR storage, SpMV, conjugate gradient, a single-vector LOBPCG for the smallest
+CSR storage, conjugate gradient, a single-vector LOBPCG for the smallest
 eigenpair (with warm start; one operator application per iteration plus one
 that confirms the final residual), a dense symmetric eigendecomposition oracle
 for small problems, and Gershgorin disc utilities.
@@ -41,68 +41,63 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseSym:
-    """Symmetric sparse matrix in CSR form.
+    """Symmetric sparse matrix held as one canonical scipy CSR.
 
-    Parameters
-    ----------
-    n : int
-        Dimension.
-    row_offsets, col_indices, values : ndarray
-        Standard CSR arrays. The stored pattern must be structurally and
-        numerically symmetric (tolerance 1e-12) with no duplicate entries.
+    The matrix is validated once, here: it must be a square float64 CSR in
+    canonical format (sorted column indices, no duplicate entries) and
+    numerically symmetric within 1e-12. `csr` and the array properties are
+    views of that one matrix, shared rather than copied; do not modify them.
+    Build instances with from_scipy, from_dense or identity.
     """
 
-    n: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
+    csr: sp.csr_matrix
 
     def __post_init__(self):
-        object.__setattr__(self, "row_offsets", np.asarray(self.row_offsets, dtype=np.int64))
-        object.__setattr__(self, "col_indices", np.asarray(self.col_indices, dtype=np.int64))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.row_offsets.shape != (self.n + 1,):
-            raise ValueError("row_offsets must have length n + 1")
-        if np.any(np.diff(self.row_offsets) < 0):
-            raise ValueError("row_offsets must be monotone")
-        if self.col_indices.shape != self.values.shape:
-            raise ValueError("col_indices and values must align")
-        m = self._scipy()
-        # Duplicate detection: canonical CSR has strictly increasing column
-        # indices within each row.
-        for i in range(self.n):
-            cols = m.indices[m.indptr[i]:m.indptr[i + 1]]
-            if cols.size and np.any(np.diff(cols) <= 0):
-                raise ValueError(f"duplicate or unsorted entries in row {i}")
+        m = self.csr
+        if not (sp.issparse(m) and m.format == "csr" and m.dtype == np.float64):
+            raise TypeError("SparseSym needs a float64 scipy CSR matrix")
+        if m.shape[0] != m.shape[1]:
+            raise ValueError("matrix must be square")
+        if not m.has_canonical_format:
+            raise ValueError("CSR must have sorted column indices and no duplicates")
         d = m - m.T
         if d.nnz and np.max(np.abs(d.data)) > SYMMETRY_TOL:
             raise ValueError("matrix is not symmetric within 1e-12")
 
-    def _scipy(self) -> sp.csr_matrix:
-        m = sp.csr_matrix(
-            (self.values, self.col_indices, self.row_offsets), shape=(self.n, self.n)
-        )
-        m.sort_indices()
-        return m
+    @property
+    def n(self) -> int:
+        return self.csr.shape[0]
+
+    @property
+    def row_offsets(self) -> np.ndarray:
+        return self.csr.indptr
+
+    @property
+    def col_indices(self) -> np.ndarray:
+        return self.csr.indices
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.csr.data
 
     @property
     def nnz(self) -> int:
-        return int(self.values.size)
+        return int(self.csr.nnz)
 
     def to_dense(self) -> np.ndarray:
-        return self._scipy().toarray()
+        return self.csr.toarray()
 
     def diagonal(self) -> np.ndarray:
-        return self._scipy().diagonal()
+        return self.csr.diagonal()
 
     @classmethod
     def from_scipy(cls, m) -> "SparseSym":
-        m = sp.csr_matrix(m)
+        """Copy any scipy sparse matrix, summing duplicate entries."""
+        m = sp.csr_matrix(m, dtype=np.float64, copy=True)
         m.sum_duplicates()
-        m.sort_indices()
-        return cls(m.shape[0], m.indptr, m.indices, m.data)
+        return cls(m)
 
     @classmethod
     def from_dense(cls, a, tol: float = 0.0) -> "SparseSym":
@@ -122,8 +117,7 @@ LinearOperator = Union[SparseSym, np.ndarray, sp.spmatrix, Callable[[np.ndarray]
 def as_apply(A: LinearOperator) -> Callable[[np.ndarray], np.ndarray]:
     """Normalize matrices / callables to an apply(x) closure."""
     if isinstance(A, SparseSym):
-        m = A._scipy()
-        return lambda x: m @ x
+        A = A.csr
     if sp.issparse(A):
         return lambda x: A @ x
     if isinstance(A, np.ndarray):
@@ -131,18 +125,6 @@ def as_apply(A: LinearOperator) -> Callable[[np.ndarray], np.ndarray]:
     if callable(A):
         return A
     raise TypeError(f"cannot interpret {type(A)!r} as a linear operator")
-
-
-def spmv(A: SparseSym, x) -> np.ndarray:
-    """Sparse matrix-vector product A @ x.
-
-    Accumulation order is fixed (row-major CSR traversal), so results are
-    bit-identical across runs for identical inputs.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (A.n,):
-        raise ValueError(f"dimension mismatch: operator is {A.n}, vector is {x.shape}")
-    return A._scipy() @ x
 
 
 @dataclass(frozen=True)

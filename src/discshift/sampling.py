@@ -13,19 +13,16 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graphs import GraphLaplacian, ProductOperator, lin_index, mat_index, product_dense
 from .linalg import (
     ConvergenceError,
     EigenPair,
     SolverOptions,
-    SparseSym,
     dense_sym_eig,
     lobpcg_smallest,
 )
@@ -322,56 +319,6 @@ def lambda_max_bound(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
     return 2.0 * alpha * row_graph.max_degree + 2.0 * beta * col_graph.max_degree + 1.0
 
 
-@dataclass(frozen=True)
-class SplitView:
-    """Block view of the operator split Q = Q1 + Q2.
-
-    cluster(j) is the m x m block q * diag(column-j indicator) + alpha * L_r;
-    group(i) is the n x n block (1-q) * diag(row-i indicator) + beta * L_c.
-    perm is the perfect-shuffle permutation with perm[i + m*j] = j + n*i that
-    maps the column-ordered operator onto the row-ordered one, so both kinds
-    of blocks live on one diagonal after conjugation.
-    """
-
-    op: ProductOperator
-    q: float
-
-    def __post_init__(self):
-        if not (0.0 < self.q < 1.0):
-            raise ValueError("q must lie in (0, 1)")
-
-    @property
-    def perm(self) -> np.ndarray:
-        m, n = self.op.m, self.op.n
-        l = np.arange(m * n)
-        return (l // m) + n * (l % m)
-
-    def cluster_indicator(self, j: int) -> np.ndarray:
-        m = self.op.m
-        return self.op.sample_diag[m * j: m * (j + 1)]
-
-    def group_indicator(self, i: int) -> np.ndarray:
-        return self.op.sample_diag[i:: self.op.m]
-
-    def cluster(self, j: int) -> SparseSym:
-        if not (0 <= j < self.op.n):
-            raise ValueError(f"cluster index {j} out of range")
-        blk = self.op.alpha * self.op.row_graph.csr() + sp.diags(
-            self.q * self.cluster_indicator(j))
-        return SparseSym.from_scipy(blk)
-
-    def group(self, i: int) -> SparseSym:
-        if not (0 <= i < self.op.m):
-            raise ValueError(f"group index {i} out of range")
-        blk = self.op.beta * self.op.col_graph.csr() + sp.diags(
-            (1.0 - self.q) * self.group_indicator(i))
-        return SparseSym.from_scipy(blk)
-
-
-def build_split(op: ProductOperator, q: float) -> SplitView:
-    return SplitView(op=op, q=q)
-
-
 def save_sample_set(ss: SampleSet, csv_path, meta: Optional[dict] = None) -> None:
     """Persist selections as `row,col` CSV plus a JSON sidecar of run metadata.
 
@@ -422,7 +369,10 @@ def load_sample_set(csv_path, m: int, budget: Optional[int] = None):
     except FileNotFoundError:
         pass
     k = budget if budget is not None else max(len(pairs), int(meta.get("K") or 0))
-    return SampleSet(tuple(pairs), m=m, budget=k), meta
+    try:
+        return SampleSet(tuple(pairs), m=m, budget=k), meta
+    except ValueError as e:
+        raise ValueError(f"{csv_path}: {e}") from None
 
 
 def _sidecar_path(csv_path: str) -> str:
@@ -430,9 +380,3 @@ def _sidecar_path(csv_path: str) -> str:
         return csv_path[:-4] + ".json"
     return csv_path + ".json"
 
-
-def timed_sample(fn, *args, **kwargs):
-    """Run a sampler and return (result, wall_time_seconds)."""
-    t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    return out, time.perf_counter() - t0

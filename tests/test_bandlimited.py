@@ -91,6 +91,17 @@ def test_basis_rows_match_kron():
     assert_allclose(basis.materialize(), T, atol=1e-12)
 
 
+def test_basis_rows_bitwise_equal_to_kron_loop():
+    rg, cg = random_graph(7, 8), random_graph(6, 9)
+    basis = bandlimited_basis(rg, cg, k1=3, k2=4)
+    lin = [41, 0, 7, 41, 13, 6]
+    ref = np.array([np.kron(basis.U[l // 7], basis.V[l % 7]) for l in lin])
+    assert np.array_equal(basis.rows(lin), ref)
+    assert basis.rows([]).shape == (0, 12)
+    with pytest.raises(ValueError):
+        basis.rows([3, -1])
+
+
 def test_basis_apply_matches_materialized():
     rng = np.random.default_rng(4)
     rg, cg = random_graph(4, 5), random_graph(3, 6)

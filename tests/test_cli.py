@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from discshift.cli import main
-from discshift.experiments import load_metrics, load_ratings
+from discshift.experiments import (
+    ExperimentConfig,
+    load_metrics,
+    load_ratings,
+    run_sampler,
+)
+from discshift.graphs import laplacian_from_weights
 from discshift.linalg import load_edge_list
 from discshift.sampling import load_sample_set
 
@@ -106,6 +112,34 @@ def test_sample_igcs_respects_pool(dataset, tmp_path):
     assert meta["zeta"] == 2
 
 
+def test_sample_matches_run_sampler(dataset, tmp_path):
+    pool = tmp_path / "pool.csv"
+    allowed = [(i, j) for i in range(8) for j in range(6)]
+    pool.write_text("".join(f"{i},{j}\n" for i, j in allowed))
+    mask = np.zeros(12 * 9, dtype=bool)
+    for i, j in allowed:
+        mask[i + 12 * j] = True
+    rg = laplacian_from_weights(load_edge_list(dataset / "row_graph.txt"))
+    cg = laplacian_from_weights(load_edge_list(dataset / "col_graph.txt"))
+    params = ExperimentConfig(dataset="unused", alpha=0.5, beta=0.25, q=0.4,
+                              zeta=2, l_pool=3, k1=2, k2=3)
+    for method in ("gcs", "igcs", "random", "aopt"):
+        out = tmp_path / f"{method}.csv"
+        assert main(["sample", "--method", method, "--budget", "5", "--seed", "3",
+                     "--alpha", "0.5", "--beta", "0.25", "--q", "0.4",
+                     "--zeta", "2", "--l-pool", "3", "--k1", "2", "--k2", "3",
+                     "--pool", str(pool),
+                     "--row-graph", str(dataset / "row_graph.txt"),
+                     "--col-graph", str(dataset / "col_graph.txt"),
+                     "--out", str(out)]) == 0
+        ss, meta = load_sample_set(out, m=12)
+        ref, ref_meta = run_sampler(params, method, 5, 3, 12, 9, rg, cg,
+                                    allowed=mask)
+        assert ss.pairs == ref.pairs
+        del meta["wall_time_seconds"], ref_meta["wall_time_seconds"]
+        assert meta == ref_meta
+
+
 def test_sample_gcs_needs_graphs(tmp_path):
     with pytest.raises(SystemExit, match="needs --row-graph"):
         main(["sample", "--method", "gcs", "--budget", "3",
@@ -174,6 +208,16 @@ def test_complete_rejects_unknown_omega(tmp_path):
         main(["complete", "--ratings", str(ratings), "--omega", str(omega),
               "--row-graph", str(g), "--col-graph", str(g),
               "--out", str(tmp_path / "r.json")])
+
+
+def test_eval_rejects_duplicate_pairs(dataset, tmp_path):
+    X = tmp_path / "x.csv"
+    np.savetxt(X, np.ones((12, 9)), delimiter=",")
+    eval_csv = tmp_path / "eval.csv"
+    eval_csv.write_text("0,0\n1,2\n0,0\n")
+    with pytest.raises(SystemExit, match="eval.csv: sample pairs must be distinct"):
+        main(["eval", "--completed", str(X), "--truth", str(dataset / "ratings.csv"),
+              "--eval-set", str(eval_csv)])
 
 
 def test_experiment_subcommand(tmp_path, capsys):

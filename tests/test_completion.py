@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,15 @@ def test_problem_rejects_unobserved_omega():
     omega = SampleSet(((1, 1),), m=2, budget=1)
     with pytest.raises(ValueError, match="unobserved"):
         CompletionProblem(obs, omega, path_graph(2), path_graph(2), 0.1, 0.1)
+
+
+def test_problem_rejects_out_of_range_omega():
+    # fully observed, so only the range check can reject; -1 would wrap to 1
+    obs = RatingMatrix.from_dense(np.ones((2, 2)))
+    for pair in [(0, -1), (-1, 0), (2, 0), (0, 2)]:
+        omega = SampleSet(((0, 0), pair), m=2, budget=2)
+        with pytest.raises(ValueError, match=rf"unobserved.*{re.escape(str(pair))}"):
+            CompletionProblem(obs, omega, path_graph(2), path_graph(2), 0.1, 0.1)
 
 
 def test_problem_rejects_zero_weights_partial():

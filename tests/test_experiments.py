@@ -21,6 +21,7 @@ from discshift.experiments import (
     split_dataset,
 )
 from discshift.graphs import RatingMatrix
+from discshift.sampling import load_sample_set
 
 TINY_SYNTH = "synthetic:m=12,n=9,row_comm=3,col_comm=3,p_in=0.9,p_out=0.2"
 
@@ -42,7 +43,8 @@ def test_ratings_roundtrip(tmp_path):
     save_ratings(orig, path)
     back = load_ratings(path)
     assert (back.m, back.n) == (3, 4)
-    assert set(back.entries) == set(orig.entries)
+    assert np.array_equal(back.mask_bool(), orig.mask_bool())
+    assert np.array_equal(back.to_dense(), orig.to_dense())
 
 
 def test_load_ratings_infers_dims(tmp_path):
@@ -186,6 +188,18 @@ def test_run_experiment_smoke(tmp_path):
     assert (out / "random_seed0_K10.json").exists()
     assert (out / "random_seed0_K10_report.json").exists()
     assert not (out / "failures.log").exists()
+
+
+def test_run_experiment_sidecar_records_iterations(tmp_path):
+    cfg = ExperimentConfig(dataset=TINY_SYNTH, methods=["gcs", "igcs"],
+                           sample_budget_fraction=0.5, budgets=[6],
+                           seeds=[0], output_dir=str(tmp_path / "out"))
+    rows = run_experiment(cfg)
+    assert [r.method for r in rows] == ["gcs", "igcs"]
+    for r in rows:
+        _, meta = load_sample_set(tmp_path / "out" / f"{r.method}_seed0_K6.csv", m=12)
+        assert len(meta["iter_counts"]) == 6
+        assert sum(meta["iter_counts"]) == r.lobpcg_total_iters > 0
 
 
 def test_run_experiment_grid_and_order(tmp_path):

@@ -174,7 +174,7 @@ def test_rating_matrix_from_dense_nan_missing():
     Y = np.array([[1.0, np.nan], [np.nan, 4.0]])
     R = RatingMatrix.from_dense(Y)
     assert R.n_known == 2
-    assert R.known_mask == {(0, 0), (1, 1)}
+    assert np.array_equal(R.mask_bool(), [[True, False], [False, True]])
 
 
 # ------------------------------------------------------------ content graph

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import scipy.sparse as sp
+
 import discshift.linalg as linalg
 from discshift.bandlimited import aopt_local_search, bandlimited_basis
-from discshift.graphs import ProductOperator, synthetic_netflix
+from discshift.graphs import ProductOperator, laplacian_from_weights, synthetic_netflix
 from discshift.linalg import (
     ConvergenceError,
     SolverOptions,
@@ -17,7 +19,6 @@ from discshift.linalg import (
     load_edge_list,
     lobpcg_smallest,
     save_edge_list,
-    spmv,
 )
 from discshift.sampling import gcs_sample, igcs_sample
 
@@ -52,12 +53,12 @@ def random_sparse_sym(n, rng, density=0.3):
 
 def test_sparsesym_identity_spmv():
     A = SparseSym.identity(3)
-    assert_allclose(spmv(A, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+    assert_allclose(A.csr @ np.array([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
 
 def test_sparsesym_path_annihilates_constants():
     A = path_laplacian(3)
-    assert_allclose(spmv(A, np.ones(3)), np.zeros(3), atol=1e-15)
+    assert_allclose(A.csr @ np.ones(3), np.zeros(3), atol=1e-15)
 
 
 def test_spmv_matches_dense_oracle():
@@ -65,7 +66,37 @@ def test_spmv_matches_dense_oracle():
     for _ in range(20):
         A = random_sparse_sym(8, rng)
         x = rng.standard_normal(8)
-        assert np.max(np.abs(spmv(A, x) - A.to_dense() @ x)) <= 1e-12
+        assert np.max(np.abs(A.csr @ x - A.to_dense() @ x)) <= 1e-12
+
+
+def test_sparsesym_holds_one_csr():
+    A = path_laplacian(4)
+    assert A.csr is A.csr
+    assert A.row_offsets is A.csr.indptr and A.values is A.csr.data
+    G = laplacian_from_weights(SparseSym.from_dense(np.ones((3, 3)) - np.eye(3)))
+    assert G.csr() is G.csr() is G.laplacian.csr
+
+
+def test_sparsesym_rejects_noncanonical_csr():
+    # row 0 lists column 1 before column 0
+    unsorted = sp.csr_matrix((np.array([2.0, 1.0, 2.0]), np.array([1, 0, 0]),
+                              np.array([0, 2, 3])), shape=(2, 2))
+    with pytest.raises(ValueError, match="sorted"):
+        SparseSym(unsorted)
+    dup = sp.csr_matrix((np.array([1.0, 1.0]), np.array([0, 0]),
+                         np.array([0, 2, 2])), shape=(2, 2))
+    with pytest.raises(ValueError, match="duplicates"):
+        SparseSym(dup)
+
+
+def test_sparsesym_from_scipy_sums_duplicates():
+    # row 0 stores column 0 twice (1 + 2)
+    dup = sp.csr_matrix((np.array([1.0, 2.0, 3.0, 3.0]), np.array([0, 0, 1, 0]),
+                         np.array([0, 3, 4])), shape=(2, 2))
+    assert not dup.has_canonical_format
+    A = SparseSym.from_scipy(dup)
+    assert A.nnz == 3
+    assert_allclose(A.to_dense(), [[3.0, 3.0], [3.0, 0.0]])
 
 
 def test_sparsesym_roundtrip_dense():

@@ -1,4 +1,4 @@
-"""Tests for the greedy samplers, the split view, and sample-set persistence."""
+"""Tests for the greedy samplers and sample-set persistence."""
 
 import dataclasses
 import logging
@@ -21,7 +21,6 @@ from discshift.linalg import SolverOptions, SparseSym
 from discshift.sampling import (
     SampleSet,
     argmax_abs_tied,
-    build_split,
     exact_greedy_oracle,
     gcs_sample,
     igcs_sample,
@@ -29,7 +28,6 @@ from discshift.sampling import (
     load_sample_set,
     random_sample,
     save_sample_set,
-    timed_sample,
 )
 
 
@@ -409,59 +407,6 @@ def test_lambda_max_bound_sound():
         assert lam_max <= lambda_max_bound(rg, cg, alpha, beta) + 1e-10
 
 
-# --------------------------------------------------------------- split view
-
-
-def test_split_blocks_without_samples():
-    op = ProductOperator(random_graph(4, 50), random_graph(3, 51), 0.2, 0.3)
-    sv = build_split(op, q=0.5)
-    for j in range(3):
-        assert_allclose(sv.cluster(j).to_dense(),
-                        0.2 * op.row_graph.laplacian.to_dense(), atol=1e-15)
-    for i in range(4):
-        assert_allclose(sv.group(i).to_dense(),
-                        0.3 * op.col_graph.laplacian.to_dense(), atol=1e-15)
-
-
-def test_split_indicator_duality():
-    # sampling (2,0) with m=3 marks row 2 in cluster 0 and col 0 in group 2
-    op = ProductOperator(path_graph(3), path_graph(2), 0.1, 0.1)
-    op.sample_diag[lin_index(2, 0, 3)] = 1.0
-    sv = build_split(op, q=0.5)
-    assert sv.cluster_indicator(0)[2] == 1.0
-    assert sv.group_indicator(2)[0] == 1.0
-    assert sv.cluster_indicator(1).sum() == 0.0
-
-
-def test_split_block_diagonals_scaled_by_q():
-    op = ProductOperator(path_graph(3), path_graph(2), 0.1, 0.1)
-    op.sample_diag[lin_index(2, 0, 3)] = 1.0
-    sv = build_split(op, q=0.25)
-    assert sv.cluster(0).to_dense()[2, 2] == pytest.approx(0.25 + 0.1 * 1.0)
-    assert sv.group(2).to_dense()[0, 0] == pytest.approx(0.75 + 0.1 * 1.0)
-
-
-def test_split_permutation_conjugates_kron():
-    for m, n in [(2, 3), (4, 3), (5, 6)]:
-        op = ProductOperator(random_graph(m, m * 7), random_graph(n, n * 13),
-                             0.1, 0.1)
-        sv = build_split(op, q=0.5)
-        Lc = op.col_graph.laplacian.to_dense()
-        A = np.kron(Lc, np.eye(m))
-        B = np.kron(np.eye(m), Lc)
-        P = np.eye(m * n)[sv.perm]
-        assert_allclose(P.T @ A @ P, B, atol=1e-12)
-        ea = np.sort(np.linalg.eigvalsh(A))
-        eb = np.sort(np.linalg.eigvalsh(B))
-        assert np.max(np.abs(ea - eb)) <= 1e-8
-
-
-def test_split_validates_q():
-    op = ProductOperator(path_graph(2), path_graph(2), 0.1, 0.1)
-    with pytest.raises(ValueError):
-        build_split(op, q=1.0)
-
-
 # -------------------------------------------------------------- persistence
 
 
@@ -492,8 +437,3 @@ def test_sample_set_load_rejects_garbage(tmp_path):
     with pytest.raises(ValueError, match="bad.csv:2"):
         load_sample_set(path, m=2)
 
-
-def test_timed_sample():
-    out, secs = timed_sample(random_sample, 3, 3, 4, seed=0)
-    assert len(out) == 4
-    assert secs >= 0.0
