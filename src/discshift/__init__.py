@@ -35,11 +35,11 @@ from .graphs import (
     trivial_graph,
 )
 from .sampling import (
-    GcsState,
-    IgcsState,
     SampleSet,
+    SamplerState,
     exact_greedy_oracle,
     gcs_sample,
+    greedy_disc_shift,
     igcs_sample,
     lambda_max_bound,
     load_sample_set,
@@ -50,6 +50,7 @@ from .bandlimited import (
     BandlimitedBasis,
     aopt_local_search,
     aopt_objective,
+    aopt_pick,
     bandlimited_basis,
     bandlimited_reconstruct,
 )

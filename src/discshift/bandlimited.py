@@ -10,20 +10,13 @@ recovered by least squares on those rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from .graphs import GraphLaplacian, ProductOperator, mat_index
+from .graphs import GraphLaplacian, ProductOperator
 from .linalg import SolverOptions, dense_sym_eig
-from .sampling import (
-    TIE_TOL,
-    SampleSet,
-    _normalize_allowed,
-    _random_unit,
-    _solve_step,
-    argmax_abs_tied,
-)
+from .sampling import SampleSet, argmax_abs_tied, greedy_disc_shift
 
 AOPT_EPS = 1e-8
 GRAM_RANK_TOL = 1e-10
@@ -134,59 +127,44 @@ def aopt_objective(basis: BandlimitedBasis, S, eps: Optional[float] = None) -> f
     return float(np.sum(1.0 / shifted))
 
 
-def aopt_local_search(basis: BandlimitedBasis, op: ProductOperator, K: int,
-                      L_pool: int, opts: Optional[SolverOptions] = None,
-                      allowed=None, tie_tol: float = TIE_TOL) -> SampleSet:
-    """A-optimal greedy sampling restricted to a local candidate pool.
+def aopt_pick(basis: BandlimitedBasis, L_pool: int):
+    """A-optimal pick rule for greedy_disc_shift; it remembers its picks, so
+    use one per run.
 
-    Each step ranks unsampled indices by the magnitude of the current
-    operator's first eigenvector, keeps the top L_pool as candidates, scores
-    each by aopt_objective(S + candidate), picks the minimizer, and shifts
-    that disc (diagonal +1) before the next eigensolve. Pool membership uses
-    the same tie rule as the final pick (magnitudes within tie_tol tie, the
-    lowest linear index wins) so the selection does not depend on eigensolver
-    noise. L_pool = 1 reduces to gcs_sample's picks; L_pool = mn is plain
-    greedy A-optimal.
+    The pool is the top L_pool available indices by |phi|, filled slot by
+    slot with GCS's tie rule (argmax_abs_tied) so that it does not depend on
+    eigensolver noise; the pick is the pool member that minimizes
+    aopt_objective of the picks so far plus it.
     """
-    size = op.size
-    if not (1 <= L_pool <= size):
+    if not (1 <= L_pool <= basis.m * basis.n):
         raise ValueError(f"L_pool={L_pool} out of range")
-    opts = opts or SolverOptions()
-    op = op.copy()
-    mask = _normalize_allowed(allowed, size)
-    available = mask & (op.sample_diag == 0)
-    if K > int(available.sum()):
-        raise ValueError(f"budget {K} exceeds available pool {int(available.sum())}")
-
-    rng = np.random.default_rng(opts.seed)
-    warm = None
     chosen: List[int] = []
-    pairs: List[Tuple[int, int]] = []
 
-    for t in range(K):
-        x0 = warm if warm is not None else _random_unit(rng, size)
-        pair = _solve_step(op.apply, x0, opts, rng, size, f"A-opt step {t}")
-        phi = pair.vec
-        cand = np.flatnonzero(available)
-        n_pool = min(L_pool, cand.size)
+    def pick(phi, available):
+        remaining = available.copy()
         pool = []
-        remaining = cand.tolist()
-        for _ in range(n_pool):
-            pick = argmax_abs_tied(phi, np.array(remaining), tie_tol)
-            pool.append(pick)
-            remaining.remove(pick)
+        for _ in range(min(L_pool, int(remaining.sum()))):
+            pool.append(argmax_abs_tied(phi, np.flatnonzero(remaining)))
+            remaining[pool[-1]] = False
         best_idx, best_val = None, None
         for c in sorted(pool):
             val = aopt_objective(basis, chosen + [c])
             if best_val is None or val < best_val - 1e-12:
                 best_idx, best_val = c, val
         chosen.append(best_idx)
-        available[best_idx] = False
-        op.sample_diag[best_idx] = 1.0
-        pairs.append(mat_index(best_idx, op.m))
-        warm = phi
+        return best_idx
 
-    return SampleSet(tuple(pairs), m=op.m, budget=K)
+    return pick
+
+
+def aopt_local_search(basis: BandlimitedBasis, op: ProductOperator, K: int,
+                      L_pool: int, opts: Optional[SolverOptions] = None,
+                      allowed=None) -> SampleSet:
+    """A-optimal greedy sampling restricted to a local candidate pool: the
+    greedy_disc_shift loop with aopt_pick. L_pool = 1 reduces to gcs_sample's
+    picks; L_pool = mn is plain greedy A-optimal.
+    """
+    return greedy_disc_shift(op, K, aopt_pick(basis, L_pool), "A-opt", allowed, opts)[0]
 
 
 def bandlimited_reconstruct(basis: BandlimitedBasis, S, y_S) -> np.ndarray:

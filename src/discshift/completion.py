@@ -18,8 +18,8 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .graphs import ProductOperator, RatingMatrix, GraphLaplacian
-from .linalg import ConvergenceError, SolverOptions, cg_solve, lobpcg_smallest
-from .sampling import SampleSet, _random_unit
+from .linalg import ConvergenceError, SolverOptions, cg_solve, lobpcg_smallest, random_unit
+from .sampling import SampleSet
 
 _log = logging.getLogger(__name__)
 
@@ -137,7 +137,7 @@ def dglr_solve(p: CompletionProblem, opts: Optional[SolverOptions] = None,
     if estimate_lambda_min:
         eig_opts = SolverOptions(seed=opts.seed)
         rng = np.random.default_rng(eig_opts.seed)
-        pair = lobpcg_smallest(op.apply, _random_unit(rng, op.size), eig_opts)
+        pair = lobpcg_smallest(op.apply, random_unit(rng, op.size), eig_opts)
         if not pair.converged:
             _log.warning("lambda_min estimate did not converge (residual %.3e "
                          "after %d iterations)", pair.residual, pair.iterations)

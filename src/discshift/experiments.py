@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bandlimited import aopt_local_search, bandlimited_basis
+from .bandlimited import aopt_pick, bandlimited_basis
 from .completion import CompletionProblem, dglr_solve, rmse_eval, save_report
 from .graphs import (
     GraphLaplacian,
@@ -29,6 +29,7 @@ from .linalg import SolverOptions, load_edge_list
 from .sampling import (
     SampleSet,
     gcs_sample,
+    greedy_disc_shift,
     igcs_sample,
     random_sample,
     save_sample_set,
@@ -134,19 +135,27 @@ def load_ratings(path) -> RatingMatrix:
             vals.append(v)
             lines.append(lineno)
 
+    try:
+        rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    except OverflowError:  # an index beyond int64 is out of any range
+        k = next(k for k, ij in enumerate(zip(rows, cols)) if max(map(abs, ij)) >= 2**63)
+        raise ValueError(f"{path}:{lines[k]}: index ({rows[k]},{cols[k]}) out of range") from None
     if m is None:
-        m = max(rows, default=-1) + 1
-        n = max(cols, default=-1) + 1
-    seen = {}
-    for i, j, lineno in zip(rows, cols, lines):
-        if not (0 <= i < m and 0 <= j < n):
-            raise ValueError(f"{path}:{lineno}: index ({i},{j}) out of range for {m}x{n}")
-        if (i, j) in seen:
-            raise ValueError(
-                f"{path}:{lineno}: duplicate entry ({i},{j}), first at line {seen[(i, j)]}")
-        seen[(i, j)] = lineno
-    return RatingMatrix(m, n, np.array(rows, dtype=np.int64),
-                        np.array(cols, dtype=np.int64), np.array(vals))
+        m, n = int(rows.max(initial=-1)) + 1, int(cols.max(initial=-1)) + 1
+    # Report the first bad line: an index out of range or a repeated entry.
+    out = np.flatnonzero((rows < 0) | (rows >= m) | (cols < 0) | (cols >= n))
+    end = out[0] if out.size else rows.size
+    _, first, inverse = np.unique(rows[:end] * n + cols[:end], return_index=True,
+                                  return_inverse=True)
+    repeat = np.flatnonzero(first[inverse] != np.arange(end))
+    if repeat.size:
+        k = repeat[0]
+        raise ValueError(f"{path}:{lines[k]}: duplicate entry ({rows[k]},{cols[k]}), "
+                         f"first at line {lines[first[inverse[k]]]}")
+    if end < rows.size:
+        raise ValueError(f"{path}:{lines[end]}: index ({rows[end]},{cols[end]}) "
+                         f"out of range for {m}x{n}")
+    return RatingMatrix(m, n, rows, cols, np.array(vals))
 
 
 def save_ratings(data: RatingMatrix, path) -> None:
@@ -260,27 +269,28 @@ def run_sampler(params, method: str, K: int, seed: int, m: int, n: int,
     diagonal of entries observed before sampling (GCS and A-opt only),
     allowed the candidate pool as in the samplers. Only random sampling
     runs without graphs. The metadata is what save_sample_set writes beside
-    the picks; iter_counts holds the per-pick LOBPCG iterations of GCS and
-    IGCS and is None for the others. Wall time covers the whole call.
+    the picks; iter_counts holds the per-pick LOBPCG iterations of the
+    greedy samplers and is None for random sampling. Wall time covers the
+    whole call. A-opt runs as aopt_local_search does, through the shared
+    loop, so that its state is at hand.
     """
     opts = SolverOptions(seed=seed)
-    iter_counts = None
+    state = None
     t0 = time.perf_counter()
     if method == "gcs":
         op = ProductOperator(row_graph, col_graph, params.alpha, params.beta, initial)
         ss, state = gcs_sample(op, K, allowed=allowed, opts=opts)
-        iter_counts = state.iter_counts
     elif method == "igcs":
         ss, state = igcs_sample(row_graph, col_graph, params.alpha, params.beta,
                                 q=params.q, zeta=params.zeta, K=K, allowed=allowed,
                                 opts=opts)
-        iter_counts = state.iter_counts
     elif method == "random":
         ss = random_sample(m, n, K, seed=seed, allowed=allowed)
     elif method == "aopt":
         basis = bandlimited_basis(row_graph, col_graph, params.k1, params.k2)
         op = ProductOperator(row_graph, col_graph, params.alpha, params.beta, initial)
-        ss = aopt_local_search(basis, op, K, params.l_pool, opts=opts, allowed=allowed)
+        ss, state = greedy_disc_shift(op, K, aopt_pick(basis, params.l_pool), "A-opt",
+                                      allowed, opts)
     else:
         raise ValueError(f"unknown method {method!r}")
     wall = time.perf_counter() - t0
@@ -288,7 +298,8 @@ def run_sampler(params, method: str, K: int, seed: int, m: int, n: int,
                 "alpha": params.alpha, "beta": params.beta,
                 "q": params.q if method == "igcs" else None,
                 "zeta": params.zeta if method == "igcs" else None,
-                "iter_counts": iter_counts, "wall_time_seconds": wall}
+                "iter_counts": state.iter_counts if state else None,
+                "wall_time_seconds": wall}
 
 
 def run_experiment(cfg: ExperimentConfig) -> List[MetricsRow]:

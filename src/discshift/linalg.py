@@ -173,6 +173,12 @@ class SolverOptions:
             raise ValueError("max_iter must be at least 1")
 
 
+def random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A standard-normal draw of length n, normalized: a random start vector."""
+    v = rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
 def cg_solve(apply: LinearOperator, b, opts: Optional[SolverOptions] = None,
              x0=None) -> np.ndarray:
     """Conjugate gradient for a symmetric positive definite system.

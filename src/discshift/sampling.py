@@ -1,11 +1,13 @@
 """Sampling strategies over the product graph.
 
-The greedy disc-shift sampler (GCS) repeatedly takes the largest-magnitude
-entry of the current operator's first eigenvector, adds a unit self-loop
-there, and warm-starts the next eigensolve. The block-wise variant (IGCS)
-alternates between per-column "cluster" and per-row "group" blocks of the
-split operator so every eigensolve stays factor-sized. A uniform random
-baseline and an exact greedy oracle (dense, test-scale only) round things out.
+The greedy disc-shift loop repeatedly solves for the current operator's
+first eigenvector, warm-started, picks an entry from it, and adds a unit
+self-loop there. GCS picks the largest-magnitude entry; the A-optimal local
+search in `bandlimited` runs the same loop with a pooled pick rule. The
+block-wise variant (IGCS) alternates between per-column "cluster" and
+per-row "group" blocks of the split operator so every eigensolve stays
+factor-sized. A uniform random baseline and an exact greedy oracle (dense,
+test-scale only) round things out.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import csv
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,8 +26,8 @@ from .linalg import (
     ConvergenceError,
     EigenPair,
     SolverOptions,
-    dense_sym_eig,
     lobpcg_smallest,
+    random_unit,
 )
 
 _log = logging.getLogger(__name__)
@@ -44,8 +47,17 @@ class SampleSet:
     budget: int
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple((int(i), int(j)) for i, j in self.pairs))
-        if len(set(self.pairs)) != len(self.pairs):
+        try:
+            flat = np.fromiter(chain.from_iterable(self.pairs), dtype=np.int64)
+        except OverflowError:
+            raise ValueError("sample pair index beyond int64") from None
+        pairs = tuple(zip(flat[0::2].tolist(), flat[1::2].tolist()))
+        if pairs != tuple(self.pairs):  # a pair of another length, or a non-integer
+            raise ValueError("sample pairs must be (row, col) integer pairs")
+        object.__setattr__(self, "pairs", pairs)
+        ij = flat.reshape(-1, 2)
+        ij = ij[np.lexsort(ij.T)]
+        if np.any((ij[1:] == ij[:-1]).all(axis=1)):
             raise ValueError("sample pairs must be distinct")
         if len(self.pairs) > self.budget:
             raise ValueError("more samples than budget")
@@ -68,22 +80,12 @@ class SampleSet:
 
 
 @dataclass
-class GcsState:
-    """Sampler state: operator copy, picks, warm vector, per-step iterations."""
+class SamplerState:
+    """What a greedy sampler reports per pick: its LOBPCG iterations (a
+    retry's included) and, for IGCS, the (mode, block, index) of the pick."""
 
-    op: ProductOperator
-    chosen: SampleSet
-    warm_vec: Optional[np.ndarray]
     iter_counts: List[int] = field(default_factory=list)
-
-
-@dataclass
-class IgcsState:
-    """Block-sampler bookkeeping: indicator matrix, trace, per-pick iterations."""
-
-    indicator: np.ndarray
     steps: List[Tuple[str, int, int]] = field(default_factory=list)
-    iter_counts: List[int] = field(default_factory=list)
 
 
 def argmax_abs_tied(vec: np.ndarray, candidates: np.ndarray, tie_tol: float = TIE_TOL) -> int:
@@ -107,15 +109,6 @@ def _normalize_allowed(allowed, size: int) -> np.ndarray:
     return mask
 
 
-def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.standard_normal(n)
-    nrm = np.linalg.norm(v)
-    while nrm == 0.0:  # vanishing draw is astronomically unlikely
-        v = rng.standard_normal(n)
-        nrm = np.linalg.norm(v)
-    return v / nrm
-
-
 def _solve_step(apply, x0, opts, rng, n, what):
     """One eigensolve; retry once from a fresh random start before giving up."""
     pair = lobpcg_smallest(apply, x0, opts)
@@ -123,7 +116,7 @@ def _solve_step(apply, x0, opts, rng, n, what):
         _log.warning("%s: eigensolver did not converge (residual %.3e after %d "
                      "iterations); retrying from a random start",
                      what, pair.residual, pair.iterations)
-        retry = lobpcg_smallest(apply, _random_unit(rng, n), opts)
+        retry = lobpcg_smallest(apply, random_unit(rng, n), opts)
         retry = EigenPair(retry.value, retry.vec, retry.residual,
                           pair.iterations + retry.iterations, retry.converged)
         if not retry.converged:
@@ -134,56 +127,61 @@ def _solve_step(apply, x0, opts, rng, n, what):
     return pair
 
 
-def gcs_sample(op: ProductOperator, K: int, allowed=None,
-               opts: Optional[SolverOptions] = None, warm_start: bool = True,
-               tie_tol: float = TIE_TOL) -> Tuple[SampleSet, GcsState]:
-    """Greedy disc-shift sampling on the full product operator.
+def greedy_disc_shift(op: ProductOperator, K: int,
+                      pick: Callable[[np.ndarray, np.ndarray], int], what: str,
+                      allowed=None, opts: Optional[SolverOptions] = None,
+                      warm_start: bool = True) -> Tuple[SampleSet, SamplerState]:
+    """The greedy disc-shift loop shared by GCS and A-optimal local search.
 
-    Each step solves for the first eigenvector phi of the current operator
-    (warm-started with the previous phi), picks the unsampled allowed index
-    with the largest |phi| (ties to the lowest linear index), and sets that
-    diagonal entry to 1. The caller's operator is not mutated; the returned
-    state owns a copy.
-
-    Returns (SampleSet, GcsState); state.iter_counts has one LOBPCG iteration
-    count per step.
+    Each of the K steps solves for the first eigenvector phi of the current
+    operator (warm-started with the previous phi unless warm_start is off),
+    takes k = pick(phi, available), available being the boolean mask of
+    unsampled allowed indices (read only), and sets diagonal entry k to 1.
+    what names the sampler in convergence errors. The caller's operator is
+    not mutated. Returns (SampleSet, SamplerState).
     """
     opts = opts or SolverOptions()
     op = op.copy()
     size = op.size
-    mask = _normalize_allowed(allowed, size)
-    available = mask & (op.sample_diag == 0)
+    available = _normalize_allowed(allowed, size) & (op.sample_diag == 0)
     if K > int(available.sum()):
         raise ValueError(f"budget {K} exceeds available pool {int(available.sum())}")
 
     rng = np.random.default_rng(opts.seed)
     warm: Optional[np.ndarray] = None
     pairs: List[Tuple[int, int]] = []
-    iter_counts: List[int] = []
-
+    state = SamplerState()
     for t in range(K):
-        x0 = warm if (warm_start and warm is not None) else _random_unit(rng, size)
-        try:
-            pair = _solve_step(op.apply, x0, opts, rng, size, f"GCS step {t}")
-        except ConvergenceError as e:
-            raise ConvergenceError(f"GCS step {t}: {e}", residual=e.residual) from None
-        phi = pair.vec
-        cand = np.flatnonzero(available)
-        k_star = argmax_abs_tied(phi, cand, tie_tol)
+        x0 = warm if warm is not None else random_unit(rng, size)
+        pair = _solve_step(op.apply, x0, opts, rng, size, f"{what} step {t}")
+        k_star = pick(pair.vec, available)
         op.sample_diag[k_star] = 1.0
         available[k_star] = False
         pairs.append(mat_index(k_star, op.m))
-        iter_counts.append(pair.iterations)
-        warm = phi
+        state.iter_counts.append(pair.iterations)
+        if warm_start:
+            warm = pair.vec
+    return SampleSet(tuple(pairs), m=op.m, budget=K), state
 
-    chosen = SampleSet(tuple(pairs), m=op.m, budget=K)
-    return chosen, GcsState(op=op, chosen=chosen, warm_vec=warm, iter_counts=iter_counts)
+
+def gcs_sample(op: ProductOperator, K: int, allowed=None,
+               opts: Optional[SolverOptions] = None,
+               warm_start: bool = True) -> Tuple[SampleSet, SamplerState]:
+    """Greedy disc-shift sampling on the full product operator.
+
+    The greedy_disc_shift loop, picking the available index with the largest
+    |phi| (ties to the lowest linear index). Returns (SampleSet, SamplerState).
+    """
+    def pick(phi, available):
+        return argmax_abs_tied(phi, np.flatnonzero(available))
+
+    return greedy_disc_shift(op, K, pick, "GCS", allowed, opts, warm_start)
 
 
 def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
                 alpha: float, beta: float, q: float = 0.5, zeta: int = 1,
-                K: int = 1, allowed=None, opts: Optional[SolverOptions] = None,
-                tie_tol: float = TIE_TOL) -> Tuple[SampleSet, IgcsState]:
+                K: int = 1, allowed=None,
+                opts: Optional[SolverOptions] = None) -> Tuple[SampleSet, SamplerState]:
     """Block-wise greedy sampling alternating clusters (columns) and groups (rows).
 
     Starting from cluster j = 0, each cluster step solves the m x m block
@@ -217,7 +215,7 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
     streak = 0
     warm: Optional[np.ndarray] = None
     pairs: List[Tuple[int, int]] = []
-    state = IgcsState(indicator=sampled)
+    state = SamplerState()
 
     skips = 0
     while len(pairs) < K:
@@ -245,11 +243,11 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
             ind = sampled[block, :].astype(np.float64)
             apply = lambda v: q_hat * (ind * v) + beta * (Lc @ v)
             dim = n
-        x0 = warm if warm is not None else _random_unit(rng, dim)
+        x0 = warm if warm is not None else random_unit(rng, dim)
         pair = _solve_step(apply, x0, opts,
                            rng, dim, f"IGCS {mode} {block} (pick {len(pairs)})")
         phi = pair.vec
-        k_star = argmax_abs_tied(phi, np.flatnonzero(avail), tie_tol)
+        k_star = argmax_abs_tied(phi, np.flatnonzero(avail))
         if mode == "cluster":
             entry = (k_star, block)
         else:

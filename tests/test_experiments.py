@@ -1,6 +1,7 @@
 """Tests for dataset I/O, splitting, and the experiment sweep harness."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -57,14 +58,59 @@ def test_load_ratings_infers_dims(tmp_path):
 def test_load_ratings_rejects_duplicates(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("0,0,1.0\n0,0,2.0\n")
-    with pytest.raises(ValueError, match="dup.csv:2"):
+    with pytest.raises(ValueError, match="dup.csv:2: duplicate entry \\(0,0\\), first at line 1"):
         load_ratings(path)
+
+
+def test_load_ratings_reports_first_bad_line(tmp_path):
+    # The loader's error names the first line that is out of range or repeats
+    # an earlier entry, as a line-by-line scan would.
+    def first_bad(entries, m, n):
+        seen = {}
+        for lineno, (i, j) in entries:
+            if not (0 <= i < m and 0 <= j < n):
+                return f":{lineno}: index ({i},{j}) out of range for {m}x{n}"
+            if (i, j) in seen:
+                return f":{lineno}: duplicate entry ({i},{j}), first at line {seen[(i, j)]}"
+            seen[(i, j)] = lineno
+        return None
+
+    rng = np.random.default_rng(0)
+    path = tmp_path / "r.csv"
+    kinds = set()
+    for _ in range(60):
+        m, n = 3, 4
+        lines, entries = ["# m=3 n=4", "row,col,value"], []
+        for _ in range(int(rng.integers(1, 12))):
+            if rng.random() < 0.2:
+                lines.append("")
+            i, j = (int(v) for v in rng.integers(-1, [m + 1, n + 1]))
+            if rng.random() < 0.9:
+                i, j = min(max(i, 0), m - 1), min(max(j, 0), n - 1)
+            lines.append(f"{i},{j},1.5")
+            entries.append((len(lines), (i, j)))
+        path.write_text("\n".join(lines) + "\n")
+        want = first_bad(entries, m, n)
+        kinds.add(want.split()[1] if want else "ok")
+        if want is None:
+            assert load_ratings(path).n_known == len(entries)
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"r.csv{want}") + "$"):
+                load_ratings(path)
+    assert kinds == {"ok", "index", "duplicate"}
 
 
 def test_load_ratings_rejects_out_of_range(tmp_path):
     path = tmp_path / "oob.csv"
     path.write_text("# m=2 n=2\n3,0,1.0\n")
     with pytest.raises(ValueError, match="out of range"):
+        load_ratings(path)
+
+
+def test_load_ratings_rejects_index_beyond_int64(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("# m=2 n=2\n0,0,1.0\n0,99999999999999999999,2.0\n")
+    with pytest.raises(ValueError, match=r"huge.csv:3: index \(0,99999999999999999999\) out of range"):
         load_ratings(path)
 
 
@@ -191,11 +237,11 @@ def test_run_experiment_smoke(tmp_path):
 
 
 def test_run_experiment_sidecar_records_iterations(tmp_path):
-    cfg = ExperimentConfig(dataset=TINY_SYNTH, methods=["gcs", "igcs"],
+    cfg = ExperimentConfig(dataset=TINY_SYNTH, methods=["gcs", "igcs", "aopt"],
                            sample_budget_fraction=0.5, budgets=[6],
                            seeds=[0], output_dir=str(tmp_path / "out"))
     rows = run_experiment(cfg)
-    assert [r.method for r in rows] == ["gcs", "igcs"]
+    assert [r.method for r in rows] == ["aopt", "gcs", "igcs"]
     for r in rows:
         _, meta = load_sample_set(tmp_path / "out" / f"{r.method}_seed0_K6.csv", m=12)
         assert len(meta["iter_counts"]) == 6

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 import discshift.sampling as sampling
 
+from discshift.bandlimited import aopt_local_search, bandlimited_basis
 from discshift.graphs import (
     ProductOperator,
     community_graph,
@@ -16,8 +17,9 @@ from discshift.graphs import (
     lin_index,
     mat_index,
     product_dense,
+    synthetic_netflix,
 )
-from discshift.linalg import SolverOptions, SparseSym
+from discshift.linalg import ConvergenceError, SolverOptions, SparseSym
 from discshift.sampling import (
     SampleSet,
     argmax_abs_tied,
@@ -82,8 +84,26 @@ def test_sample_set_linear_view():
 
 
 def test_sample_set_rejects_duplicates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="distinct"):
         SampleSet(((0, 0), (0, 0)), m=2, budget=2)
+    with pytest.raises(ValueError, match="distinct"):
+        SampleSet(((1, 0), (0, 1), (0, 0), (1, 1), (0, 1)), m=2, budget=5)
+    # same row or same column is not a repeat
+    assert len(SampleSet(((0, 1), (1, 0), (0, 0), (1, 1)), m=2, budget=4)) == 4
+
+
+def test_sample_set_pairs_are_python_ints():
+    ss = SampleSet(((np.int64(2), np.int32(1)), (0, 0), (1.0, 2)), m=3, budget=3)
+    assert ss.pairs == ((2, 1), (0, 0), (1, 2))
+    assert all(type(v) is int for pair in ss.pairs for v in pair)
+
+
+def test_sample_set_rejects_malformed_pairs():
+    for bad in (((0, 0, 1),), ((0, 1, 2), (3,)), ((0.5, 1),)):
+        with pytest.raises(ValueError, match="integer pairs"):
+            SampleSet(bad, m=3, budget=3)
+    with pytest.raises(ValueError, match="beyond int64"):
+        SampleSet(((2**63, 0),), m=3, budget=1)
 
 
 def test_sample_set_rejects_overflow():
@@ -137,6 +157,23 @@ def test_gcs_logs_eigensolver_retry(monkeypatch, caplog):
     assert state.iter_counts == [calls[0].iterations + calls[1].iterations]
     assert "GCS step 0: eigensolver did not converge" in caplog.text
     assert "retrying from a random start" in caplog.text
+
+
+def test_unconverged_retry_names_sampler_step_once():
+    # With one LOBPCG iteration allowed, the first solve and its retry both
+    # fail; the error names the sampler and step exactly once.
+    d = synthetic_netflix(30, 20, 2, 2, seed=1)
+    op = ProductOperator(d.row_graph, d.col_graph, 1.0, 1.0)
+    opts = SolverOptions(max_iter=1)
+    with pytest.raises(ConvergenceError) as exc:
+        gcs_sample(op, 3, opts=opts)
+    assert str(exc.value).startswith("GCS step 0: eigensolver did not converge")
+    assert str(exc.value).count("step") == 1
+    basis = bandlimited_basis(d.row_graph, d.col_graph, 2, 2)
+    with pytest.raises(ConvergenceError) as exc:
+        aopt_local_search(basis, op, 3, 2, opts=opts)
+    assert str(exc.value).startswith("A-opt step 0: eigensolver did not converge")
+    assert str(exc.value).count("step") == 1
 
 
 def test_gcs_matches_dense_reference():
@@ -294,11 +331,6 @@ def test_igcs_deterministic():
     a, _ = igcs_sample(rg, cg, 0.1, 0.1, zeta=2, K=8, opts=SolverOptions(seed=3))
     b, _ = igcs_sample(rg, cg, 0.1, 0.1, zeta=2, K=8, opts=SolverOptions(seed=3))
     assert a.pairs == b.pairs
-
-
-def test_igcs_indicator_tracks_pairs():
-    ss, state = igcs_sample(path_graph(4), path_graph(3), 0.1, 0.1, zeta=1, K=5)
-    assert {(int(i), int(j)) for i, j in np.argwhere(state.indicator)} == set(ss.pairs)
 
 
 # ------------------------------------------------------------------- random
