@@ -8,7 +8,6 @@ linear system.
 
 from .linalg import (
     ConvergenceError,
-    DiscBound,
     EigenPair,
     SolverOptions,
     SparseSym,

@@ -33,7 +33,7 @@ from .graphs import (
     synthetic_netflix,
 )
 from .linalg import SolverOptions, load_edge_list, save_edge_list
-from .sampling import load_sample_set, save_sample_set
+from .sampling import in_grid, load_sample_set, save_sample_set
 
 
 def _load_graph(path):
@@ -96,8 +96,13 @@ def _cmd_sample(args):
     mn = m * n
     allowed = None
     if args.pool:
+        pool = _load_pairs(args.pool, m)
+        try:
+            in_grid(pool.pairs, m, n)
+        except ValueError as e:
+            raise SystemExit(f"{args.pool}: {e}")
         allowed = np.zeros(mn, dtype=bool)
-        allowed[_load_pairs(args.pool, m).linear] = True
+        allowed[pool.linear] = True
     pool_size = mn if allowed is None else int(allowed.sum())
     K = resolve_budget(float(args.budget), mn, pool_size)
     ss, meta = run_sampler(args, args.method, K, args.seed, m, n,
@@ -131,7 +136,10 @@ def _cmd_eval(args):
     X = np.loadtxt(args.completed, delimiter=",", ndmin=2)
     truth = load_ratings(args.truth)
     eval_set = _load_pairs(args.eval_set, truth.m)
-    rmse = rmse_eval(X, truth.to_dense(), eval_set)
+    try:
+        rmse = rmse_eval(X, truth.to_dense(), eval_set)
+    except ValueError as e:
+        raise SystemExit(f"{args.eval_set}: {e}")
     print(f"rmse {rmse!r} over {len(eval_set)} entries")
     return 0
 

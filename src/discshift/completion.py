@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -19,14 +19,18 @@ from scipy.sparse.csgraph import connected_components
 
 from .graphs import ProductOperator, RatingMatrix, GraphLaplacian
 from .linalg import ConvergenceError, SolverOptions, cg_solve, lobpcg_smallest, random_unit
-from .sampling import SampleSet
+from .sampling import SampleSet, in_grid
 
 _log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class CompletionProblem:
-    """Observed values on a sample set plus the dual graphs and weights."""
+    """Observed values on a sample set plus the dual graphs and weights.
+
+    `sampled` is the boolean m x n mask of omega, built once here; the
+    operator, right-hand side, objective and PD check all read it.
+    """
 
     observations: RatingMatrix
     omega: SampleSet
@@ -34,25 +38,28 @@ class CompletionProblem:
     col_graph: GraphLaplacian
     alpha: float
     beta: float
+    sampled: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m, n = self.row_graph.n, self.col_graph.n
         if (self.observations.m, self.observations.n) != (m, n):
             raise ValueError("observation dims must match the graphs")
-        if len(self.omega):
-            rows, cols = np.array(self.omega.pairs).T
-            # Out-of-range pairs count as unobserved; checked before indexing
-            # because numpy would wrap a negative index.
-            known = (rows >= 0) & (rows < m) & (cols >= 0) & (cols < n)
-            known[known] = self.observations.mask_bool()[rows[known], cols[known]]
-            if not known.all():
-                pair = self.omega.pairs[int(np.argmin(known))]
-                raise ValueError("omega contains unobserved entries (missing from the "
-                                 f"ratings), e.g. {pair}")
+        rows, cols = np.array(self.omega.pairs, dtype=np.int64).reshape(-1, 2).T
+        # Out-of-range pairs count as unobserved; checked before indexing
+        # because numpy would wrap a negative index.
+        known = (rows >= 0) & (rows < m) & (cols >= 0) & (cols < n)
+        known[known] = self.observations.mask_bool()[rows[known], cols[known]]
+        if not known.all():
+            pair = self.omega.pairs[int(np.argmin(known))]
+            raise ValueError("omega contains unobserved entries (missing from the "
+                             f"ratings), e.g. {pair}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be nonnegative")
         if (self.alpha == 0 or self.beta == 0) and len(self.omega) < m * n:
             raise ValueError("alpha = 0 or beta = 0 requires full sampling")
+        sampled = np.zeros((m, n), dtype=bool)
+        sampled[rows, cols] = True
+        object.__setattr__(self, "sampled", sampled)
 
     @property
     def m(self) -> int:
@@ -63,27 +70,22 @@ class CompletionProblem:
         return self.col_graph.n
 
     def operator(self) -> ProductOperator:
-        return ProductOperator(self.row_graph, self.col_graph, self.alpha,
-                               self.beta, self.omega.indicator(self.m * self.n))
+        return ProductOperator(self.row_graph, self.col_graph, self.alpha, self.beta,
+                               self.sampled.ravel(order="F").astype(np.float64))
 
     def rhs(self) -> np.ndarray:
         """vec(Y) zero-filled off the sample set, column-major."""
-        Y = np.zeros((self.m, self.n))
-        dense = self.observations.to_dense()
-        for i, j in self.omega.pairs:
-            Y[i, j] = dense[i, j]
+        Y = np.where(self.sampled, self.observations.to_dense(), 0.0)
         return Y.ravel(order="F")
 
 
 @dataclass
 class CompletionReport:
-    """Solve output plus optional ground-truth diagnostics."""
+    """Solve output; rmse is filled by callers that hold the ground truth."""
 
     x_star: np.ndarray
     residual: float
     lambda_min_est: float
-    rho: Optional[float] = None
-    bound: Optional[float] = None
     rmse: Optional[float] = None
 
 
@@ -93,22 +95,18 @@ def check_positive_definite(p: CompletionProblem) -> None:
     The smooth part's nullspace is spanned by indicators of product-graph
     components, which are exactly products of factor-graph components; the
     diagonal term removes a null direction iff the component holds a sample.
+    (alpha = 0 or beta = 0 needs full sampling, which CompletionProblem
+    enforces and which hits every component.)
     """
-    if p.alpha > 0 and p.beta > 0:
-        _, row_comp = connected_components(p.row_graph.weights.csr, directed=False)
-        _, col_comp = connected_components(p.col_graph.weights.csr, directed=False)
-        hit = set()
-        for i, j in p.omega.pairs:
-            hit.add((int(row_comp[i]), int(col_comp[j])))
-        for a in range(row_comp.max() + 1):
-            for b in range(col_comp.max() + 1):
-                if (a, b) not in hit:
-                    raise ValueError(
-                        "operator is singular: product component "
-                        f"(row comp {a}, col comp {b}) holds no sample")
-    else:
-        if len(p.omega) < p.m * p.n:
-            raise ValueError("alpha = 0 or beta = 0 requires full sampling")
+    _, row_comp = connected_components(p.row_graph.weights.csr, directed=False)
+    _, col_comp = connected_components(p.col_graph.weights.csr, directed=False)
+    hit = np.zeros((row_comp.max() + 1, col_comp.max() + 1), dtype=bool)
+    rows, cols = np.nonzero(p.sampled)
+    hit[row_comp[rows], col_comp[cols]] = True
+    if not hit.all():
+        a, b = np.argwhere(~hit)[0]  # row-major: the first unhit (a, b)
+        raise ValueError("operator is singular: product component "
+                         f"(row comp {a}, col comp {b}) holds no sample")
 
 
 def dglr_solve(p: CompletionProblem, opts: Optional[SolverOptions] = None,
@@ -154,9 +152,8 @@ def dglr_objective(X, p: CompletionProblem) -> float:
     X = np.asarray(X, dtype=np.float64)
     if X.shape != (p.m, p.n):
         raise ValueError("shape mismatch")
-    A = _omega_mask(p)
     Y = p.observations.to_dense()
-    fit = A * (X - Y)
+    fit = p.sampled * (X - Y)
     Lr = p.row_graph.csr()
     Lc = p.col_graph.csr()
     smooth_r = float(np.sum(X * (Lr @ X)))
@@ -169,18 +166,10 @@ def dglr_gradient(X, p: CompletionProblem) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.shape != (p.m, p.n):
         raise ValueError("shape mismatch")
-    A = _omega_mask(p)
     Y = p.observations.to_dense()
     Lr = p.row_graph.csr()
     Lc = p.col_graph.csr()
-    return A * (X - Y) + p.alpha * (Lr @ X) + p.beta * (Lc @ X.T).T
-
-
-def _omega_mask(p: CompletionProblem) -> np.ndarray:
-    A = np.zeros((p.m, p.n))
-    for i, j in p.omega.pairs:
-        A[i, j] = 1.0
-    return A
+    return p.sampled * (X - Y) + p.alpha * (Lr @ X) + p.beta * (Lc @ X.T).T
 
 
 def mse_upper_bound(x_star, ground_truth, noise, p: CompletionProblem,
@@ -210,14 +199,17 @@ def mse_upper_bound(x_star, ground_truth, noise, p: CompletionProblem,
 
 
 def rmse_eval(x_star, ground_truth, eval_set) -> float:
-    """Root mean squared error over an index set of (row, col) pairs."""
+    """Root mean squared error over an index set of (row, col) pairs.
+
+    Raises ValueError naming the first pair outside x_star's shape.
+    """
     pairs = eval_set.pairs if isinstance(eval_set, SampleSet) else list(eval_set)
     if len(pairs) == 0:
         raise ValueError("empty evaluation set")
     Xs = np.asarray(x_star, dtype=np.float64)
     G = np.asarray(ground_truth, dtype=np.float64)
-    idx = np.array(pairs)
-    diff = Xs[idx[:, 0], idx[:, 1]] - G[idx[:, 0], idx[:, 1]]
+    rows, cols = in_grid(pairs, *Xs.shape).T
+    diff = Xs[rows, cols] - G[rows, cols]
     return float(np.sqrt(np.mean(diff * diff)))
 
 
@@ -232,8 +224,6 @@ def save_report(report: CompletionReport, json_path, x_csv_path=None) -> None:
     payload = {
         "residual": _clean(report.residual),
         "lambda_min_est": _clean(report.lambda_min_est),
-        "rho": _clean(report.rho),
-        "bound": _clean(report.bound),
         "rmse": _clean(report.rmse),
         "shape": list(report.x_star.shape),
     }
@@ -250,16 +240,3 @@ def write_dense_csv(X, path) -> None:
         writer = csv.writer(f)
         for row in np.asarray(X):
             writer.writerow([repr(float(v)) for v in row])
-
-
-def attach_diagnostics(report: CompletionReport, p: CompletionProblem,
-                       ground_truth, noise=None,
-                       eval_set=None) -> CompletionReport:
-    """Fill rho/bound/rmse on a report when ground truth is available."""
-    N = np.zeros_like(np.asarray(ground_truth, dtype=np.float64)) if noise is None else noise
-    rho, bound, _ = mse_upper_bound(report.x_star, ground_truth, N, p,
-                                    report.lambda_min_est)
-    rmse = None
-    if eval_set is not None and len(eval_set) > 0:
-        rmse = rmse_eval(report.x_star, ground_truth, eval_set)
-    return replace(report, rho=rho, bound=bound, rmse=rmse)

@@ -408,9 +408,6 @@ class ProductOperator:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return product_apply(self, x)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return product_apply(self, x)
-
 
 def product_apply(op: ProductOperator, x) -> np.ndarray:
     """Apply Q to a column-major vectorized m x n matrix."""

@@ -9,7 +9,7 @@ for small problems, and Gershgorin disc utilities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,11 +100,8 @@ class SparseSym:
         return cls(m)
 
     @classmethod
-    def from_dense(cls, a, tol: float = 0.0) -> "SparseSym":
-        a = np.asarray(a, dtype=np.float64)
-        if tol > 0:
-            a = np.where(np.abs(a) > tol, a, 0.0)
-        return cls.from_scipy(sp.csr_matrix(a))
+    def from_dense(cls, a) -> "SparseSym":
+        return cls.from_scipy(sp.csr_matrix(np.asarray(a, dtype=np.float64)))
 
     @classmethod
     def identity(cls, n: int) -> "SparseSym":
@@ -136,22 +133,6 @@ class EigenPair:
     residual: float = 0.0
     iterations: int = 0
     converged: bool = True
-
-
-@dataclass(frozen=True)
-class DiscBound:
-    """Gershgorin disc of one matrix row: [center - radius, center + radius]."""
-
-    center: float
-    radius: float
-
-    @property
-    def left(self) -> float:
-        return self.center - self.radius
-
-    @property
-    def right(self) -> float:
-        return self.center + self.radius
 
 
 @dataclass(frozen=True)
@@ -424,18 +405,13 @@ def dense_sym_eig(A, cap: int = DENSE_EIG_CAP):
     ]
 
 
-def gershgorin_bounds(A: SparseSym):
-    """Per-row Gershgorin discs; min over left ends lower-bounds every eigenvalue."""
-    discs = []
-    for i in range(A.n):
-        lo, hi = A.row_offsets[i], A.row_offsets[i + 1]
-        cols = A.col_indices[lo:hi]
-        vals = A.values[lo:hi]
-        on_diag = cols == i
-        center = float(vals[on_diag].sum())
-        radius = float(np.abs(vals[~on_diag]).sum())
-        discs.append(DiscBound(center=center, radius=radius))
-    return discs
+def gershgorin_bounds(A: SparseSym) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row Gershgorin discs as (centers, radii); min(centers - radii)
+    lower-bounds every eigenvalue."""
+    rows = np.repeat(np.arange(A.n), np.diff(A.row_offsets))
+    off = A.col_indices != rows
+    radii = np.bincount(rows[off], weights=np.abs(A.values[off]), minlength=A.n)
+    return A.diagonal(), radii
 
 
 def save_edge_list(A: SparseSym, path) -> None:

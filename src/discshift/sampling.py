@@ -69,14 +69,16 @@ class SampleSet:
     def linear(self) -> List[int]:
         return [lin_index(i, j, self.m) for i, j in self.pairs]
 
-    @property
-    def linear_set(self) -> set:
-        return set(self.linear)
 
-    def indicator(self, size: int) -> np.ndarray:
-        s = np.zeros(size, dtype=np.float64)
-        s[self.linear] = 1.0
-        return s
+def in_grid(pairs, m: int, n: int) -> np.ndarray:
+    """(row, col) pairs as a (k, 2) array; raises ValueError naming the first
+    pair outside the m x n grid (numpy would wrap a negative index)."""
+    ij = np.asarray(pairs).reshape(-1, 2)
+    outside = ((ij < 0) | (ij >= (m, n))).any(axis=1)
+    if outside.any():
+        i, j = ij[np.argmax(outside)]
+        raise ValueError(f"pair ({i}, {j}) outside the {m}x{n} grid")
+    return ij
 
 
 @dataclass

@@ -220,6 +220,41 @@ def test_eval_rejects_duplicate_pairs(dataset, tmp_path):
               "--eval-set", str(eval_csv)])
 
 
+def test_eval_rejects_negative_pair(dataset, tmp_path):
+    # -1 would wrap to row 11 and score that entry instead
+    X = tmp_path / "x.csv"
+    np.savetxt(X, np.ones((12, 9)), delimiter=",")
+    eval_csv = tmp_path / "eval.csv"
+    eval_csv.write_text("0,0\n-1,0\n")
+    with pytest.raises(SystemExit,
+                       match=r"eval.csv: pair \(-1, 0\) outside the 12x9 grid"):
+        main(["eval", "--completed", str(X), "--truth", str(dataset / "ratings.csv"),
+              "--eval-set", str(eval_csv)])
+
+
+def test_eval_rejects_pair_beyond_grid(dataset, tmp_path):
+    X = tmp_path / "x.csv"
+    np.savetxt(X, np.ones((12, 9)), delimiter=",")
+    eval_csv = tmp_path / "eval.csv"
+    eval_csv.write_text("40,0\n0,0\n")
+    with pytest.raises(SystemExit,
+                       match=r"eval.csv: pair \(40, 0\) outside the 12x9 grid"):
+        main(["eval", "--completed", str(X), "--truth", str(dataset / "ratings.csv"),
+              "--eval-set", str(eval_csv)])
+
+
+def test_sample_rejects_pool_pair_outside_grid(dataset, tmp_path):
+    pool = tmp_path / "pool.csv"
+    for bad in ("-1,0", "0,9", "12,0"):
+        pool.write_text(f"0,0\n{bad}\n")
+        with pytest.raises(SystemExit,
+                           match=rf"pool.csv: pair \({bad.replace(',', ', ')}\) "
+                                 r"outside the 12x9 grid"):
+            main(["sample", "--method", "random", "--budget", "1",
+                  "--pool", str(pool), "--m", "12", "--n", "9",
+                  "--out", str(tmp_path / "s.csv")])
+
+
 def test_experiment_subcommand(tmp_path, capsys):
     out_dir = tmp_path / "results"
     cfg = tmp_path / "exp.cfg"

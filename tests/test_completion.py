@@ -8,12 +8,12 @@ import re
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.sparse.csgraph import connected_components
 
 import discshift.completion as completion
 
 from discshift.completion import (
     CompletionProblem,
-    attach_diagnostics,
     check_positive_definite,
     dglr_gradient,
     dglr_objective,
@@ -130,6 +130,59 @@ def test_pd_check_no_samples():
     p = CompletionProblem(obs, omega, path_graph(3), path_graph(3), 0.1, 0.1)
     with pytest.raises(ValueError, match="singular"):
         check_positive_definite(p)
+
+
+def _problem_on_components(rng, m, n):
+    """Random factor graphs split into random components (each a path over
+    the nodes that share a label), fully rated with signed values, and a
+    random sample set of at most a few pairs."""
+    graphs = []
+    for size in (m, n):
+        labels = rng.integers(0, rng.integers(1, 4), size)
+        W = np.zeros((size, size))
+        for lab in np.unique(labels):
+            nodes = np.flatnonzero(labels == lab)
+            W[nodes[:-1], nodes[1:]] = W[nodes[1:], nodes[:-1]] = 1.0
+        graphs.append(laplacian_from_weights(SparseSym.from_dense(W)))
+    obs = RatingMatrix.from_dense(rng.normal(0.0, 2.0, (m, n)))
+    k = int(rng.integers(0, min(8, m * n) + 1))
+    lin = rng.choice(m * n, size=k, replace=False)
+    omega = SampleSet(tuple((int(l % m), int(l // m)) for l in lin), m=m, budget=k)
+    return CompletionProblem(obs, omega, graphs[0], graphs[1], 0.2, 0.3)
+
+
+def test_rhs_and_sample_diag_match_per_pair_loop():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        p = _problem_on_components(rng, int(rng.integers(1, 7)), int(rng.integers(1, 6)))
+        Y = np.zeros((p.m, p.n))
+        s = np.zeros(p.m * p.n)
+        dense = p.observations.to_dense()
+        for i, j in p.omega.pairs:
+            Y[i, j] = dense[i, j]
+            s[i + p.m * j] = 1.0
+        assert p.rhs().tobytes() == Y.ravel(order="F").tobytes()
+        assert p.operator().sample_diag.tobytes() == s.tobytes()
+
+
+def test_pd_check_names_first_unhit_component_like_nested_loop():
+    rng = np.random.default_rng(22)
+    raised = 0
+    for _ in range(500):
+        p = _problem_on_components(rng, int(rng.integers(1, 7)), int(rng.integers(1, 6)))
+        _, row_comp = connected_components(p.row_graph.weights.csr, directed=False)
+        _, col_comp = connected_components(p.col_graph.weights.csr, directed=False)
+        hit = {(int(row_comp[i]), int(col_comp[j])) for i, j in p.omega.pairs}
+        expected = next((f"(row comp {a}, col comp {b}) holds no sample"
+                         for a in range(row_comp.max() + 1)
+                         for b in range(col_comp.max() + 1) if (a, b) not in hit), None)
+        if expected is None:
+            check_positive_definite(p)
+        else:
+            raised += 1
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                check_positive_definite(p)
+    assert 0 < raised < 500
 
 
 # -------------------------------------------------------------------- solve
@@ -322,6 +375,14 @@ def test_rmse_rejects_empty():
         rmse_eval(np.zeros((2, 2)), np.zeros((2, 2)), [])
 
 
+def test_rmse_rejects_pairs_outside_grid():
+    # numpy would wrap -1 to the last row and score that entry
+    est, truth = np.ones((3, 2)), np.zeros((3, 2))
+    for pair in [(-1, 0), (0, -1), (3, 0), (0, 2)]:
+        with pytest.raises(ValueError, match=re.escape(f"pair {pair} outside the 3x2 grid")):
+            rmse_eval(est, truth, [(0, 0), pair, (1, 1)])
+
+
 def test_rmse_accepts_sample_set():
     truth = np.zeros((2, 2))
     ss = SampleSet(((0, 0),), m=2, budget=1)
@@ -334,15 +395,15 @@ def test_rmse_accepts_sample_set():
 def test_save_report_json_and_csv(tmp_path):
     p, truth = make_problem(3, 3, 15)
     rep = dglr_solve(p)
-    rep = attach_diagnostics(rep, p, truth, eval_set=[(0, 0), (1, 1)])
+    rep.rmse = rmse_eval(rep.x_star, truth, [(0, 0), (1, 1)])
     jpath = tmp_path / "report.json"
     cpath = tmp_path / "x.csv"
     save_report(rep, jpath, cpath)
     payload = json.loads(jpath.read_text())
     assert payload["shape"] == [3, 3]
     assert payload["residual"] <= 1e-8
-    assert payload["rmse"] >= 0.0
-    assert payload["bound"] > 0.0
+    assert payload["rmse"] == rep.rmse
+    assert set(payload) == {"residual", "lambda_min_est", "rmse", "shape"}
     rows = [line.split(",") for line in cpath.read_text().strip().splitlines()]
     assert len(rows) == 3 and len(rows[0]) == 3
     X = np.array([[float(v) for v in row] for row in rows])
@@ -356,14 +417,5 @@ def test_save_report_nan_becomes_null(tmp_path):
     save_report(rep, jpath)
     payload = json.loads(jpath.read_text())
     assert payload["lambda_min_est"] is None
-    assert payload["rho"] is None
+    assert payload["rmse"] is None
 
-
-def test_attach_diagnostics_fills_fields():
-    p, truth = make_problem(4, 3, 17)
-    rep = dglr_solve(p)
-    assert rep.rho is None
-    rep2 = attach_diagnostics(rep, p, truth, eval_set=[(0, 0)])
-    assert rep2.rho is not None and rep2.bound is not None
-    assert rep2.rmse is not None
-    assert rep.rho is None  # original untouched

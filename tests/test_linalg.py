@@ -376,18 +376,18 @@ def test_dense_eig_rejects_asymmetric():
 
 
 def test_gershgorin_diagonal():
-    discs = gershgorin_bounds(SparseSym.from_dense(np.diag([1.0, 2.0])))
-    assert_allclose([d.center for d in discs], [1.0, 2.0])
-    assert_allclose([d.radius for d in discs], [0.0, 0.0])
-    assert min(d.left for d in discs) == 1.0
+    centers, radii = gershgorin_bounds(SparseSym.from_dense(np.diag([1.0, 2.0])))
+    assert_allclose(centers, [1.0, 2.0])
+    assert_allclose(radii, [0.0, 0.0])
+    assert np.min(centers - radii) == 1.0
 
 
 def test_gershgorin_unit_self_loop_moves_left_end():
     # Laplacian discs have left end 0; a unit self-loop moves that row's to 1.
     L = path_laplacian(4).to_dense()
     L[2, 2] += 1.0
-    discs = gershgorin_bounds(SparseSym.from_dense(L))
-    assert_allclose([d.left for d in discs], [0.0, 0.0, 1.0, 0.0], atol=1e-15)
+    centers, radii = gershgorin_bounds(SparseSym.from_dense(L))
+    assert_allclose(centers - radii, [0.0, 0.0, 1.0, 0.0], atol=1e-15)
 
 
 def test_gershgorin_sound_on_random_matrices():
@@ -396,7 +396,8 @@ def test_gershgorin_sound_on_random_matrices():
         n = int(rng.integers(2, 15))
         A = random_sparse_sym(n, rng, density=0.5)
         lam_min = np.linalg.eigvalsh(A.to_dense())[0]
-        left = min(d.left for d in gershgorin_bounds(A))
+        centers, radii = gershgorin_bounds(A)
+        left = np.min(centers - radii)
         assert lam_min >= left - 1e-10
 
 
