@@ -15,7 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from .graphs import GraphLaplacian, ProductOperator
-from .linalg import SolverOptions, dense_sym_eig
+from .linalg import SolverOptions
 from .sampling import SampleSet, argmax_abs_tied, greedy_disc_shift
 
 AOPT_EPS = 1e-8
@@ -88,10 +88,8 @@ def bandlimited_basis(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
         raise ValueError(f"k1={k1} out of range for column graph of size {n}")
     if not (1 <= k2 <= m):
         raise ValueError(f"k2={k2} out of range for row graph of size {m}")
-    col_pairs = dense_sym_eig(col_graph.laplacian.to_dense())
-    row_pairs = dense_sym_eig(row_graph.laplacian.to_dense())
-    U = np.column_stack([p.vec for p in col_pairs[:k1]])
-    V = np.column_stack([p.vec for p in row_pairs[:k2]])
+    U = np.linalg.eigh(col_graph.laplacian.to_dense())[1][:, :k1]
+    V = np.linalg.eigh(row_graph.laplacian.to_dense())[1][:, :k2]
     return BandlimitedBasis(U=U, V=V)
 
 
@@ -102,10 +100,10 @@ def _gram(basis: BandlimitedBasis, linear_indices) -> np.ndarray:
     return R.T @ R
 
 
-def aopt_objective(basis: BandlimitedBasis, S, eps: Optional[float] = None) -> float:
+def aopt_objective(basis: BandlimitedBasis, S) -> float:
     """A-optimal score Tr[(T_S' T_S + eps I)^-1] of a selection.
 
-    eps defaults to 1e-8 while the Gram matrix cannot be full rank (or is
+    eps is AOPT_EPS = 1e-8 while the Gram matrix cannot be full rank (or is
     numerically singular) and to 0 once it is safely invertible, so full-rank
     selections are scored exactly. The selection is scored as a set: rows
     enter the Gram in sorted order, and eigenvalues at or below
@@ -117,10 +115,8 @@ def aopt_objective(basis: BandlimitedBasis, S, eps: Optional[float] = None) -> f
     G = _gram(basis, sorted(int(l) for l in lin))
     evals = np.linalg.eigvalsh(0.5 * (G + G.T))
     evals = np.where(evals > GRAM_RANK_TOL, evals, 0.0)
-    if eps is None:
-        full_rank = len(lin) >= basis.rank and evals[0] > 0
-        eps = 0.0 if full_rank else AOPT_EPS
-    shifted = evals + eps
+    full_rank = len(lin) >= basis.rank and evals[0] > 0
+    shifted = evals + (0.0 if full_rank else AOPT_EPS)
     if np.any(shifted <= 0):
         raise np.linalg.LinAlgError(
             "sampled Gram matrix singular beyond regularization")

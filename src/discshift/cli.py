@@ -49,9 +49,12 @@ def _load_pairs(path, m):
 
 
 def _cmd_gen(args):
-    bundle = synthetic_netflix(args.m, args.n, args.row_comm, args.col_comm,
-                               noise_sigma=args.noise_sigma, seed=args.seed,
-                               p_in=args.p_in, p_out=args.p_out)
+    try:
+        bundle = synthetic_netflix(args.m, args.n, args.row_comm, args.col_comm,
+                                   noise_sigma=args.noise_sigma, seed=args.seed,
+                                   p_in=args.p_in, p_out=args.p_out)
+    except RuntimeError as e:
+        raise SystemExit(f"{e}; raise --p-in or lower --row-comm/--col-comm")
     os.makedirs(args.out_dir, exist_ok=True)
     ratings = os.path.join(args.out_dir, "ratings.csv")
     save_ratings(bundle.ratings, ratings)
@@ -135,6 +138,9 @@ def _cmd_complete(args):
 def _cmd_eval(args):
     X = np.loadtxt(args.completed, delimiter=",", ndmin=2)
     truth = load_ratings(args.truth)
+    if X.shape != (truth.m, truth.n):
+        raise SystemExit(f"{args.completed}: shape {X.shape[0]}x{X.shape[1]} does not "
+                         f"match the truth's {truth.m}x{truth.n}")
     eval_set = _load_pairs(args.eval_set, truth.m)
     try:
         rmse = rmse_eval(X, truth.to_dense(), eval_set)

@@ -22,10 +22,11 @@ from .graphs import (
     ProductOperator,
     RatingMatrix,
     content_graph,
+    first_bad_entry,
     knn_feature_graph,
     synthetic_netflix,
 )
-from .linalg import SolverOptions, load_edge_list
+from .linalg import SolverOptions, load_edge_list, read_table, table_lines
 from .sampling import (
     SampleSet,
     gcs_sample,
@@ -101,61 +102,29 @@ class MetricsRow:
                 raise ValueError(f"{name} must be finite")
 
 
-_DIRECTIVE = re.compile(r"#\s*m\s*=\s*(\d+)\s+n\s*=\s*(\d+)")
+_DIRECTIVE = re.compile(r"#[ \t]*m[ \t]*=[ \t]*(\d+)[ \t]+n[ \t]*=[ \t]*(\d+)")
 
 
 def load_ratings(path) -> RatingMatrix:
-    """Read a `row,col,value` CSV. A `# m=<M> n=<N>` comment fixes dimensions;
-    otherwise they are inferred from the data. Duplicates and malformed lines
-    raise with their line number.
+    """Read a `row,col,value` table (see `read_table`). A `# m=<M> n=<N>`
+    comment fixes dimensions; otherwise they are inferred from the data. An
+    entry out of range or repeated raises with its line number.
     """
-    m = n = None
-    rows, cols, vals, lines = [], [], [], []
+    t = read_table(path, [("row", "i8"), ("col", "i8"), ("value", "f8")])
     with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                match = _DIRECTIVE.search(line)
-                if match:
-                    m, n = int(match.group(1)), int(match.group(2))
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if parts[0] == "row":
-                continue  # header
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'row,col,value'")
-            try:
-                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected 'row,col,value'") from None
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
-            lines.append(lineno)
-
+        dims = _DIRECTIVE.findall(f.read())
+    rows, cols = t["row"], t["col"]
+    m, n = map(int, dims[-1] if dims else (rows.max(initial=-1) + 1, cols.max(initial=-1) + 1))
     try:
-        rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
-    except OverflowError:  # an index beyond int64 is out of any range
-        k = next(k for k, ij in enumerate(zip(rows, cols)) if max(map(abs, ij)) >= 2**63)
-        raise ValueError(f"{path}:{lines[k]}: index ({rows[k]},{cols[k]}) out of range") from None
-    if m is None:
-        m, n = int(rows.max(initial=-1)) + 1, int(cols.max(initial=-1)) + 1
-    # Report the first bad line: an index out of range or a repeated entry.
-    out = np.flatnonzero((rows < 0) | (rows >= m) | (cols < 0) | (cols >= n))
-    end = out[0] if out.size else rows.size
-    _, first, inverse = np.unique(rows[:end] * n + cols[:end], return_index=True,
-                                  return_inverse=True)
-    repeat = np.flatnonzero(first[inverse] != np.arange(end))
-    if repeat.size:
-        k = repeat[0]
-        raise ValueError(f"{path}:{lines[k]}: duplicate entry ({rows[k]},{cols[k]}), "
-                         f"first at line {lines[first[inverse[k]]]}")
-    if end < rows.size:
-        raise ValueError(f"{path}:{lines[end]}: index ({rows[end]},{cols[end]}) "
-                         f"out of range for {m}x{n}")
-    return RatingMatrix(m, n, rows, cols, np.array(vals))
+        return RatingMatrix(m, n, rows, cols, t["value"])
+    except ValueError as e:
+        bad = first_bad_entry(rows, cols, m, n)
+        if bad is None:
+            raise ValueError(f"{path}: {e}") from None
+        k, first = bad
+        lines = table_lines(path)
+        where = "" if first is None else f", first at line {lines[first]}"
+        raise ValueError(f"{path}:{lines[k]}: {e}{where}") from None
 
 
 def save_ratings(data: RatingMatrix, path) -> None:

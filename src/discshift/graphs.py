@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .linalg import SparseSym, dense_sym_eig
+from .linalg import SparseSym
 
 
 def lin_index(i: int, j: int, m: int) -> int:
@@ -133,6 +133,20 @@ def knn_feature_graph(features, k: int = 10) -> GraphLaplacian:
     return laplacian_from_weights(SparseSym.from_dense(W))
 
 
+def first_bad_entry(rows: np.ndarray, cols: np.ndarray, m: int, n: int):
+    """The first entry, in order, outside the m x n grid or repeating an
+    earlier one: (k, None) or (k, index of the earlier one); None if none."""
+    out = (rows < 0) | (rows >= m) | (cols < 0) | (cols >= n)
+    # Entries outside the grid get distinct negative keys, so none repeats.
+    lin = np.where(out, -1 - np.arange(rows.size), rows * n + cols)
+    _, first, inverse = np.unique(lin, return_index=True, return_inverse=True)
+    bad = out | (first[inverse] != np.arange(rows.size))
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    return k, None if out[k] else int(first[inverse[k]])
+
+
 @dataclass(frozen=True)
 class RatingMatrix:
     """Partially observed m x n rating matrix stored as triplets."""
@@ -149,16 +163,14 @@ class RatingMatrix:
         object.__setattr__(self, "vals", np.asarray(self.vals, dtype=np.float64))
         if not (self.rows.shape == self.cols.shape == self.vals.shape):
             raise ValueError("triplet arrays must align")
-        if self.rows.size:
-            if self.rows.min() < 0 or self.rows.max() >= self.m:
-                raise ValueError("row index out of range")
-            if self.cols.min() < 0 or self.cols.max() >= self.n:
-                raise ValueError("col index out of range")
-            if not np.all(np.isfinite(self.vals)):
-                raise ValueError("non-finite rating value")
-            lin = self.rows * self.n + self.cols
-            if np.unique(lin).size != lin.size:
-                raise ValueError("duplicate (row, col) entry")
+        bad = first_bad_entry(self.rows, self.cols, self.m, self.n)
+        if bad is not None:
+            k, first = bad
+            ij = f"({self.rows[k]},{self.cols[k]})"
+            raise ValueError(f"index {ij} out of range for {self.m}x{self.n}"
+                             if first is None else f"duplicate entry {ij}")
+        if not np.all(np.isfinite(self.vals)):
+            raise ValueError("non-finite rating value")
 
     @property
     def n_known(self) -> int:
@@ -328,10 +340,8 @@ def synthetic_netflix(m: int, n: int, n_row_comm: int = 4, n_col_comm: int = 4,
     base = levels[row_labels][:, col_labels]
 
     n_modes = 3
-    row_pairs = dense_sym_eig(row_graph.laplacian.to_dense())
-    col_pairs = dense_sym_eig(col_graph.laplacian.to_dense())
-    Ur = np.column_stack([p.vec for p in row_pairs[1:1 + min(n_modes, m - 1)]])
-    Uc = np.column_stack([p.vec for p in col_pairs[1:1 + min(n_modes, n - 1)]])
+    Ur = np.linalg.eigh(row_graph.laplacian.to_dense())[1][:, 1:1 + n_modes]
+    Uc = np.linalg.eigh(col_graph.laplacian.to_dense())[1][:, 1:1 + n_modes]
     C = rng.standard_normal((Ur.shape[1], Uc.shape[1]))
     bump = Ur @ C @ Uc.T
     peak = np.max(np.abs(bump))
@@ -398,12 +408,6 @@ class ProductOperator:
     def copy(self) -> "ProductOperator":
         return ProductOperator(self.row_graph, self.col_graph, self.alpha,
                                self.beta, self.sample_diag.copy())
-
-    def diagonal(self) -> np.ndarray:
-        dr = self._Lr.diagonal()
-        dc = self._Lc.diagonal()
-        smooth = self.alpha * np.tile(dr, self.n) + self.beta * np.repeat(dc, self.m)
-        return self.sample_diag + smooth
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return product_apply(self, x)

@@ -3,13 +3,16 @@
 CSR storage, conjugate gradient, a single-vector LOBPCG for the smallest
 eigenpair (with warm start; one operator application per iteration plus one
 that confirms the final residual), a dense symmetric eigendecomposition oracle
-for small problems, and Gershgorin disc utilities.
+for small problems, Gershgorin disc utilities, the one reader of the package's
+numeric text tables, and edge-list I/O.
 """
 
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,6 +34,10 @@ RR_PIVOT_TOL = 1e-6
 P_DROP_TOL = 1e-14
 
 SYMMETRY_TOL = 1e-12
+
+# Text tables (ratings, sample sets, edge lists) skip everything from either
+# marker to the end of a line: `#` comments and `row,...` headers.
+TABLE_COMMENTS = ("#", "row")
 
 
 class ConvergenceError(RuntimeError):
@@ -268,14 +275,12 @@ def _ritz(M, K):
 _STORAGE_ORDER = {3: [2, 0, 1], 2: [0, 1]}
 
 
-def lobpcg_smallest(apply: LinearOperator, x0, opts: Optional[SolverOptions] = None,
-                    diag_precond=None) -> EigenPair:
+def lobpcg_smallest(apply: LinearOperator, x0, opts: Optional[SolverOptions] = None) -> EigenPair:
     """Smallest eigenpair of a symmetric PSD operator, block size 1.
 
     Each iteration does a Rayleigh-Ritz step on span{x, w, p} where w is the
-    (optionally Jacobi-preconditioned) residual and p the previous search
-    direction. x0 seeds the subspace, so passing the previous eigenvector
-    warm-starts the solve.
+    residual and p the previous search direction. x0 seeds the subspace, so
+    passing the previous eigenvector warm-starts the solve.
 
     The operator is applied once per iteration, to w: A x and A p are carried
     forward as the same linear combinations that produce x and p (Knyazev,
@@ -296,8 +301,6 @@ def lobpcg_smallest(apply: LinearOperator, x0, opts: Optional[SolverOptions] = N
     opts : SolverOptions
         tol bounds the absolute residual ||A v - lambda v|| (default 1e-6);
         max_iter defaults to 500.
-    diag_precond : ndarray, optional
-        Positive diagonal of the operator; enables the Jacobi preconditioner.
 
     Returns
     -------
@@ -314,11 +317,6 @@ def lobpcg_smallest(apply: LinearOperator, x0, opts: Optional[SolverOptions] = N
 
     tol = LOBPCG_TOL if opts.tol is None else opts.tol
     max_iter = LOBPCG_MAX_ITER if opts.max_iter is None else opts.max_iter
-
-    d = None
-    if diag_precond is not None:
-        d = np.asarray(diag_precond, dtype=np.float64)
-        d = np.where(d > 1e-12, d, 1.0)
 
     # Rows of V are [p, x, w] and AV holds their images. Each step writes the
     # next [p, x] into the other pair of buffers, and the pairs swap.
@@ -343,8 +341,6 @@ def lobpcg_smallest(apply: LinearOperator, x0, opts: Optional[SolverOptions] = N
         if it == max_iter:
             break
         w = V[2]
-        if d is not None:
-            w /= d
         AV[2] = A(w)
         g = V @ w
         h = AV @ w
@@ -424,32 +420,62 @@ def save_edge_list(A: SparseSym, path) -> None:
                     f.write(f"{i} {c} {float(v)!r}\n")
 
 
+def read_table(path, dtype, delimiter: Optional[str] = ",") -> np.ndarray:
+    """Records of a numeric text table, one per data line, in file order.
+
+    The fields of the structured `dtype` name the columns; delimiter None
+    splits on whitespace. Empty lines and everything from `#` or `row` (a
+    header) to the end of a line are skipped.
+
+    The body is parsed in one np.loadtxt call; only when that fails are the
+    lines scanned, to raise `<path>:<line>: expected '<columns>'` for the
+    first one numpy rejects, or `index (...) out of range` when an integer
+    column overflows int64.
+    """
+    dtype = np.dtype(dtype)
+    kw = dict(dtype=dtype, delimiter=delimiter, comments=TABLE_COMMENTS, ndmin=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a table with no data lines
+        try:
+            return np.loadtxt(path, **kw)
+        except ValueError as err:
+            with open(path) as f:
+                for lineno, line in enumerate(f, start=1):
+                    try:
+                        np.loadtxt([line], **kw)
+                    except ValueError:
+                        ints = [v.strip() for v, name in zip(line.split(delimiter), dtype.names)
+                                if dtype[name].kind == "i"]
+                        try:
+                            huge = any(abs(int(v)) >= 2**63 for v in ints)
+                        except ValueError:
+                            huge = False
+                        what = (f"index ({','.join(ints)}) out of range" if huge else
+                                f"expected '{(delimiter or ' ').join(dtype.names)}'")
+                        raise ValueError(f"{path}:{lineno}: {what}") from None
+            raise ValueError(f"{path}: {err}") from None
+
+
+def table_lines(path) -> List[int]:
+    """1-based line numbers of the records `read_table` returns, in order."""
+    with open(path) as f:
+        return [lineno for lineno, line in enumerate(f, start=1)
+                if re.split("|".join(TABLE_COMMENTS), line, maxsplit=1)[0].strip()]
+
+
 def load_edge_list(path, n: Optional[int] = None) -> SparseSym:
     """Read an `i j value` upper-triangle edge list and mirror it."""
-    rows, cols, vals = [], [], []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'i j value'")
-            try:
-                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-            if i < 0 or j < 0:
-                raise ValueError(f"{path}:{lineno}: negative index")
-            if j < i:
-                raise ValueError(f"{path}:{lineno}: lower-triangle entry in upper-triangle file")
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
-            if i != j:
-                rows.append(j)
-                cols.append(i)
-                vals.append(v)
-    size = n if n is not None else (max(max(rows, default=-1), max(cols, default=-1)) + 1)
-    m = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+    t = read_table(path, [("i", "i8"), ("j", "i8"), ("value", "f8")], delimiter=None)
+    i, j, v = t["i"], t["j"], t["value"]
+    bad = np.flatnonzero((i < 0) | (j < i))
+    if bad.size:
+        k = bad[0]
+        what = ("negative index" if min(i[k], j[k]) < 0
+                else "lower-triangle entry in upper-triangle file")
+        raise ValueError(f"{path}:{table_lines(path)[k]}: {what}")
+    off = i != j
+    size = n if n is not None else int(j.max(initial=-1)) + 1
+    m = sp.csr_matrix((np.concatenate([v, v[off]]),
+                       (np.concatenate([i, j[off]]), np.concatenate([j, i[off]]))),
+                      shape=(size, size))
     return SparseSym.from_scipy(m)

@@ -28,6 +28,7 @@ from .linalg import (
     SolverOptions,
     lobpcg_smallest,
     random_unit,
+    read_table,
 )
 
 _log = logging.getLogger(__name__)
@@ -348,20 +349,10 @@ def save_sample_set(ss: SampleSet, csv_path, meta: Optional[dict] = None) -> Non
 
 
 def load_sample_set(csv_path, m: int, budget: Optional[int] = None):
-    """Load a `row,col` CSV (and its sidecar if present); returns (SampleSet, meta)."""
+    """Load a `row,col` table (see `read_table`) and its sidecar if present;
+    returns (SampleSet, meta)."""
     csv_path = str(csv_path)
-    pairs = []
-    with open(csv_path, newline="") as f:
-        reader = csv.reader(f)
-        for lineno, parts in enumerate(reader, start=1):
-            if not parts:
-                continue
-            if lineno == 1 and parts[0].strip() == "row":
-                continue
-            try:
-                pairs.append((int(parts[0]), int(parts[1])))
-            except (ValueError, IndexError):
-                raise ValueError(f"{csv_path}:{lineno}: expected 'row,col'") from None
+    pairs = read_table(csv_path, [("row", "i8"), ("col", "i8")]).tolist()
     meta = {}
     try:
         with open(_sidecar_path(csv_path)) as f:

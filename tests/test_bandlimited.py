@@ -129,6 +129,13 @@ def test_basis_validates_ranks():
         bandlimited_basis(rg, cg, k1=1, k2=0)
 
 
+def test_basis_beyond_dense_oracle_cap():
+    # The 512-node cap of the tests' dense oracle does not apply here.
+    basis = bandlimited_basis(path_graph(520), path_graph(3), k1=2, k2=2)
+    assert basis.V.shape == (520, 2)
+    assert_allclose(basis.V.T @ basis.V, np.eye(2), atol=1e-12)
+
+
 # ---------------------------------------------------------------- objective
 
 

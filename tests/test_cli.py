@@ -243,6 +243,35 @@ def test_eval_rejects_pair_beyond_grid(dataset, tmp_path):
               "--eval-set", str(eval_csv)])
 
 
+def test_eval_rejects_completed_matrix_of_another_shape(dataset, tmp_path):
+    # A larger X used to die with an IndexError on (15, 0), which lies outside
+    # the truth; for a smaller one the eval set was blamed.
+    X = tmp_path / "x.csv"
+    eval_csv = tmp_path / "eval.csv"
+    eval_csv.write_text("0,0\n15,0\n")
+    for rows in (20, 6):
+        np.savetxt(X, np.ones((rows, 9)), delimiter=",")
+        with pytest.raises(SystemExit,
+                           match=rf"x.csv: shape {rows}x9 does not match the truth's 12x9"):
+            main(["eval", "--completed", str(X), "--truth", str(dataset / "ratings.csv"),
+                  "--eval-set", str(eval_csv)])
+
+
+def test_gen_without_connected_graph_exits_with_hint(tmp_path):
+    # The default four communities at three rows each rarely connect.
+    with pytest.raises(SystemExit, match=r"could not draw a connected graph .*; "
+                                         r"raise --p-in or lower --row-comm/--col-comm"):
+        main(["gen", "--m", "12", "--n", "8", "--out-dir", str(tmp_path / "g")])
+
+
+def test_gen_beyond_dense_oracle_cap(tmp_path):
+    out = tmp_path / "big"
+    assert main(["gen", "--m", "520", "--n", "6", "--col-comm", "1",
+                 "--out-dir", str(out)]) == 0
+    data = load_ratings(out / "ratings.csv")
+    assert (data.m, data.n, data.n_known) == (520, 6, 3120)
+
+
 def test_sample_rejects_pool_pair_outside_grid(dataset, tmp_path):
     pool = tmp_path / "pool.csv"
     for bad in ("-1,0", "0,9", "12,0"):

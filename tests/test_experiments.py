@@ -62,6 +62,20 @@ def test_load_ratings_rejects_duplicates(tmp_path):
         load_ratings(path)
 
 
+def test_load_ratings_error_lines_count_skipped_lines(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("# m=3 n=3\n0,0,1\nrow,col,value\n\n1,1,2 # note\n0,0,3\n")
+    with pytest.raises(ValueError, match=r"r.csv:6: duplicate entry \(0,0\), first at line 2$"):
+        load_ratings(path)
+
+
+def test_load_ratings_names_file_of_non_finite_value(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("0,0,1\n0,1,nan\n")
+    with pytest.raises(ValueError, match=r"r.csv: non-finite rating value"):
+        load_ratings(path)
+
+
 def test_load_ratings_reports_first_bad_line(tmp_path):
     # The loader's error names the first line that is out of range or repeats
     # an earlier entry, as a line-by-line scan would.

@@ -352,14 +352,6 @@ def test_product_apply_bitwise_equals_column_major_formula():
         assert np.array_equal(product_apply(op, x), column_major(op, x))
 
 
-def test_product_diagonal_matches_dense():
-    rg, cg = random_graph(4, 1), random_graph(5, 2)
-    diag = np.zeros(20)
-    diag[[0, 7, 13]] = 1.0
-    op = ProductOperator(rg, cg, 0.5, 0.25, diag)
-    assert_allclose(op.diagonal(), np.diag(product_dense(op)))
-
-
 def test_product_operator_copy_isolated():
     rg, cg = path_graph(2), path_graph(2)
     op = ProductOperator(rg, cg, 0.1, 0.1)

@@ -1,5 +1,7 @@
 """Tests for the sparse-symmetric container and the iterative solvers."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +10,7 @@ import scipy.sparse as sp
 
 import discshift.linalg as linalg
 from discshift.bandlimited import aopt_local_search, bandlimited_basis
+from discshift.experiments import load_ratings
 from discshift.graphs import ProductOperator, laplacian_from_weights, synthetic_netflix
 from discshift.linalg import (
     ConvergenceError,
@@ -20,7 +23,7 @@ from discshift.linalg import (
     lobpcg_smallest,
     save_edge_list,
 )
-from discshift.sampling import gcs_sample, igcs_sample
+from discshift.sampling import gcs_sample, igcs_sample, load_sample_set
 
 
 def path_laplacian(n):
@@ -214,13 +217,6 @@ def test_lobpcg_flags_nonconvergence():
 def test_lobpcg_rejects_zero_start():
     with pytest.raises(ValueError):
         lobpcg_smallest(np.eye(3), np.zeros(3))
-
-
-def test_lobpcg_diag_precond_still_correct():
-    rng = np.random.default_rng(11)
-    A = np.diag(np.linspace(1.0, 100.0, 30)) + 0.1 * random_spd(30, rng, shift=0.0)
-    pair = lobpcg_smallest(A, rng.standard_normal(30), diag_precond=np.diag(A))
-    assert abs(pair.value - np.linalg.eigvalsh(A)[0]) <= 1e-6
 
 
 def counting(A):
@@ -436,9 +432,79 @@ def test_edge_list_rejects_lower_triangle(tmp_path):
         load_edge_list(path)
 
 
+def test_edge_list_names_line_of_negative_or_lower_entry(tmp_path):
+    path = tmp_path / "e.txt"
+    for bad, what in (("2 1 1.0", "lower-triangle entry"), ("0 -1 1.0", "negative index")):
+        path.write_text(f"# c\n0 1 1.0\n\n{bad}\n0 2 1.0\n")
+        with pytest.raises(ValueError, match=f"e.txt:4: {what}"):
+            load_edge_list(path)
+
+
 def test_edge_list_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("# header\n\n0 1 1.0\n")
     B = load_edge_list(path)
     assert B.n == 2
     assert B.to_dense()[0, 1] == 1.0
+
+
+# -------------------------------------------------------------- text tables
+
+
+def ratings_entries(path):
+    r = load_ratings(path)
+    return list(zip(r.rows.tolist(), r.cols.tolist()))
+
+
+def pairs_entries(path):
+    return list(load_sample_set(path, m=4)[0].pairs)
+
+
+def edge_entries(path):
+    upper = sp.triu(load_edge_list(path).csr).tocoo()
+    return list(zip(upper.row.tolist(), upper.col.tolist()))
+
+
+# entries read back, separator, the columns as the reader's error names them
+READERS = {
+    "ratings": (ratings_entries, ",", "row,col,value"),
+    "pairs": (pairs_entries, ",", "row,col"),
+    "edges": (edge_entries, " ", "i j value"),
+}
+
+
+def table_line(kind, i, j):
+    _, sep, columns = READERS[kind]
+    return sep.join([str(i), str(j), "1.5"][:columns.count(sep) + 1])
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_readers_skip_blank_comment_and_header_lines(tmp_path, kind):
+    path = tmp_path / "t.txt"
+    path.write_text("\n".join([
+        "# a comment", "", "row,col,value", table_line(kind, 0, 1), "",
+        table_line(kind, 1, 2) + " # a trailing comment", "row,col,value", ""]))
+    assert READERS[kind][0](path) == [(0, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("bad", ["short", "extra column", "1_0", "x"])
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_readers_name_first_malformed_line(tmp_path, kind, bad):
+    entries, sep, columns = READERS[kind]
+    line = {"short": "0",
+            "extra column": table_line(kind, 0, 2) + sep + "7",
+            "1_0": table_line(kind, "1_0", 2),
+            "x": table_line(kind, "x", 2)}[bad]
+    path = tmp_path / "t.txt"
+    path.write_text("\n".join(["# c", "row,col,value", table_line(kind, 0, 1), "",
+                               line, table_line(kind, 1, 2), "0"]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"t.txt:5: expected '{columns}'") + "$"):
+        entries(path)
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_readers_report_index_beyond_int64(tmp_path, kind):
+    path = tmp_path / "t.txt"
+    path.write_text("\n".join(["# c", table_line(kind, 0, 1), table_line(kind, 1, 2**64)]))
+    with pytest.raises(ValueError, match=re.escape(f"t.txt:3: index (1,{2**64}) out of range")):
+        READERS[kind][0](path)
