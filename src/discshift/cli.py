@@ -32,7 +32,7 @@ from .graphs import (
     laplacian_from_weights,
     synthetic_netflix,
 )
-from .linalg import SolverOptions, load_edge_list, save_edge_list
+from .linalg import ConvergenceError, SolverOptions, load_edge_list, save_edge_list
 from .sampling import in_grid, load_sample_set, save_sample_set
 
 
@@ -40,12 +40,18 @@ def _load_graph(path):
     return laplacian_from_weights(load_edge_list(path))
 
 
-def _load_pairs(path, m):
-    """A `row,col` CSV as a SampleSet; a malformed file exits with its message."""
+def _load_pairs(path, m, n):
+    """A `row,col` CSV as a SampleSet; a malformed file or a pair outside the
+    m x n grid exits with its message."""
     try:
-        return load_sample_set(path, m)[0]
+        ss = load_sample_set(path, m)[0]
     except ValueError as e:
         raise SystemExit(str(e))
+    try:
+        in_grid(ss.ij, m, n)
+    except ValueError as e:
+        raise SystemExit(f"{path}: {e}")
+    return ss
 
 
 def _cmd_gen(args):
@@ -97,17 +103,12 @@ def _cmd_sample(args):
         raise SystemExit("pass --row-graph/--col-graph or --m/--n")
 
     mn = m * n
-    allowed = None
-    if args.pool:
-        pool = _load_pairs(args.pool, m)
-        try:
-            in_grid(pool.pairs, m, n)
-        except ValueError as e:
-            raise SystemExit(f"{args.pool}: {e}")
-        allowed = np.zeros(mn, dtype=bool)
-        allowed[pool.linear] = True
-    pool_size = mn if allowed is None else int(allowed.sum())
-    K = resolve_budget(float(args.budget), mn, pool_size)
+    allowed = _load_pairs(args.pool, m, n).linear if args.pool else None
+    pool_size = mn if allowed is None else allowed.size
+    try:
+        K = resolve_budget(float(args.budget), mn, pool_size)
+    except ValueError as e:
+        raise SystemExit(f"--budget: {e}")
     ss, meta = run_sampler(args, args.method, K, args.seed, m, n,
                            row_graph, col_graph, allowed=allowed)
     save_sample_set(ss, args.out, meta=meta)
@@ -119,14 +120,14 @@ def _cmd_complete(args):
     data = load_ratings(args.ratings)
     row_graph = _load_graph(args.row_graph)
     col_graph = _load_graph(args.col_graph)
-    omega = _load_pairs(args.omega, data.m)
+    omega = _load_pairs(args.omega, data.m, data.n)
     try:
         problem = CompletionProblem(
             observations=data, omega=omega, row_graph=row_graph,
             col_graph=col_graph, alpha=args.alpha, beta=args.beta)
-    except ValueError as e:
+        report = dglr_solve(problem, SolverOptions(tol=args.tol, seed=args.seed))
+    except (ValueError, ConvergenceError) as e:
         raise SystemExit(str(e))
-    report = dglr_solve(problem, SolverOptions(tol=args.tol, seed=args.seed))
     save_report(report, args.out, x_csv_path=args.x_out)
     print(f"wrote {args.out} (residual {report.residual:.3e}, "
           f"lambda_min_est {report.lambda_min_est:.6f})")
@@ -141,7 +142,7 @@ def _cmd_eval(args):
     if X.shape != (truth.m, truth.n):
         raise SystemExit(f"{args.completed}: shape {X.shape[0]}x{X.shape[1]} does not "
                          f"match the truth's {truth.m}x{truth.n}")
-    eval_set = _load_pairs(args.eval_set, truth.m)
+    eval_set = _load_pairs(args.eval_set, truth.m, truth.n)
     try:
         rmse = rmse_eval(X, truth.to_dense(), eval_set)
     except ValueError as e:

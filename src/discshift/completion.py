@@ -44,15 +44,15 @@ class CompletionProblem:
         m, n = self.row_graph.n, self.col_graph.n
         if (self.observations.m, self.observations.n) != (m, n):
             raise ValueError("observation dims must match the graphs")
-        rows, cols = np.array(self.omega.pairs, dtype=np.int64).reshape(-1, 2).T
+        rows, cols = self.omega.ij.T
         # Out-of-range pairs count as unobserved; checked before indexing
         # because numpy would wrap a negative index.
         known = (rows >= 0) & (rows < m) & (cols >= 0) & (cols < n)
         known[known] = self.observations.mask_bool()[rows[known], cols[known]]
         if not known.all():
-            pair = self.omega.pairs[int(np.argmin(known))]
+            i, j = self.omega.ij[np.argmin(known)]
             raise ValueError("omega contains unobserved entries (missing from the "
-                             f"ratings), e.g. {pair}")
+                             f"ratings), e.g. ({i}, {j})")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be nonnegative")
         if (self.alpha == 0 or self.beta == 0) and len(self.omega) < m * n:
@@ -199,16 +199,17 @@ def mse_upper_bound(x_star, ground_truth, noise, p: CompletionProblem,
 
 
 def rmse_eval(x_star, ground_truth, eval_set) -> float:
-    """Root mean squared error over an index set of (row, col) pairs.
+    """Root mean squared error over (row, col) pairs: a SampleSet, a sequence
+    of pairs or a (k, 2) array.
 
     Raises ValueError naming the first pair outside x_star's shape.
     """
-    pairs = eval_set.pairs if isinstance(eval_set, SampleSet) else list(eval_set)
-    if len(pairs) == 0:
+    ij = eval_set.ij if isinstance(eval_set, SampleSet) else eval_set
+    if len(ij) == 0:
         raise ValueError("empty evaluation set")
     Xs = np.asarray(x_star, dtype=np.float64)
     G = np.asarray(ground_truth, dtype=np.float64)
-    rows, cols = in_grid(pairs, *Xs.shape).T
+    rows, cols = in_grid(ij, *Xs.shape).T
     diff = Xs[rows, cols] - G[rows, cols]
     return float(np.sqrt(np.mean(diff * diff)))
 

@@ -219,11 +219,13 @@ def _resolve_graphs(cfg: ExperimentConfig, data: RatingMatrix, gamma: np.ndarray
 
 
 def resolve_budget(budget, mn: int, pool_size: int) -> int:
-    """Fractions of mn resolve by rounding; absolute counts pass through."""
+    """Fractions of mn resolve by rounding; absolute counts must be whole."""
     if isinstance(budget, float) and 0 < budget < 1:
         K = int(round(budget * mn))
     else:
         K = int(budget)
+        if K != budget:
+            raise ValueError(f"budget {budget} is not a whole number of samples")
     if not (1 <= K <= pool_size):
         raise ValueError(f"budget {budget} -> K={K} outside pool of {pool_size}")
     return K
@@ -289,14 +291,10 @@ def run_experiment(cfg: ExperimentConfig) -> List[MetricsRow]:
         m, n = data.m, data.n
         mn = m * n
 
-        gamma_pairs = [(int(data.rows[p]), int(data.cols[p])) for p in gamma]
-        pool_pairs = [(int(data.rows[p]), int(data.cols[p])) for p in pool]
-        eval_pairs = [(int(data.rows[p]), int(data.cols[p])) for p in evalset]
-
+        ij = np.column_stack((data.rows, data.cols))
+        lin = data.rows + m * data.cols
         gamma_diag = np.zeros(mn)
-        gamma_diag[data.rows[gamma] + m * data.cols[gamma]] = 1.0
-        pool_mask = np.zeros(mn, dtype=bool)
-        pool_mask[data.rows[pool] + m * data.cols[pool]] = True
+        gamma_diag[lin[gamma]] = 1.0
 
         score_target = truth if truth is not None else data.to_dense()
 
@@ -308,21 +306,20 @@ def run_experiment(cfg: ExperimentConfig) -> List[MetricsRow]:
                     tag = f"{method}_seed{seed}_K{K}"
                     ss, meta = run_sampler(
                         cfg, method, K, seed, m, n, row_graph, col_graph,
-                        initial=gamma_diag, allowed=pool_mask)
+                        initial=gamma_diag, allowed=lin[pool])
 
-                    omega_pairs = gamma_pairs + list(ss.pairs)
                     # The solver reads only the omega entries of the ratings.
                     problem = CompletionProblem(
                         observations=data,
-                        omega=SampleSet(tuple(omega_pairs), m=m,
-                                        budget=len(omega_pairs)),
+                        omega=SampleSet(np.concatenate((ij[gamma], ss.ij)), m=m,
+                                        budget=gamma.size + K),
                         row_graph=row_graph, col_graph=col_graph,
                         alpha=cfg.alpha, beta=cfg.beta)
                     report = dglr_solve(problem, SolverOptions(tol=cfg.tol, seed=seed))
 
-                    picked = set(ss.pairs)
-                    cell_eval = eval_pairs if eval_pairs else \
-                        [pr for pr in pool_pairs if pr not in picked]
+                    # The unpicked pool, in pool order, unless an eval split is set.
+                    cell_eval = ij[evalset] if evalset.size else \
+                        ij[pool[~np.isin(lin[pool], ss.linear)]]
                     rmse = rmse_eval(report.x_star, score_target, cell_eval)
 
                     save_sample_set(ss, os.path.join(cfg.output_dir, tag + ".csv"), meta=meta)

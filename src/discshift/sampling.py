@@ -12,16 +12,14 @@ test-scale only) round things out.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .graphs import GraphLaplacian, ProductOperator, lin_index, mat_index, product_dense
+from .graphs import GraphLaplacian, ProductOperator, lin_index, product_dense
 from .linalg import (
     ConvergenceError,
     EigenPair,
@@ -39,36 +37,58 @@ _log = logging.getLogger(__name__)
 TIE_TOL = 1e-4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Ordered entry selections with their column-major linear view."""
+    """Ordered entry selections as one read-only (k, 2) int64 array `ij` of
+    (row, col) pairs, built from a sequence of pairs or a (k, 2) array;
+    `pairs` and `linear` derive from it. Compares by identity."""
 
-    pairs: Tuple[Tuple[int, int], ...]
+    ij: np.ndarray
     m: int
     budget: int
 
     def __post_init__(self):
+        a = self.ij
+        if not (isinstance(a, np.ndarray) and a.dtype.kind == "i"):
+            a = np.array(a, dtype=object)  # compares exactly, whatever the number types
+        if a.shape == (0,):
+            a = a.reshape(0, 2)
         try:
-            flat = np.fromiter(chain.from_iterable(self.pairs), dtype=np.int64)
+            ij = a.astype(np.int64)
         except OverflowError:
             raise ValueError("sample pair index beyond int64") from None
-        pairs = tuple(zip(flat[0::2].tolist(), flat[1::2].tolist()))
-        if pairs != tuple(self.pairs):  # a pair of another length, or a non-integer
+        except (TypeError, ValueError):
+            ij = None
+        if ij is None or a.ndim != 2 or a.shape[1] != 2 or not (ij == a).all():
             raise ValueError("sample pairs must be (row, col) integer pairs")
-        object.__setattr__(self, "pairs", pairs)
-        ij = flat.reshape(-1, 2)
-        ij = ij[np.lexsort(ij.T)]
-        if np.any((ij[1:] == ij[:-1]).all(axis=1)):
+        ij.flags.writeable = False
+        object.__setattr__(self, "ij", ij)
+        s = ij[np.lexsort(ij.T)]
+        if np.any((s[1:] == s[:-1]).all(axis=1)):
             raise ValueError("sample pairs must be distinct")
-        if len(self.pairs) > self.budget:
+        if len(ij) > self.budget:
             raise ValueError("more samples than budget")
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.ij)
 
     @property
-    def linear(self) -> List[int]:
-        return [lin_index(i, j, self.m) for i, j in self.pairs]
+    def pairs(self) -> Tuple[Tuple[int, int], ...]:
+        return tuple(map(tuple, self.ij.tolist()))
+
+    @property
+    def linear(self) -> np.ndarray:
+        """Column-major indices i + m*j; lin_index's error on the first bad pair."""
+        bad = ((self.ij < 0) | (self.ij >= (self.m, np.inf))).any(axis=1)
+        if bad.any():
+            lin_index(*self.ij[np.argmax(bad)].tolist(), self.m)
+        return self.ij[:, 0] + self.m * self.ij[:, 1]
+
+
+def _from_linear(lin, m: int, budget: int) -> SampleSet:
+    """The SampleSet of column-major linear indices, in their order."""
+    j, i = divmod(np.asarray(lin, dtype=np.int64), m)
+    return SampleSet(np.column_stack((i, j)), m, budget)
 
 
 def in_grid(pairs, m: int, n: int) -> np.ndarray:
@@ -107,8 +127,12 @@ def _normalize_allowed(allowed, size: int) -> np.ndarray:
         if allowed.shape != (size,):
             raise ValueError("allowed mask length must be m*n")
         return allowed.copy()
+    idx = allowed.astype(np.int64)
+    outside = (idx < 0) | (idx >= size)
+    if outside.any():  # numpy would wrap a negative index
+        raise ValueError(f"allowed index {idx[np.argmax(outside)]} outside [0, {size})")
     mask = np.zeros(size, dtype=bool)
-    mask[allowed.astype(np.int64)] = True
+    mask[idx] = True
     return mask
 
 
@@ -152,7 +176,7 @@ def greedy_disc_shift(op: ProductOperator, K: int,
 
     rng = np.random.default_rng(opts.seed)
     warm: Optional[np.ndarray] = None
-    pairs: List[Tuple[int, int]] = []
+    picks: List[int] = []
     state = SamplerState()
     for t in range(K):
         x0 = warm if warm is not None else random_unit(rng, size)
@@ -160,11 +184,11 @@ def greedy_disc_shift(op: ProductOperator, K: int,
         k_star = pick(pair.vec, available)
         op.sample_diag[k_star] = 1.0
         available[k_star] = False
-        pairs.append(mat_index(k_star, op.m))
+        picks.append(k_star)
         state.iter_counts.append(pair.iterations)
         if warm_start:
             warm = pair.vec
-    return SampleSet(tuple(pairs), m=op.m, budget=K), state
+    return _from_linear(picks, op.m, K), state
 
 
 def gcs_sample(op: ProductOperator, K: int, allowed=None,
@@ -207,27 +231,25 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
     if K > pool:
         raise ValueError(f"budget {K} exceeds available pool {pool}")
 
-    Lr = row_graph.csr()
-    Lc = col_graph.csr()
-    q_hat = 1.0 - q
+    # Per mode: (index in block, block) views of the allowed and sampled grids,
+    # factor Laplacian, diagonal and Laplacian weights, linear-index strides.
     sampled = np.zeros((m, n), dtype=bool)
+    modes = {"cluster": (allowed2d, sampled, row_graph.csr(), q, alpha, (1, m)),
+             "group": (allowed2d.T, sampled.T, col_graph.csr(), 1.0 - q, beta, (m, 1))}
     rng = np.random.default_rng(opts.seed)
 
     mode = "cluster"
     block = 0
     streak = 0
     warm: Optional[np.ndarray] = None
-    pairs: List[Tuple[int, int]] = []
+    picks: List[int] = []
     state = SamplerState()
 
     skips = 0
-    while len(pairs) < K:
-        if mode == "cluster":
-            avail = allowed2d[:, block] & ~sampled[:, block]
-            n_blocks = n
-        else:
-            avail = allowed2d[block, :] & ~sampled[block, :]
-            n_blocks = m
+    while len(picks) < K:
+        allow, samp, L, w_diag, w_lap, stride = modes[mode]
+        dim, n_blocks = samp.shape
+        avail = allow[:, block] & ~samp[:, block]
         if not avail.any():
             block = (block + 1) % n_blocks
             streak = 0
@@ -238,25 +260,15 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
             continue
         skips = 0
         streak += 1
-        if mode == "cluster":
-            ind = sampled[:, block].astype(np.float64)
-            apply = lambda v: q * (ind * v) + alpha * (Lr @ v)
-            dim = m
-        else:
-            ind = sampled[block, :].astype(np.float64)
-            apply = lambda v: q_hat * (ind * v) + beta * (Lc @ v)
-            dim = n
+        ind = samp[:, block].astype(np.float64)
+        apply = lambda v: w_diag * (ind * v) + w_lap * (L @ v)
         x0 = warm if warm is not None else random_unit(rng, dim)
         pair = _solve_step(apply, x0, opts,
-                           rng, dim, f"IGCS {mode} {block} (pick {len(pairs)})")
+                           rng, dim, f"IGCS {mode} {block} (pick {len(picks)})")
         phi = pair.vec
         k_star = argmax_abs_tied(phi, np.flatnonzero(avail))
-        if mode == "cluster":
-            entry = (k_star, block)
-        else:
-            entry = (block, k_star)
-        sampled[entry] = True
-        pairs.append(entry)
+        samp[k_star, block] = True
+        picks.append(k_star * stride[0] + block * stride[1])
         state.steps.append((mode, block, k_star))
         state.iter_counts.append(pair.iterations)
         warm = phi
@@ -266,7 +278,7 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
             streak = 0
             warm = None
 
-    return SampleSet(tuple(pairs), m=m, budget=K), state
+    return _from_linear(picks, m, K), state
 
 
 def random_sample(m: int, n: int, K: int, seed: int = 0, allowed=None) -> SampleSet:
@@ -276,8 +288,7 @@ def random_sample(m: int, n: int, K: int, seed: int = 0, allowed=None) -> Sample
     if K > pool.size:
         raise ValueError(f"budget {K} exceeds available pool {pool.size}")
     rng = np.random.default_rng(seed)
-    picks = rng.choice(pool, size=K, replace=False)
-    return SampleSet(tuple(mat_index(int(l), m) for l in picks), m=m, budget=K)
+    return _from_linear(rng.choice(pool, size=K, replace=False), m, K)
 
 
 def exact_greedy_oracle(op: ProductOperator, K: int, cap: int = 64,
@@ -293,7 +304,7 @@ def exact_greedy_oracle(op: ProductOperator, K: int, cap: int = 64,
         raise ValueError(f"mn={size} above exact oracle cap {cap}")
     Q = product_dense(op)
     sampled = op.sample_diag.astype(bool).copy()
-    pairs: List[Tuple[int, int]] = []
+    picks: List[int] = []
     trace: List[float] = []
     for _ in range(K):
         cand = np.flatnonzero(~sampled)
@@ -309,9 +320,9 @@ def exact_greedy_oracle(op: ProductOperator, K: int, cap: int = 64,
         k_star, lam_star = best
         Q[k_star, k_star] += 1.0
         sampled[k_star] = True
-        pairs.append(mat_index(k_star, op.m))
+        picks.append(k_star)
         trace.append(lam_star)
-    return SampleSet(tuple(pairs), m=op.m, budget=K), trace
+    return _from_linear(picks, op.m, K), trace
 
 
 def lambda_max_bound(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
@@ -327,22 +338,11 @@ def save_sample_set(ss: SampleSet, csv_path, meta: Optional[dict] = None) -> Non
     iter_counts and wall_time_seconds (null when not applicable).
     """
     csv_path = str(csv_path)
-    with open(csv_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["row", "col"])
-        writer.writerows(ss.pairs)
-    sidecar = {
-        "method": None,
-        "K": ss.budget,
-        "seed": None,
-        "alpha": None,
-        "beta": None,
-        "q": None,
-        "zeta": None,
-        "iter_counts": None,
-        "wall_time_seconds": None,
-    }
-    sidecar.update(meta or {})
+    np.savetxt(csv_path, ss.ij, fmt="%d", delimiter=",", newline="\r\n",  # as csv.writer
+               header="row,col", comments="")
+    sidecar = {**dict.fromkeys(("method", "seed", "alpha", "beta", "q", "zeta",
+                                "iter_counts", "wall_time_seconds")),
+               "K": ss.budget, **(meta or {})}
     with open(_sidecar_path(csv_path), "w") as f:
         json.dump(sidecar, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -352,16 +352,16 @@ def load_sample_set(csv_path, m: int, budget: Optional[int] = None):
     """Load a `row,col` table (see `read_table`) and its sidecar if present;
     returns (SampleSet, meta)."""
     csv_path = str(csv_path)
-    pairs = read_table(csv_path, [("row", "i8"), ("col", "i8")]).tolist()
+    t = read_table(csv_path, [("row", "i8"), ("col", "i8")])
     meta = {}
     try:
         with open(_sidecar_path(csv_path)) as f:
             meta = json.load(f)
     except FileNotFoundError:
         pass
-    k = budget if budget is not None else max(len(pairs), int(meta.get("K") or 0))
+    k = budget if budget is not None else max(len(t), int(meta.get("K") or 0))
     try:
-        return SampleSet(tuple(pairs), m=m, budget=k), meta
+        return SampleSet(np.column_stack((t["row"], t["col"])), m=m, budget=k), meta
     except ValueError as e:
         raise ValueError(f"{csv_path}: {e}") from None
 

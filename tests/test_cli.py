@@ -208,6 +208,31 @@ def test_complete_rejects_unknown_omega(tmp_path):
         main(["complete", "--ratings", str(ratings), "--omega", str(omega),
               "--row-graph", str(g), "--col-graph", str(g),
               "--out", str(tmp_path / "r.json")])
+    omega.write_text("0,0\n2,0\n")
+    with pytest.raises(SystemExit, match=r"omega.csv: pair \(2, 0\) outside the 2x2 grid"):
+        main(["complete", "--ratings", str(ratings), "--omega", str(omega),
+              "--row-graph", str(g), "--col-graph", str(g),
+              "--out", str(tmp_path / "r.json")])
+
+
+def test_complete_reports_singular_operator(tmp_path):
+    ratings = tmp_path / "r.csv"
+    ratings.write_text("# m=4 n=2\nrow,col,value\n0,0,1.0\n1,1,2.0\n2,0,3.0\n")
+    rg, cg = tmp_path / "rg.txt", tmp_path / "cg.txt"
+    rg.write_text("0 1 1.0\n2 3 1.0\n")  # two row components
+    cg.write_text("0 1 1.0\n")
+    omega = tmp_path / "omega.csv"
+    omega.write_text("0,0\n")  # samples only the first row component
+    with pytest.raises(SystemExit, match="operator is singular"):
+        main(["complete", "--ratings", str(ratings), "--omega", str(omega),
+              "--row-graph", str(rg), "--col-graph", str(cg),
+              "--out", str(tmp_path / "r.json")])
+
+
+def test_sample_rejects_fractional_budget(tmp_path):
+    with pytest.raises(SystemExit, match="--budget: budget 2.7 is not a whole number"):
+        main(["sample", "--method", "random", "--budget", "2.7", "--m", "4",
+              "--n", "3", "--out", str(tmp_path / "s.csv")])
 
 
 def test_eval_rejects_duplicate_pairs(dataset, tmp_path):

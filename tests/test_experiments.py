@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from discshift import experiments
 from discshift.experiments import (
     METRICS_HEADER,
     ExperimentConfig,
@@ -207,6 +208,12 @@ def test_resolve_budget_bounds():
         resolve_budget(80, 100, 50)  # beyond pool
 
 
+def test_resolve_budget_rejects_fractional_count():
+    for budget in (2.7, 1.5):
+        with pytest.raises(ValueError, match="whole number"):
+            resolve_budget(budget, 100, 100)
+
+
 # ----------------------------------------------------------------- datasets
 
 
@@ -302,6 +309,22 @@ def test_run_experiment_fixed_eval_split(tmp_path):
                            output_dir=str(tmp_path / "out"))
     rows = run_experiment(cfg)
     assert len(rows) == 1 and np.isfinite(rows[0].rmse)
+
+
+def test_run_experiment_scores_unpicked_pool_in_order(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(experiments, "rmse_eval",
+                        lambda x, truth, ev: seen.append(np.asarray(ev).tolist()) or 1.0)
+    cfg = ExperimentConfig(dataset=TINY_SYNTH, methods=["random", "igcs"],
+                           initial_fraction=0.2, sample_budget_fraction=0.5,
+                           budgets=[6], seeds=[0], output_dir=str(tmp_path / "out"))
+    run_experiment(cfg)
+    data = resolve_dataset(TINY_SYNTH, 0)[0]
+    pool = split_dataset(data, cfg, 0)[1]
+    for method, got in zip(cfg.methods, seen):
+        ss, _ = load_sample_set(tmp_path / "out" / f"{method}_seed0_K6.csv", m=12)
+        pool_pairs = [[int(data.rows[p]), int(data.cols[p])] for p in pool]
+        assert got == [pr for pr in pool_pairs if tuple(pr) not in set(ss.pairs)]
 
 
 def test_run_experiment_g2_graphs(tmp_path):

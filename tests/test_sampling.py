@@ -77,7 +77,12 @@ def reference_gcs(op, K):
 
 def test_sample_set_linear_view():
     ss = SampleSet(((0, 0), (2, 1)), m=3, budget=2)
-    assert ss.linear == [0, 5]
+    assert ss.linear.tolist() == [0, 5]
+    assert ss.ij.tolist() == [[0, 0], [2, 1]]
+    for bad, msg in ((((0, 0), (3, 0)), "row 3 out of range for m=3"),
+                     (((0, -1), (-1, 0)), "negative column -1")):
+        with pytest.raises(ValueError, match=msg):
+            SampleSet(bad, m=3, budget=2).linear
 
 
 def test_sample_set_rejects_duplicates():
@@ -95,8 +100,20 @@ def test_sample_set_pairs_are_python_ints():
     assert all(type(v) is int for pair in ss.pairs for v in pair)
 
 
+def test_sample_set_takes_an_int_array():
+    src = np.array([[2, 1], [0, 0]], dtype=np.int32)
+    ss = SampleSet(src, m=3, budget=2)
+    assert ss.ij.dtype == np.int64 and not ss.ij.flags.writeable
+    src[0, 0] = 1  # the set holds its own copy
+    assert ss.pairs == ((2, 1), (0, 0))
+    assert SampleSet(np.zeros((0, 2), dtype=np.int64), m=3, budget=0).pairs == ()
+    with pytest.raises(ValueError, match="distinct"):
+        SampleSet(np.array([[1, 1], [1, 1]]), m=3, budget=2)
+
+
 def test_sample_set_rejects_malformed_pairs():
-    for bad in (((0, 0, 1),), ((0, 1, 2), (3,)), ((0.5, 1),)):
+    for bad in (((0, 0, 1),), ((0, 1, 2), (3,)), ((0.5, 1),), ((),), (0, 1),
+                np.array([[0, 1, 2]]), np.array([[0.5, 1.0]]), (("0", 1),)):
         with pytest.raises(ValueError, match="integer pairs"):
             SampleSet(bad, m=3, budget=3)
     with pytest.raises(ValueError, match="beyond int64"):
@@ -348,6 +365,12 @@ def test_random_respects_allowed():
     allowed = np.array([0, 3, 7])
     ss = random_sample(4, 2, 2, seed=1, allowed=allowed)
     assert set(ss.linear) <= {0, 3, 7}
+
+
+def test_allowed_indices_outside_grid_rejected():
+    for bad in ([-1], [6], [0, 7]):
+        with pytest.raises(ValueError, match=rf"allowed index {bad[-1]} outside \[0, 6\)"):
+            random_sample(2, 3, 1, allowed=bad)
 
 
 def test_random_over_budget():
