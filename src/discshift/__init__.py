@@ -28,7 +28,6 @@ from .graphs import (
     knn_feature_graph,
     laplacian_from_weights,
     lin_index,
-    mat_index,
     product_apply,
     synthetic_netflix,
     trivial_graph,

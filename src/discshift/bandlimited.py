@@ -20,6 +20,7 @@ from .sampling import SampleSet, argmax_abs_tied, greedy_disc_shift
 
 AOPT_EPS = 1e-8
 GRAM_RANK_TOL = 1e-10
+MATERIALIZE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -59,12 +60,6 @@ class BandlimitedBasis:
         Z = z.reshape((self.k2, self.k1), order="F")
         return (self.V @ Z @ self.U.T).ravel(order="F")
 
-    def apply_t(self, y) -> np.ndarray:
-        """T' @ y for signals y of length m*n."""
-        y = np.asarray(y, dtype=np.float64)
-        Y = y.reshape((self.m, self.n), order="F")
-        return (self.V.T @ Y @ self.U).ravel(order="F")
-
     def rows(self, linear_indices) -> np.ndarray:
         """Stack of T's rows at the given product-graph indices."""
         lin = np.asarray(linear_indices, dtype=np.int64)
@@ -74,8 +69,9 @@ class BandlimitedBasis:
         # Row r is kron(U[j_r], V[i_r]): entry p*k2 + q is U[j_r, p] * V[i_r, q].
         return (self.U[j][:, :, None] * self.V[i][:, None, :]).reshape(lin.size, self.rank)
 
-    def materialize(self, cap: int = 4096) -> np.ndarray:
-        if self.m * self.n > cap:
+    def materialize(self) -> np.ndarray:
+        """T as a dense array; refuses mn above MATERIALIZE_CAP."""
+        if self.m * self.n > MATERIALIZE_CAP:
             raise ValueError("refusing to materialize a large basis")
         return np.kron(self.U, self.V)
 
@@ -101,7 +97,8 @@ def _gram(basis: BandlimitedBasis, linear_indices) -> np.ndarray:
 
 
 def aopt_objective(basis: BandlimitedBasis, S) -> float:
-    """A-optimal score Tr[(T_S' T_S + eps I)^-1] of a selection.
+    """A-optimal score Tr[(T_S' T_S + eps I)^-1] of a selection S of linear
+    indices.
 
     eps is AOPT_EPS = 1e-8 while the Gram matrix cannot be full rank (or is
     numerically singular) and to 0 once it is safely invertible, so full-rank
@@ -111,8 +108,8 @@ def aopt_objective(basis: BandlimitedBasis, S) -> float:
     amplify null-space rounding into the score and make near-tied
     candidates compare differently across evaluation orders.
     """
-    lin = S.linear if isinstance(S, SampleSet) else list(S)
-    G = _gram(basis, sorted(int(l) for l in lin))
+    lin = sorted(int(l) for l in S)
+    G = _gram(basis, lin)
     evals = np.linalg.eigvalsh(0.5 * (G + G.T))
     evals = np.where(evals > GRAM_RANK_TOL, evals, 0.0)
     full_rank = len(lin) >= basis.rank and evals[0] > 0
@@ -164,16 +161,16 @@ def aopt_local_search(basis: BandlimitedBasis, op: ProductOperator, K: int,
 
 
 def bandlimited_reconstruct(basis: BandlimitedBasis, S, y_S) -> np.ndarray:
-    """Least-squares recovery of a dual-bandlimited signal from samples.
+    """Least-squares recovery of a dual-bandlimited signal from its samples
+    y_S at the linear indices S.
 
     Exact for noiseless bandlimited signals whenever the sampled basis rows
     have full column rank. Raises on rank deficiency, reporting the rank.
     """
-    lin = S.linear if isinstance(S, SampleSet) else list(S)
     y_S = np.asarray(y_S, dtype=np.float64)
-    if y_S.shape != (len(lin),):
+    if y_S.shape != (len(S),):
         raise ValueError("y_S must align with the sample set")
-    R = basis.rows(lin)
+    R = basis.rows(S)
     rank = int(np.linalg.matrix_rank(R))
     if rank < basis.rank:
         raise np.linalg.LinAlgError(

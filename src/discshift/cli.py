@@ -85,7 +85,7 @@ def _cmd_graph(args):
         feats = np.loadtxt(args.features, delimiter=",", ndmin=2)
         g = knn_feature_graph(feats, k=args.k)
     save_edge_list(g.weights, args.out)
-    print(f"wrote {args.out} ({g.n} nodes, {g.weights.nnz // 2} edges, "
+    print(f"wrote {args.out} ({g.n} nodes, {g.weights.csr.nnz // 2} edges, "
           f"{g.n_components()} component(s))")
     return 0
 

@@ -8,7 +8,6 @@ gradient, the reconstruction-error upper bound, and RMSE scoring.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import dataclass, field
@@ -236,8 +235,8 @@ def save_report(report: CompletionReport, json_path, x_csv_path=None) -> None:
 
 
 def write_dense_csv(X, path) -> None:
-    """A dense matrix as row-major CSV; values round-trip exactly through repr."""
+    """A dense matrix as row-major CSV with CRLF line ends, as csv.writer
+    writes it; values round-trip exactly through repr."""
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        for row in np.asarray(X):
-            writer.writerow([repr(float(v)) for v in row])
+        f.writelines(",".join(map(repr, row.tolist())) + "\r\n"
+                     for row in np.asarray(X, dtype=np.float64))

@@ -18,6 +18,9 @@ from scipy.sparse.csgraph import connected_components
 
 from .linalg import SparseSym
 
+COMMUNITY_DRAWS = 50
+PRODUCT_DENSE_CAP = 4096
+
 
 def lin_index(i: int, j: int, m: int) -> int:
     """Column-major linear index l = i + m*j (0-based)."""
@@ -26,13 +29,6 @@ def lin_index(i: int, j: int, m: int) -> int:
     if j < 0:
         raise ValueError(f"negative column {j}")
     return i + m * j
-
-
-def mat_index(l: int, m: int):
-    """Inverse of lin_index: l -> (i, j)."""
-    if l < 0:
-        raise ValueError(f"negative linear index {l}")
-    return l % m, l // m
 
 
 @dataclass(frozen=True)
@@ -179,8 +175,9 @@ class RatingMatrix:
     def density(self) -> float:
         return self.n_known / float(self.m * self.n)
 
-    def to_dense(self, fill: float = 0.0) -> np.ndarray:
-        Y = np.full((self.m, self.n), fill, dtype=np.float64)
+    def to_dense(self) -> np.ndarray:
+        """The ratings as an m x n array, 0 where unobserved."""
+        Y = np.zeros((self.m, self.n))
         Y[self.rows, self.cols] = self.vals
         return Y
 
@@ -194,12 +191,11 @@ class RatingMatrix:
         return RatingMatrix(self.m, self.n, self.rows[idx], self.cols[idx], self.vals[idx])
 
     @classmethod
-    def from_dense(cls, Y, mask=None) -> "RatingMatrix":
+    def from_dense(cls, Y) -> "RatingMatrix":
+        """The finite entries of Y; NaN or inf marks an unobserved entry."""
         Y = np.asarray(Y, dtype=np.float64)
         m, n = Y.shape
-        if mask is None:
-            mask = np.isfinite(Y)
-        rows, cols = np.nonzero(mask)
+        rows, cols = np.nonzero(np.isfinite(Y))
         return cls(m, n, rows, cols, Y[rows, cols])
 
 
@@ -269,8 +265,9 @@ def content_graph(Z: RatingMatrix, axis: str = "rows", d_s: Optional[float] = No
 
 
 def community_graph(n_nodes: int, n_communities: int, p_in: float, p_out: float,
-                    seed: int = 0, max_retries: int = 50):
-    """Planted-partition graph with unit weights, resampled until connected.
+                    seed: int = 0):
+    """Planted-partition graph with unit weights, resampled until connected
+    (at most COMMUNITY_DRAWS draws).
 
     Returns (GraphLaplacian, labels). Communities are contiguous index blocks
     with sizes differing by at most one.
@@ -288,7 +285,7 @@ def community_graph(n_nodes: int, n_communities: int, p_in: float, p_out: float,
     probs = np.where(same, p_in, p_out)
     iu = np.triu_indices(n_nodes, k=1)
 
-    for _ in range(max_retries):
+    for _ in range(COMMUNITY_DRAWS):
         draw = rng.random(iu[0].size) < probs[iu]
         W = np.zeros((n_nodes, n_nodes))
         W[iu[0][draw], iu[1][draw]] = 1.0
@@ -298,7 +295,7 @@ def community_graph(n_nodes: int, n_communities: int, p_in: float, p_out: float,
         if ncomp == 1:
             return laplacian_from_weights(Wsp), labels
     raise RuntimeError(
-        f"could not draw a connected graph in {max_retries} attempts "
+        f"could not draw a connected graph in {COMMUNITY_DRAWS} attempts "
         f"(n={n_nodes}, k={n_communities}, p_in={p_in}, p_out={p_out})"
     )
 
@@ -428,10 +425,10 @@ def product_apply(op: ProductOperator, x) -> np.ndarray:
     return out
 
 
-def product_dense(op: ProductOperator, cap: int = 4096) -> np.ndarray:
-    """Materialize Q. Oracle/test use only; refuses mn above `cap`."""
+def product_dense(op: ProductOperator) -> np.ndarray:
+    """Materialize Q. Oracle/test use only; refuses mn above PRODUCT_DENSE_CAP."""
     mn = op.size
-    if mn > cap:
+    if mn > PRODUCT_DENSE_CAP:
         raise ValueError(f"refusing to materialize {mn} x {mn} product operator")
     Lr = op.row_graph.laplacian.to_dense()
     Lc = op.col_graph.laplacian.to_dense()

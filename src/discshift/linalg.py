@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,7 +56,7 @@ class SparseSym:
     canonical format (sorted column indices, no duplicate entries) and
     numerically symmetric within 1e-12. `csr` and the array properties are
     views of that one matrix, shared rather than copied; do not modify them.
-    Build instances with from_scipy, from_dense or identity.
+    Build instances with from_scipy or from_dense.
     """
 
     csr: sp.csr_matrix
@@ -89,15 +89,8 @@ class SparseSym:
     def values(self) -> np.ndarray:
         return self.csr.data
 
-    @property
-    def nnz(self) -> int:
-        return int(self.csr.nnz)
-
     def to_dense(self) -> np.ndarray:
         return self.csr.toarray()
-
-    def diagonal(self) -> np.ndarray:
-        return self.csr.diagonal()
 
     @classmethod
     def from_scipy(cls, m) -> "SparseSym":
@@ -109,26 +102,6 @@ class SparseSym:
     @classmethod
     def from_dense(cls, a) -> "SparseSym":
         return cls.from_scipy(sp.csr_matrix(np.asarray(a, dtype=np.float64)))
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseSym":
-        return cls.from_scipy(sp.identity(n, format="csr"))
-
-
-LinearOperator = Union[SparseSym, np.ndarray, sp.spmatrix, Callable[[np.ndarray], np.ndarray]]
-
-
-def as_apply(A: LinearOperator) -> Callable[[np.ndarray], np.ndarray]:
-    """Normalize matrices / callables to an apply(x) closure."""
-    if isinstance(A, SparseSym):
-        A = A.csr
-    if sp.issparse(A):
-        return lambda x: A @ x
-    if isinstance(A, np.ndarray):
-        return lambda x: A @ x
-    if callable(A):
-        return A
-    raise TypeError(f"cannot interpret {type(A)!r} as a linear operator")
 
 
 @dataclass(frozen=True)
@@ -167,21 +140,19 @@ def random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def cg_solve(apply: LinearOperator, b, opts: Optional[SolverOptions] = None,
-             x0=None) -> np.ndarray:
-    """Conjugate gradient for a symmetric positive definite system.
+def cg_solve(apply: Callable[[np.ndarray], np.ndarray], b,
+             opts: Optional[SolverOptions] = None) -> np.ndarray:
+    """Conjugate gradient for a symmetric positive definite system, from x = 0.
 
     Parameters
     ----------
-    apply : operator
-        SPD operator (callable, SparseSym, scipy sparse, or dense array).
+    apply : callable
+        x -> A x for an SPD operator A.
     b : ndarray
         Right-hand side. b = 0 returns x = 0 immediately.
     opts : SolverOptions
         tol is a relative residual bound (default 1e-8); max_iter defaults
         to 10n.
-    x0 : ndarray, optional
-        Initial guess.
 
     Raises
     ------
@@ -190,7 +161,6 @@ def cg_solve(apply: LinearOperator, b, opts: Optional[SolverOptions] = None,
         produces non-finite values / detects an indefinite operator.
     """
     opts = opts or SolverOptions()
-    A = as_apply(apply)
     b = np.asarray(b, dtype=np.float64)
     n = b.size
     tol = CG_TOL if opts.tol is None else opts.tol
@@ -200,19 +170,15 @@ def cg_solve(apply: LinearOperator, b, opts: Optional[SolverOptions] = None,
     if b_norm == 0.0:
         return np.zeros(n)
 
-    if x0 is None:
-        x = np.zeros(n)
-        r = b.copy()
-    else:
-        x = np.array(x0, dtype=np.float64)
-        r = b - A(x)
+    x = np.zeros(n)
+    r = b.copy()
     p = r.copy()
     rs = float(r @ r)
     if np.sqrt(rs) / b_norm <= tol:
         return x
 
     for _ in range(max_iter):
-        Ap = A(p)
+        Ap = apply(p)
         pAp = float(p @ Ap)
         if not np.isfinite(pAp):
             raise ConvergenceError("NaN/Inf encountered in CG")
@@ -275,7 +241,8 @@ def _ritz(M, K):
 _STORAGE_ORDER = {3: [2, 0, 1], 2: [0, 1]}
 
 
-def lobpcg_smallest(apply: LinearOperator, x0, opts: Optional[SolverOptions] = None) -> EigenPair:
+def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray], x0,
+                    opts: Optional[SolverOptions] = None) -> EigenPair:
     """Smallest eigenpair of a symmetric PSD operator, block size 1.
 
     Each iteration does a Rayleigh-Ritz step on span{x, w, p} where w is the
@@ -295,7 +262,8 @@ def lobpcg_smallest(apply: LinearOperator, x0, opts: Optional[SolverOptions] = N
 
     Parameters
     ----------
-    apply : operator
+    apply : callable
+        x -> A x for a symmetric PSD operator A.
     x0 : ndarray
         Nonzero initial vector.
     opts : SolverOptions
@@ -309,7 +277,6 @@ def lobpcg_smallest(apply: LinearOperator, x0, opts: Optional[SolverOptions] = N
         if the tolerance was not reached within max_iter.
     """
     opts = opts or SolverOptions()
-    A = as_apply(apply)
     x0 = np.asarray(x0, dtype=np.float64)
     norm0 = np.linalg.norm(x0)
     if norm0 == 0.0 or not np.isfinite(norm0):
@@ -323,7 +290,7 @@ def lobpcg_smallest(apply: LinearOperator, x0, opts: Optional[SolverOptions] = N
     V, AV = np.zeros((3, x0.size)), np.zeros((3, x0.size))
     V_next, AV_next = np.empty_like(V), np.empty_like(AV)
     V[1] = x0
-    lam, res = _restart(A, V, AV)
+    lam, res = _restart(apply, V, AV)
     fresh, has_p = True, False
     # Gram matrices of the carried (x, p): B'B in G and B'AB in H.
     G, H = np.eye(2), np.diag([lam, 0.0])
@@ -334,14 +301,14 @@ def lobpcg_smallest(apply: LinearOperator, x0, opts: Optional[SolverOptions] = N
                 break
             # The carried A x had drifted; go on from the fresh one, without
             # the p whose image carries the same drift.
-            lam, res = _restart(A, V, AV)
+            lam, res = _restart(apply, V, AV)
             fresh, has_p = True, False
             G[0, 0], H[0, 0] = 1.0, lam
             continue
         if it == max_iter:
             break
         w = V[2]
-        AV[2] = A(w)
+        AV[2] = apply(w)
         g = V @ w
         h = AV @ w
         # On the basis (x, w, p); the p row and column are unused without p.
@@ -374,23 +341,24 @@ def lobpcg_smallest(apply: LinearOperator, x0, opts: Optional[SolverOptions] = N
         fresh = False
 
     if not fresh:
-        lam, res = _restart(A, V, AV)
+        lam, res = _restart(apply, V, AV)
     return EigenPair(lam, V[1].copy(), residual=res, iterations=it,
                      converged=bool(res <= tol))
 
 
-def dense_sym_eig(A, cap: int = DENSE_EIG_CAP):
+def dense_sym_eig(A):
     """Full spectrum of a dense symmetric matrix, ascending.
 
-    Small-problem oracle; refuses matrices above `cap` or with asymmetry
-    beyond 1e-10. Returns a list of EigenPair with orthonormal eigenvectors.
+    Small-problem oracle; refuses matrices above DENSE_EIG_CAP or with
+    asymmetry beyond 1e-10. Returns a list of EigenPair with orthonormal
+    eigenvectors.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     n = A.shape[0]
-    if n > cap:
-        raise ValueError(f"dimension {n} above dense oracle cap {cap}")
+    if n > DENSE_EIG_CAP:
+        raise ValueError(f"dimension {n} above dense oracle cap {DENSE_EIG_CAP}")
     if n and np.max(np.abs(A - A.T)) > 1e-10:
         raise ValueError("matrix asymmetry beyond 1e-10")
     evals, evecs = np.linalg.eigh(0.5 * (A + A.T))
@@ -407,7 +375,7 @@ def gershgorin_bounds(A: SparseSym) -> Tuple[np.ndarray, np.ndarray]:
     rows = np.repeat(np.arange(A.n), np.diff(A.row_offsets))
     off = A.col_indices != rows
     radii = np.bincount(rows[off], weights=np.abs(A.values[off]), minlength=A.n)
-    return A.diagonal(), radii
+    return A.csr.diagonal(), radii
 
 
 def save_edge_list(A: SparseSym, path) -> None:
@@ -464,7 +432,8 @@ def table_lines(path) -> List[int]:
 
 
 def load_edge_list(path, n: Optional[int] = None) -> SparseSym:
-    """Read an `i j value` upper-triangle edge list and mirror it."""
+    """Read an `i j value` upper-triangle edge list and mirror it. A negative
+    index, a lower-triangle entry or a repeated edge raises with its line."""
     t = read_table(path, [("i", "i8"), ("j", "i8"), ("value", "f8")], delimiter=None)
     i, j, v = t["i"], t["j"], t["value"]
     bad = np.flatnonzero((i < 0) | (j < i))
@@ -473,8 +442,16 @@ def load_edge_list(path, n: Optional[int] = None) -> SparseSym:
         what = ("negative index" if min(i[k], j[k]) < 0
                 else "lower-triangle entry in upper-triangle file")
         raise ValueError(f"{path}:{table_lines(path)[k]}: {what}")
+    stride = int(j.max(initial=-1)) + 1  # above every j, so each (i, j) keys uniquely
+    _, first, inverse = np.unique(i * stride + j, return_index=True, return_inverse=True)
+    repeat = first[inverse] != np.arange(i.size)
+    if repeat.any():
+        k = int(np.argmax(repeat))
+        lines = table_lines(path)
+        raise ValueError(f"{path}:{lines[k]}: duplicate edge ({i[k]},{j[k]}), "
+                         f"first at line {lines[first[inverse[k]]]}")
     off = i != j
-    size = n if n is not None else int(j.max(initial=-1)) + 1
+    size = n if n is not None else stride
     m = sp.csr_matrix((np.concatenate([v, v[off]]),
                        (np.concatenate([i, j[off]]), np.concatenate([j, i[off]]))),
                       shape=(size, size))

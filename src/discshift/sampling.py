@@ -35,6 +35,8 @@ _log = logging.getLogger(__name__)
 # index wins. Calibrated to the eigenvector error of LOBPCG at its default
 # tolerance, and matching the gap below which selection is ambiguous anyway.
 TIE_TOL = 1e-4
+ORACLE_CAP = 64
+ORACLE_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,14 +122,14 @@ def argmax_abs_tied(vec: np.ndarray, candidates: np.ndarray, tie_tol: float = TI
 
 
 def _normalize_allowed(allowed, size: int) -> np.ndarray:
+    """Boolean mask over [0, size) of the allowed linear indices (all when
+    None). They must be an integer array; an empty sequence is an empty pool."""
     if allowed is None:
         return np.ones(size, dtype=bool)
-    allowed = np.asarray(allowed)
-    if allowed.dtype == bool:
-        if allowed.shape != (size,):
-            raise ValueError("allowed mask length must be m*n")
-        return allowed.copy()
-    idx = allowed.astype(np.int64)
+    idx = np.asarray(allowed)
+    if idx.size and idx.dtype.kind not in "iu":  # np.asarray([]) is float64
+        raise ValueError(f"allowed must be integer linear indices, not {idx.dtype}")
+    idx = idx.astype(np.int64)
     outside = (idx < 0) | (idx >= size)
     if outside.any():  # numpy would wrap a negative index
         raise ValueError(f"allowed index {idx[np.argmax(outside)]} outside [0, {size})")
@@ -291,17 +293,17 @@ def random_sample(m: int, n: int, K: int, seed: int = 0, allowed=None) -> Sample
     return _from_linear(rng.choice(pool, size=K, replace=False), m, K)
 
 
-def exact_greedy_oracle(op: ProductOperator, K: int, cap: int = 64,
-                        tie_tol: float = 1e-12) -> Tuple[SampleSet, List[float]]:
+def exact_greedy_oracle(op: ProductOperator, K: int) -> Tuple[SampleSet, List[float]]:
     """Brute-force greedy: per step, add the unit self-loop that maximizes the
-    smallest eigenvalue, evaluated densely over every candidate.
+    smallest eigenvalue, evaluated densely over every candidate; a candidate
+    must beat the best so far by ORACLE_TIE_TOL, so ties go to the lowest index.
 
-    Test oracle only; refuses mn above `cap`. Returns the selections and the
-    per-step smallest eigenvalue right after each addition.
+    Test oracle only; refuses mn above ORACLE_CAP. Returns the selections and
+    the per-step smallest eigenvalue right after each addition.
     """
     size = op.size
-    if size > cap:
-        raise ValueError(f"mn={size} above exact oracle cap {cap}")
+    if size > ORACLE_CAP:
+        raise ValueError(f"mn={size} above exact oracle cap {ORACLE_CAP}")
     Q = product_dense(op)
     sampled = op.sample_diag.astype(bool).copy()
     picks: List[int] = []
@@ -315,7 +317,7 @@ def exact_greedy_oracle(op: ProductOperator, K: int, cap: int = 64,
             Qk = Q.copy()
             Qk[k, k] += 1.0
             lam = float(np.linalg.eigvalsh(Qk)[0])
-            if best is None or lam > best[1] + tie_tol:
+            if best is None or lam > best[1] + ORACLE_TIE_TOL:
                 best = (int(k), lam)
         k_star, lam_star = best
         Q[k_star, k_star] += 1.0
@@ -348,9 +350,10 @@ def save_sample_set(ss: SampleSet, csv_path, meta: Optional[dict] = None) -> Non
         f.write("\n")
 
 
-def load_sample_set(csv_path, m: int, budget: Optional[int] = None):
+def load_sample_set(csv_path, m: int):
     """Load a `row,col` table (see `read_table`) and its sidecar if present;
-    returns (SampleSet, meta)."""
+    returns (SampleSet, meta). The budget is the sidecar's K, or the pair
+    count if that is larger or there is no sidecar."""
     csv_path = str(csv_path)
     t = read_table(csv_path, [("row", "i8"), ("col", "i8")])
     meta = {}
@@ -359,7 +362,7 @@ def load_sample_set(csv_path, m: int, budget: Optional[int] = None):
             meta = json.load(f)
     except FileNotFoundError:
         pass
-    k = budget if budget is not None else max(len(t), int(meta.get("K") or 0))
+    k = max(len(t), int(meta.get("K") or 0))
     try:
         return SampleSet(np.column_stack((t["row"], t["col"])), m=m, budget=k), meta
     except ValueError as e:

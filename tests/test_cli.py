@@ -116,9 +116,7 @@ def test_sample_matches_run_sampler(dataset, tmp_path):
     pool = tmp_path / "pool.csv"
     allowed = [(i, j) for i in range(8) for j in range(6)]
     pool.write_text("".join(f"{i},{j}\n" for i, j in allowed))
-    mask = np.zeros(12 * 9, dtype=bool)
-    for i, j in allowed:
-        mask[i + 12 * j] = True
+    lin = np.array([i + 12 * j for i, j in allowed])
     rg = laplacian_from_weights(load_edge_list(dataset / "row_graph.txt"))
     cg = laplacian_from_weights(load_edge_list(dataset / "col_graph.txt"))
     params = ExperimentConfig(dataset="unused", alpha=0.5, beta=0.25, q=0.4,
@@ -134,7 +132,7 @@ def test_sample_matches_run_sampler(dataset, tmp_path):
                      "--out", str(out)]) == 0
         ss, meta = load_sample_set(out, m=12)
         ref, ref_meta = run_sampler(params, method, 5, 3, 12, 9, rg, cg,
-                                    allowed=mask)
+                                    allowed=lin)
         assert ss.pairs == ref.pairs
         del meta["wall_time_seconds"], ref_meta["wall_time_seconds"]
         assert meta == ref_meta

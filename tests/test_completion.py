@@ -1,5 +1,6 @@
 """Tests for the dual-graph completion solver and its diagnostics."""
 
+import csv
 import dataclasses
 import json
 import logging
@@ -21,6 +22,7 @@ from discshift.completion import (
     mse_upper_bound,
     rmse_eval,
     save_report,
+    write_dense_csv,
 )
 from discshift.graphs import (
     ProductOperator,
@@ -408,6 +410,21 @@ def test_save_report_json_and_csv(tmp_path):
     assert len(rows) == 3 and len(rows[0]) == 3
     X = np.array([[float(v) for v in row] for row in rows])
     assert_allclose(X, rep.x_star)
+
+
+def test_write_dense_csv_bytes_match_csv_writer(tmp_path):
+    X = np.array([[np.nan, np.inf, -np.inf, -0.0],
+                  [1e-300, 0.1, 1.0 / 3.0, 5.0],
+                  [1e16, -2.5e-8, 0.0, 123456789.125]])
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as f:
+        writer = csv.writer(f)
+        for row in X:
+            writer.writerow([repr(float(v)) for v in row])
+    out = tmp_path / "x.csv"
+    write_dense_csv(X, out)
+    assert out.read_bytes() == ref.read_bytes()
+    assert b"nan,inf,-inf,-0.0\r\n1e-300,0.1," in out.read_bytes()
 
 
 def test_save_report_nan_becomes_null(tmp_path):

@@ -54,11 +54,6 @@ def random_sparse_sym(n, rng, density=0.3):
 # ---------------------------------------------------------------- SparseSym
 
 
-def test_sparsesym_identity_spmv():
-    A = SparseSym.identity(3)
-    assert_allclose(A.csr @ np.array([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
-
-
 def test_sparsesym_path_annihilates_constants():
     A = path_laplacian(3)
     assert_allclose(A.csr @ np.ones(3), np.zeros(3), atol=1e-15)
@@ -98,7 +93,7 @@ def test_sparsesym_from_scipy_sums_duplicates():
                          np.array([0, 3, 4])), shape=(2, 2))
     assert not dup.has_canonical_format
     A = SparseSym.from_scipy(dup)
-    assert A.nnz == 3
+    assert A.csr.nnz == 3
     assert_allclose(A.to_dense(), [[3.0, 3.0], [3.0, 0.0]])
 
 
@@ -116,7 +111,7 @@ def test_sparsesym_rejects_asymmetric():
 
 def test_sparsesym_diagonal():
     A = SparseSym.from_dense(np.diag([3.0, 1.0, 2.0]))
-    assert_allclose(A.diagonal(), [3.0, 1.0, 2.0])
+    assert_allclose(A.csr.diagonal(), [3.0, 1.0, 2.0])
 
 
 # ----------------------------------------------------------------------- CG
@@ -125,12 +120,12 @@ def test_sparsesym_diagonal():
 def test_cg_identity_returns_rhs():
     rng = np.random.default_rng(2)
     b = rng.standard_normal(7)
-    x = cg_solve(np.eye(7), b)
+    x = cg_solve(np.eye(7).__matmul__, b)
     assert_allclose(x, b, atol=1e-10)
 
 
 def test_cg_zero_rhs():
-    assert_allclose(cg_solve(np.eye(4), np.zeros(4)), np.zeros(4))
+    assert_allclose(cg_solve(np.eye(4).__matmul__, np.zeros(4)), np.zeros(4))
 
 
 def test_cg_matches_dense_solve():
@@ -138,23 +133,15 @@ def test_cg_matches_dense_solve():
     for _ in range(10):
         A = random_spd(12, rng)
         b = rng.standard_normal(12)
-        x = cg_solve(A, b)
+        x = cg_solve(A.__matmul__, b)
         ref = np.linalg.solve(A, b)
         assert np.linalg.norm(x - ref) / np.linalg.norm(ref) <= 1e-7
-
-
-def test_cg_honors_x0():
-    rng = np.random.default_rng(4)
-    A = random_spd(9, rng)
-    b = rng.standard_normal(9)
-    x = cg_solve(A, b, x0=np.linalg.solve(A, b))
-    assert_allclose(A @ x, b, rtol=0, atol=1e-7 * np.linalg.norm(b))
 
 
 def test_cg_raises_on_indefinite():
     A = np.diag([1.0, -1.0])
     with pytest.raises(ConvergenceError):
-        cg_solve(A, np.array([1.0, 1.0]))
+        cg_solve(A.__matmul__, np.array([1.0, 1.0]))
 
 
 def test_cg_nonconvergence_reports_residual():
@@ -162,7 +149,7 @@ def test_cg_nonconvergence_reports_residual():
     A = random_spd(30, rng, shift=1e-8)
     b = rng.standard_normal(30)
     with pytest.raises(ConvergenceError) as exc:
-        cg_solve(A, b, SolverOptions(tol=1e-15, max_iter=2))
+        cg_solve(A.__matmul__, b, SolverOptions(tol=1e-15, max_iter=2))
     assert exc.value.residual is not None and exc.value.residual > 0
 
 
@@ -171,7 +158,7 @@ def test_cg_nonconvergence_reports_residual():
 
 def test_lobpcg_identity():
     rng = np.random.default_rng(6)
-    pair = lobpcg_smallest(np.eye(8), rng.standard_normal(8))
+    pair = lobpcg_smallest(np.eye(8).__matmul__, rng.standard_normal(8))
     assert pair.converged
     assert abs(pair.value - 1.0) <= 1e-8
     assert abs(np.linalg.norm(pair.vec) - 1.0) <= 1e-12
@@ -179,7 +166,7 @@ def test_lobpcg_identity():
 
 def test_lobpcg_path_nullspace():
     rng = np.random.default_rng(7)
-    pair = lobpcg_smallest(path_laplacian(5), rng.standard_normal(5))
+    pair = lobpcg_smallest(path_laplacian(5).csr.__matmul__, rng.standard_normal(5))
     assert abs(pair.value) <= 1e-8
     # constant vector up to sign
     target = np.ones(5) / np.sqrt(5)
@@ -191,7 +178,7 @@ def test_lobpcg_matches_dense_eig():
     rng = np.random.default_rng(8)
     for _ in range(10):
         A = random_spd(20, rng)
-        pair = lobpcg_smallest(A, rng.standard_normal(20))
+        pair = lobpcg_smallest(A.__matmul__, rng.standard_normal(20))
         lam_ref = np.linalg.eigvalsh(A)[0]
         assert abs(pair.value - lam_ref) <= 1e-6
 
@@ -200,14 +187,14 @@ def test_lobpcg_warm_start_converges_fast():
     rng = np.random.default_rng(9)
     A = random_spd(25, rng)
     _, V = np.linalg.eigh(A)
-    pair = lobpcg_smallest(A, V[:, 0])
+    pair = lobpcg_smallest(A.__matmul__, V[:, 0])
     assert pair.converged and pair.iterations <= 2
 
 
 def test_lobpcg_flags_nonconvergence():
     rng = np.random.default_rng(10)
     A = random_spd(40, rng)
-    pair = lobpcg_smallest(A, rng.standard_normal(40),
+    pair = lobpcg_smallest(A.__matmul__, rng.standard_normal(40),
                            SolverOptions(tol=1e-14, max_iter=1))
     assert not pair.converged
     assert pair.iterations == 1
@@ -216,7 +203,7 @@ def test_lobpcg_flags_nonconvergence():
 
 def test_lobpcg_rejects_zero_start():
     with pytest.raises(ValueError):
-        lobpcg_smallest(np.eye(3), np.zeros(3))
+        lobpcg_smallest(np.eye(3).__matmul__, np.zeros(3))
 
 
 def counting(A):
@@ -246,7 +233,7 @@ def test_lobpcg_residual_is_fresh():
     rng = np.random.default_rng(13)
     for opts in (SolverOptions(), SolverOptions(tol=1e-14, max_iter=3)):
         A = random_spd(25, rng)
-        pair = lobpcg_smallest(A, rng.standard_normal(25), opts)
+        pair = lobpcg_smallest(A.__matmul__, rng.standard_normal(25), opts)
         v = pair.vec
         dense = np.linalg.norm(A @ v - pair.value * v)
         assert abs(pair.residual - dense) <= 1e-6 * dense + 1e-13
@@ -289,7 +276,7 @@ def test_lobpcg_converges_without_p(monkeypatch):
         return out
 
     monkeypatch.setattr(linalg, "_ritz", spy)
-    pair = lobpcg_smallest(A, rng.standard_normal(30))
+    pair = lobpcg_smallest(A.__matmul__, rng.standard_normal(30))
     assert (3, True) in sizes
     assert pair.converged
     assert abs(pair.value - np.linalg.eigvalsh(A)[0]) <= 1e-9
@@ -437,6 +424,17 @@ def test_edge_list_names_line_of_negative_or_lower_entry(tmp_path):
     for bad, what in (("2 1 1.0", "lower-triangle entry"), ("0 -1 1.0", "negative index")):
         path.write_text(f"# c\n0 1 1.0\n\n{bad}\n0 2 1.0\n")
         with pytest.raises(ValueError, match=f"e.txt:4: {what}"):
+            load_edge_list(path)
+
+
+def test_edge_list_rejects_duplicate_edge(tmp_path):
+    # A repeated edge used to be summed into one of twice the weight.
+    path = tmp_path / "e.txt"
+    for edge in ("0 1", "1 1"):
+        path.write_text(f"# c\n{edge} 1.0\n0 2 1.0\n\n{edge} 1.0\n")
+        i, j = edge.split()
+        with pytest.raises(ValueError, match=re.escape(
+                f"e.txt:5: duplicate edge ({i},{j}), first at line 2")):
             load_edge_list(path)
 
 

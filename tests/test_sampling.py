@@ -14,7 +14,6 @@ from discshift.graphs import (
     community_graph,
     laplacian_from_weights,
     lin_index,
-    mat_index,
     product_dense,
     synthetic_netflix,
 )
@@ -68,7 +67,7 @@ def reference_gcs(op, K):
         k = int(cand[np.flatnonzero(mags >= mags.max() - TIE)[0]])
         Q[k, k] += 1.0
         sampled[k] = True
-        pairs.append(mat_index(k, op.m))
+        pairs.append((k % op.m, k // op.m))
     return pairs
 
 
@@ -233,9 +232,7 @@ def test_gcs_lambda_min_monotone_below_one():
 
 def test_gcs_respects_allowed_mask():
     op = ProductOperator(path_graph(3), path_graph(2), 0.1, 0.1)
-    allowed = np.zeros(6, dtype=bool)
-    allowed[[2, 3, 5]] = True
-    ss, _ = gcs_sample(op, 3, allowed=allowed)
+    ss, _ = gcs_sample(op, 3, allowed=np.array([2, 3, 5]))
     assert set(ss.linear) == {2, 3, 5}
 
 
@@ -371,6 +368,17 @@ def test_allowed_indices_outside_grid_rejected():
     for bad in ([-1], [6], [0, 7]):
         with pytest.raises(ValueError, match=rf"allowed index {bad[-1]} outside \[0, 6\)"):
             random_sample(2, 3, 1, allowed=bad)
+
+
+def test_allowed_must_be_integer_indices():
+    # Fractional indices used to be truncated ([0.5] allowed entry 0) and a
+    # boolean mask was read as a mask; both are rejected now.
+    for bad in ([0.5], [0.2, 0.7], [5.0], np.ones(6, dtype=bool)):
+        with pytest.raises(ValueError, match="allowed must be integer linear indices"):
+            random_sample(2, 3, 1, allowed=bad)
+    with pytest.raises(ValueError, match="exceeds available pool 0"):
+        random_sample(2, 3, 1, allowed=[])
+    assert random_sample(2, 3, 1, allowed=np.array([4], dtype=np.uint8)).linear.tolist() == [4]
 
 
 def test_random_over_budget():
