@@ -16,7 +16,7 @@ import numpy as np
 
 from .graphs import GraphLaplacian, ProductOperator
 from .linalg import SolverOptions
-from .sampling import SampleSet, argmax_abs_tied, greedy_disc_shift
+from .sampling import SampleSet, argmax_abs_tied, checked_linear, greedy_disc_shift
 
 AOPT_EPS = 1e-8
 GRAM_RANK_TOL = 1e-10
@@ -61,10 +61,9 @@ class BandlimitedBasis:
         return (self.V @ Z @ self.U.T).ravel(order="F")
 
     def rows(self, linear_indices) -> np.ndarray:
-        """Stack of T's rows at the given product-graph indices."""
-        lin = np.asarray(linear_indices, dtype=np.int64)
-        if lin.size and lin.min() < 0:
-            raise ValueError(f"negative linear index {lin.min()}")
+        """Stack of T's rows at the given product-graph indices, an integer
+        array in [0, mn) or an empty sequence."""
+        lin = checked_linear(linear_indices, self.m * self.n, "sample")
         j, i = np.divmod(lin, self.m)
         # Row r is kron(U[j_r], V[i_r]): entry p*k2 + q is U[j_r, p] * V[i_r, q].
         return (self.U[j][:, :, None] * self.V[i][:, None, :]).reshape(lin.size, self.rank)
@@ -84,16 +83,7 @@ def bandlimited_basis(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
         raise ValueError(f"k1={k1} out of range for column graph of size {n}")
     if not (1 <= k2 <= m):
         raise ValueError(f"k2={k2} out of range for row graph of size {m}")
-    U = np.linalg.eigh(col_graph.laplacian.to_dense())[1][:, :k1]
-    V = np.linalg.eigh(row_graph.laplacian.to_dense())[1][:, :k2]
-    return BandlimitedBasis(U=U, V=V)
-
-
-def _gram(basis: BandlimitedBasis, linear_indices) -> np.ndarray:
-    if len(linear_indices) == 0:
-        return np.zeros((basis.rank, basis.rank))
-    R = basis.rows(linear_indices)
-    return R.T @ R
+    return BandlimitedBasis(U=col_graph.spectrum[1][:, :k1], V=row_graph.spectrum[1][:, :k2])
 
 
 def aopt_objective(basis: BandlimitedBasis, S) -> float:
@@ -108,11 +98,11 @@ def aopt_objective(basis: BandlimitedBasis, S) -> float:
     amplify null-space rounding into the score and make near-tied
     candidates compare differently across evaluation orders.
     """
-    lin = sorted(int(l) for l in S)
-    G = _gram(basis, lin)
+    R = basis.rows(sorted(S))
+    G = R.T @ R
     evals = np.linalg.eigvalsh(0.5 * (G + G.T))
     evals = np.where(evals > GRAM_RANK_TOL, evals, 0.0)
-    full_rank = len(lin) >= basis.rank and evals[0] > 0
+    full_rank = len(R) >= basis.rank and evals[0] > 0
     shifted = evals + (0.0 if full_rank else AOPT_EPS)
     if np.any(shifted <= 0):
         raise np.linalg.LinAlgError(

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .graphs import ProductOperator, RatingMatrix, GraphLaplacian
 from .linalg import ConvergenceError, SolverOptions, cg_solve, lobpcg_smallest, random_unit
@@ -97,8 +96,7 @@ def check_positive_definite(p: CompletionProblem) -> None:
     (alpha = 0 or beta = 0 needs full sampling, which CompletionProblem
     enforces and which hits every component.)
     """
-    _, row_comp = connected_components(p.row_graph.weights.csr, directed=False)
-    _, col_comp = connected_components(p.col_graph.weights.csr, directed=False)
+    row_comp, col_comp = p.row_graph.components, p.col_graph.components
     hit = np.zeros((row_comp.max() + 1, col_comp.max() + 1), dtype=bool)
     rows, cols = np.nonzero(p.sampled)
     hit[row_comp[rows], col_comp[cols]] = True
@@ -146,18 +144,18 @@ def dglr_solve(p: CompletionProblem, opts: Optional[SolverOptions] = None,
     )
 
 
+def _smooth(X, p: CompletionProblem) -> np.ndarray:
+    """alpha * Lr X + beta * X Lc: the smooth part of Q applied to an m x n X."""
+    return p.alpha * (p.row_graph.laplacian @ X) + p.beta * (p.col_graph.laplacian @ X.T).T
+
+
 def dglr_objective(X, p: CompletionProblem) -> float:
     """0.5||mask(X - Y)||_F^2 + (alpha/2) tr(X'LrX) + (beta/2) tr(XLcX')."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape != (p.m, p.n):
         raise ValueError("shape mismatch")
-    Y = p.observations.to_dense()
-    fit = p.sampled * (X - Y)
-    Lr = p.row_graph.csr()
-    Lc = p.col_graph.csr()
-    smooth_r = float(np.sum(X * (Lr @ X)))
-    smooth_c = float(np.sum(X * ((Lc @ X.T).T)))
-    return 0.5 * float(np.sum(fit * fit)) + 0.5 * p.alpha * smooth_r + 0.5 * p.beta * smooth_c
+    fit = p.sampled * (X - p.observations.to_dense())
+    return 0.5 * float(np.sum(fit * fit)) + 0.5 * float(np.sum(X * _smooth(X, p)))
 
 
 def dglr_gradient(X, p: CompletionProblem) -> np.ndarray:
@@ -165,10 +163,7 @@ def dglr_gradient(X, p: CompletionProblem) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.shape != (p.m, p.n):
         raise ValueError("shape mismatch")
-    Y = p.observations.to_dense()
-    Lr = p.row_graph.csr()
-    Lc = p.col_graph.csr()
-    return p.sampled * (X - Y) + p.alpha * (Lr @ X) + p.beta * (Lc @ X.T).T
+    return p.sampled * (X - p.observations.to_dense()) + _smooth(X, p)
 
 
 def mse_upper_bound(x_star, ground_truth, noise, p: CompletionProblem,
@@ -187,11 +182,7 @@ def mse_upper_bound(x_star, ground_truth, noise, p: CompletionProblem,
     X = np.asarray(ground_truth, dtype=np.float64)
     N = np.asarray(noise, dtype=np.float64)
     Xs = np.asarray(x_star, dtype=np.float64)
-    Z = X + N
-    Lr = p.row_graph.csr()
-    Lc = p.col_graph.csr()
-    smooth = p.alpha * (Lr @ Z) + p.beta * (Lc @ Z.T).T
-    rho = float(np.linalg.norm(smooth.ravel(order="F")))
+    rho = float(np.linalg.norm(_smooth(X + N, p).ravel(order="F")))
     bound = rho / lambda_min_q + float(np.linalg.norm(N.ravel(order="F")))
     actual = float(np.linalg.norm((Xs - X).ravel(order="F")))
     return rho, bound, actual

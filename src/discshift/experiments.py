@@ -24,6 +24,7 @@ from .graphs import (
     content_graph,
     first_bad_entry,
     knn_feature_graph,
+    laplacian_from_weights,
     synthetic_netflix,
 )
 from .linalg import SolverOptions, load_edge_list, read_table, table_lines
@@ -201,7 +202,6 @@ def _resolve_graphs(cfg: ExperimentConfig, data: RatingMatrix, gamma: np.ndarray
             raise ValueError("graph_source=provided needs row_graph/col_graph paths")
         row = load_edge_list(cfg.row_graph, n=data.m)
         col = load_edge_list(cfg.col_graph, n=data.n)
-        from .graphs import laplacian_from_weights
         return laplacian_from_weights(row), laplacian_from_weights(col)
     if cfg.graph_source == "g2_content":
         if gamma.size == 0:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,23 +32,37 @@ def lin_index(i: int, j: int, m: int) -> int:
     return i + m * j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphLaplacian:
-    """Weighted undirected graph with its combinatorial Laplacian L = D - W."""
+    """Weighted undirected graph with its combinatorial Laplacian L = D - W.
+
+    The one home of what is derived from the graph, each computed once:
+    `laplacian` is L as CSR, and `spectrum` and `components` are cached on
+    first use. Their arrays are shared, not copied; do not modify them.
+    """
 
     n: int
     weights: SparseSym
-    laplacian: SparseSym
+    laplacian: sp.csr_matrix
     max_degree: float
 
-    def csr(self) -> sp.csr_matrix:
-        return self.laplacian.csr
+    @cached_property
+    def spectrum(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(evals, evecs) of the dense L as np.linalg.eigh returns them,
+        ascending; both read-only."""
+        evals, evecs = np.linalg.eigh(self.laplacian.toarray())
+        evals.flags.writeable = evecs.flags.writeable = False
+        return evals, evecs
+
+    @cached_property
+    def components(self) -> np.ndarray:
+        """Connected-component label of each node, read-only."""
+        labels = connected_components(self.weights.csr, directed=False)[1]
+        labels.flags.writeable = False
+        return labels
 
     def n_components(self) -> int:
-        if self.n == 0:
-            return 0
-        ncomp, _ = connected_components(self.weights.csr, directed=False)
-        return int(ncomp)
+        return int(self.components.max()) + 1 if self.n else 0
 
 
 def laplacian_from_weights(W: SparseSym) -> GraphLaplacian:
@@ -59,14 +74,13 @@ def laplacian_from_weights(W: SparseSym) -> GraphLaplacian:
     if np.any(diag != 0):
         raise ValueError("adjacency diagonal must be zero")
     degrees = np.asarray(Wm.sum(axis=1)).ravel()
-    L = sp.diags(degrees) - Wm
+    L = sp.diags(degrees) - Wm  # a canonical CSR, symmetric as W is
     max_degree = float(degrees.max()) if W.n else 0.0
-    lap = SparseSym.from_scipy(L)
     # Row sums of D - W are zero by construction; guard against bad input.
-    row_sums = lap.csr @ np.ones(W.n)
+    row_sums = L @ np.ones(W.n)
     if W.n and np.max(np.abs(row_sums)) > 1e-10:
         raise ValueError("Laplacian row sums exceed 1e-10")
-    return GraphLaplacian(n=W.n, weights=W, laplacian=lap, max_degree=max_degree)
+    return GraphLaplacian(n=W.n, weights=W, laplacian=L, max_degree=max_degree)
 
 
 def trivial_graph() -> GraphLaplacian:
@@ -80,7 +94,7 @@ def graph_variation(G: GraphLaplacian, x) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (G.n,):
         raise ValueError(f"dimension mismatch: graph has {G.n} nodes, x is {x.shape}")
-    return float(x @ (G.csr() @ x))
+    return float(x @ (G.laplacian @ x))
 
 
 def knn_feature_graph(features, k: int = 10) -> GraphLaplacian:
@@ -290,10 +304,9 @@ def community_graph(n_nodes: int, n_communities: int, p_in: float, p_out: float,
         W = np.zeros((n_nodes, n_nodes))
         W[iu[0][draw], iu[1][draw]] = 1.0
         W += W.T
-        Wsp = SparseSym.from_dense(W)
-        ncomp, _ = connected_components(Wsp.csr, directed=False)
-        if ncomp == 1:
-            return laplacian_from_weights(Wsp), labels
+        G = laplacian_from_weights(SparseSym.from_dense(W))
+        if G.n_components() == 1:
+            return G, labels
     raise RuntimeError(
         f"could not draw a connected graph in {COMMUNITY_DRAWS} attempts "
         f"(n={n_nodes}, k={n_communities}, p_in={p_in}, p_out={p_out})"
@@ -337,8 +350,8 @@ def synthetic_netflix(m: int, n: int, n_row_comm: int = 4, n_col_comm: int = 4,
     base = levels[row_labels][:, col_labels]
 
     n_modes = 3
-    Ur = np.linalg.eigh(row_graph.laplacian.to_dense())[1][:, 1:1 + n_modes]
-    Uc = np.linalg.eigh(col_graph.laplacian.to_dense())[1][:, 1:1 + n_modes]
+    Ur = row_graph.spectrum[1][:, 1:1 + n_modes]
+    Uc = col_graph.spectrum[1][:, 1:1 + n_modes]
     C = rng.standard_normal((Ur.shape[1], Uc.shape[1]))
     bump = Ur @ C @ Uc.T
     peak = np.max(np.abs(bump))
@@ -386,9 +399,6 @@ class ProductOperator:
             bad = ~np.isin(self.sample_diag, (0.0, 1.0))
             if bad.any():
                 raise ValueError("sample_diag entries must be 0 or 1")
-        # cache csr views; reshape-based matvec never materializes mn x mn
-        self._Lr = self.row_graph.csr()
-        self._Lc = self.col_graph.csr()
 
     @property
     def m(self) -> int:
@@ -418,8 +428,8 @@ def product_apply(op: ProductOperator, x) -> np.ndarray:
     # Y is the n x m C-order view of x, i.e. X transposed, so Lc @ Y and
     # (Lr @ Y.T).T are already laid out as the output.
     Y = x.reshape((op.n, op.m))
-    out = op.beta * (op._Lc @ Y)
-    out += op.alpha * (op._Lr @ Y.T).T
+    out = op.beta * (op.col_graph.laplacian @ Y)
+    out += op.alpha * (op.row_graph.laplacian @ Y.T).T
     out = out.ravel()
     out += op.sample_diag * x
     return out
@@ -430,8 +440,8 @@ def product_dense(op: ProductOperator) -> np.ndarray:
     mn = op.size
     if mn > PRODUCT_DENSE_CAP:
         raise ValueError(f"refusing to materialize {mn} x {mn} product operator")
-    Lr = op.row_graph.laplacian.to_dense()
-    Lc = op.col_graph.laplacian.to_dense()
+    Lr = op.row_graph.laplacian.toarray()
+    Lc = op.col_graph.laplacian.toarray()
     Q = op.alpha * np.kron(np.eye(op.n), Lr) + op.beta * np.kron(Lc, np.eye(op.m))
     Q[np.diag_indices(mn)] += op.sample_diag
     return Q

@@ -89,9 +89,6 @@ class SparseSym:
     def values(self) -> np.ndarray:
         return self.csr.data
 
-    def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
-
     @classmethod
     def from_scipy(cls, m) -> "SparseSym":
         """Copy any scipy sparse matrix, summing duplicate entries."""
@@ -433,17 +430,20 @@ def table_lines(path) -> List[int]:
 
 def load_edge_list(path, n: Optional[int] = None) -> SparseSym:
     """Read an `i j value` upper-triangle edge list and mirror it. A negative
-    index, a lower-triangle entry or a repeated edge raises with its line."""
+    index, a lower-triangle entry, an index of n or above (n given) or a
+    repeated edge raises with its line."""
     t = read_table(path, [("i", "i8"), ("j", "i8"), ("value", "f8")], delimiter=None)
     i, j, v = t["i"], t["j"], t["value"]
-    bad = np.flatnonzero((i < 0) | (j < i))
+    size = int(j.max(initial=-1)) + 1 if n is None else n
+    bad = np.flatnonzero((i < 0) | (j < i) | (j >= size))
     if bad.size:
         k = bad[0]
         what = ("negative index" if min(i[k], j[k]) < 0
-                else "lower-triangle entry in upper-triangle file")
+                else "lower-triangle entry in upper-triangle file" if j[k] < i[k]
+                else f"index ({i[k]},{j[k]}) out of range for n={n}")
         raise ValueError(f"{path}:{table_lines(path)[k]}: {what}")
-    stride = int(j.max(initial=-1)) + 1  # above every j, so each (i, j) keys uniquely
-    _, first, inverse = np.unique(i * stride + j, return_index=True, return_inverse=True)
+    # Every j is below size now, so each (i, j) keys uniquely.
+    _, first, inverse = np.unique(i * size + j, return_index=True, return_inverse=True)
     repeat = first[inverse] != np.arange(i.size)
     if repeat.any():
         k = int(np.argmax(repeat))
@@ -451,7 +451,6 @@ def load_edge_list(path, n: Optional[int] = None) -> SparseSym:
         raise ValueError(f"{path}:{lines[k]}: duplicate edge ({i[k]},{j[k]}), "
                          f"first at line {lines[first[inverse[k]]]}")
     off = i != j
-    size = n if n is not None else stride
     m = sp.csr_matrix((np.concatenate([v, v[off]]),
                        (np.concatenate([i, j[off]]), np.concatenate([j, i[off]]))),
                       shape=(size, size))

@@ -121,20 +121,26 @@ def argmax_abs_tied(vec: np.ndarray, candidates: np.ndarray, tie_tol: float = TI
     return int(cand[np.flatnonzero(mags >= top - tie_tol)[0]])
 
 
-def _normalize_allowed(allowed, size: int) -> np.ndarray:
-    """Boolean mask over [0, size) of the allowed linear indices (all when
-    None). They must be an integer array; an empty sequence is an empty pool."""
-    if allowed is None:
-        return np.ones(size, dtype=bool)
-    idx = np.asarray(allowed)
+def checked_linear(idx, size: int, what: str) -> np.ndarray:
+    """idx as int64 linear indices into [0, size). They must be an integer
+    array, or an empty sequence; the error names `what` and the first index
+    outside the range."""
+    idx = np.asarray(idx)
     if idx.size and idx.dtype.kind not in "iu":  # np.asarray([]) is float64
-        raise ValueError(f"allowed must be integer linear indices, not {idx.dtype}")
-    idx = idx.astype(np.int64)
+        raise ValueError(f"{what} must be integer linear indices, not {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
     outside = (idx < 0) | (idx >= size)
     if outside.any():  # numpy would wrap a negative index
-        raise ValueError(f"allowed index {idx[np.argmax(outside)]} outside [0, {size})")
-    mask = np.zeros(size, dtype=bool)
-    mask[idx] = True
+        raise ValueError(f"{what} index {idx[np.argmax(outside)]} outside [0, {size})")
+    return idx
+
+
+def _normalize_allowed(allowed, size: int) -> np.ndarray:
+    """Boolean mask over [0, size) of the allowed linear indices (all when
+    None); an empty sequence is an empty pool."""
+    mask = np.full(size, allowed is None)
+    if allowed is not None:
+        mask[checked_linear(allowed, size, "allowed")] = True
     return mask
 
 
@@ -236,8 +242,8 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
     # Per mode: (index in block, block) views of the allowed and sampled grids,
     # factor Laplacian, diagonal and Laplacian weights, linear-index strides.
     sampled = np.zeros((m, n), dtype=bool)
-    modes = {"cluster": (allowed2d, sampled, row_graph.csr(), q, alpha, (1, m)),
-             "group": (allowed2d.T, sampled.T, col_graph.csr(), 1.0 - q, beta, (m, 1))}
+    modes = {"cluster": (allowed2d, sampled, row_graph.laplacian, q, alpha, (1, m)),
+             "group": (allowed2d.T, sampled.T, col_graph.laplacian, 1.0 - q, beta, (m, 1))}
     rng = np.random.default_rng(opts.seed)
 
     mode = "cluster"

@@ -219,8 +219,8 @@ def test_06_split_superadditivity_and_permutation_similarity():
         b = float(rng.uniform(0.1, 2))
         q = float(rng.uniform(0.05, 0.95))
         s = (rng.random(m * n) < rng.uniform(0.1, 0.9)).astype(float)
-        Lr = rg.laplacian.to_dense()
-        Lc = cg.laplacian.to_dense()
+        Lr = rg.laplacian.toarray()
+        Lc = cg.laplacian.toarray()
         Q = np.diag(s) + a * np.kron(np.eye(n), Lr) + b * np.kron(Lc, np.eye(m))
         Q1 = q * np.diag(s) + a * np.kron(np.eye(n), Lr)
         Q2 = (1 - q) * np.diag(s) + b * np.kron(Lc, np.eye(m))
@@ -232,7 +232,7 @@ def test_06_split_superadditivity_and_permutation_similarity():
     for t in range(5):
         m = int(rng.integers(2, 7))
         n = int(rng.integers(2, 7))
-        Lc = random_graph(n, 600 + t).laplacian.to_dense()
+        Lc = random_graph(n, 600 + t).laplacian.toarray()
         ev_a = np.sort(np.linalg.eigvalsh(np.kron(Lc, np.eye(m))))
         ev_b = np.sort(np.linalg.eigvalsh(np.kron(np.eye(m), Lc)))
         worst_perm = max(worst_perm, np.abs(ev_a - ev_b).max())
@@ -278,8 +278,8 @@ def test_07_solver_oracles():
         op = ProductOperator(rg, cg, a, b2)
         op.sample_diag[:] = (rng.random(m * n) < 0.4).astype(float)
         Q = (np.diag(op.sample_diag)
-             + a * np.kron(np.eye(n), rg.laplacian.to_dense())
-             + b2 * np.kron(cg.laplacian.to_dense(), np.eye(m)))
+             + a * np.kron(np.eye(n), rg.laplacian.toarray())
+             + b2 * np.kron(cg.laplacian.toarray(), np.eye(m)))
         x = rng.normal(size=m * n)
         worst_kron = max(worst_kron, np.abs(op.apply(x) - Q @ x).max())
 

@@ -1,5 +1,7 @@
 """Tests for the bandlimited basis, A-optimal selection, and reconstruction."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,7 +13,7 @@ from discshift.bandlimited import (
     bandlimited_basis,
     bandlimited_reconstruct,
 )
-from discshift.graphs import ProductOperator, laplacian_from_weights, lin_index
+from discshift.graphs import ProductOperator, laplacian_from_weights, lin_index, synthetic_netflix
 from discshift.linalg import SolverOptions, SparseSym
 from discshift.sampling import SampleSet, gcs_sample
 
@@ -100,6 +102,42 @@ def test_basis_rows_bitwise_equal_to_kron_loop():
     assert basis.rows([]).shape == (0, 12)
     with pytest.raises(ValueError):
         basis.rows([3, -1])
+
+
+def test_basis_slices_the_cached_spectra():
+    rg, cg = random_graph(7, 8), random_graph(6, 9)
+    basis = bandlimited_basis(rg, cg, k1=3, k2=4)
+    assert np.array_equal(basis.U, cg.spectrum[1][:, :3])
+    assert np.array_equal(basis.V, rg.spectrum[1][:, :4])
+    assert np.array_equal(basis.U, np.linalg.eigh(cg.laplacian.toarray())[1][:, :3])
+    assert np.array_equal(basis.V, np.linalg.eigh(rg.laplacian.toarray())[1][:, :4])
+
+
+def test_bundle_and_basis_run_one_eigh_per_graph(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    bundle = synthetic_netflix(12, 10, 2, 2, seed=1, p_in=0.6)
+    bandlimited_basis(bundle.row_graph, bundle.col_graph, k1=3, k2=3)
+    assert calls == [(12, 12), (10, 10)]
+
+
+def test_basis_rejects_fractional_and_out_of_range_indices():
+    # These used to be truncated ([0.7] read as [0]) or to fail in numpy's
+    # fancy indexing without naming the index.
+    basis = bandlimited_basis(path_graph(3), path_graph(3), k1=2, k2=2)
+    for bad in ([0.7], [0.0, 3.0], np.array([0.7, 3.2, 5.9, 8.1])):
+        with pytest.raises(ValueError, match="sample must be integer linear indices"):
+            basis.rows(bad)
+    with pytest.raises(ValueError, match="integer linear indices"):
+        aopt_objective(basis, [0.7, 3.2, 5.9, 8.1])
+    with pytest.raises(ValueError, match="integer linear indices"):
+        bandlimited_reconstruct(basis, [0.5, 1, 2, 4.0], np.zeros(4))
+    for call in (lambda: basis.rows([9]), lambda: aopt_objective(basis, [0, 3, 9]),
+                 lambda: bandlimited_reconstruct(basis, [0, 9, 2, 4], np.zeros(4))):
+        with pytest.raises(ValueError, match=re.escape("sample index 9 outside [0, 9)")):
+            call()
+    assert basis.rows(np.array([], dtype=np.int64)).shape == (0, 4)
 
 
 def test_basis_apply_matches_materialized():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.sparse.csgraph import connected_components
 
 from discshift.graphs import (
     GraphLaplacian,
@@ -62,13 +63,13 @@ def test_index_roundtrip_exhaustive():
 def test_laplacian_two_node():
     W = SparseSym.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
     G = laplacian_from_weights(W)
-    assert_allclose(G.laplacian.to_dense(), [[1.0, -1.0], [-1.0, 1.0]])
+    assert_allclose(G.laplacian.toarray(), [[1.0, -1.0], [-1.0, 1.0]])
     assert G.max_degree == 1.0
 
 
 def test_laplacian_edgeless():
     G = laplacian_from_weights(SparseSym.from_dense(np.zeros((3, 3))))
-    assert_allclose(G.laplacian.to_dense(), np.zeros((3, 3)))
+    assert_allclose(G.laplacian.toarray(), np.zeros((3, 3)))
     assert G.max_degree == 0.0
     assert G.n_components() == 3
 
@@ -77,8 +78,42 @@ def test_laplacian_zero_row_sums():
     rng = np.random.default_rng(0)
     for seed in range(10):
         G = random_graph(8, seed)
-        L = G.laplacian.to_dense()
+        L = G.laplacian.toarray()
         assert np.max(np.abs(L.sum(axis=1))) <= 1e-12
+
+
+def test_spectrum_is_cached_read_only_eigh():
+    for G in (random_graph(9, 3), path_graph(5), trivial_graph()):
+        assert G.spectrum is G.spectrum
+        evals, evecs = G.spectrum
+        ref_vals, ref_vecs = np.linalg.eigh(G.laplacian.toarray())
+        assert np.array_equal(evals, ref_vals) and np.array_equal(evecs, ref_vecs)
+        for a in (evals, evecs):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+
+def test_components_match_scipy_labels():
+    disconnected = np.zeros((5, 5))
+    disconnected[0, 3] = disconnected[3, 0] = disconnected[1, 2] = disconnected[2, 1] = 1.0
+    cases = [(path_graph(6), 1), (random_graph(12, 4, p=0.15), 6),
+             (laplacian_from_weights(SparseSym.from_dense(disconnected)), 3),
+             (laplacian_from_weights(SparseSym.from_dense(np.zeros((4, 4)))), 4)]
+    for G, expected in cases:
+        ncomp, labels = connected_components(G.weights.csr, directed=False)
+        assert G.components is G.components
+        assert np.array_equal(G.components, labels)
+        assert G.n_components() == ncomp == expected
+        with pytest.raises(ValueError, match="read-only"):
+            G.components[0] = 1
+    assert np.array_equal(cases[2][0].components, [0, 1, 1, 0, 2])
+    assert laplacian_from_weights(SparseSym.from_dense(np.zeros((0, 0)))).n_components() == 0
+
+
+def test_graph_laplacian_compares_by_identity():
+    G, H = path_graph(3), path_graph(3)
+    assert G == G and G != H
+    assert len({G, H, G}) == 2
 
 
 def test_laplacian_rejects_negative_weight():
@@ -111,7 +146,7 @@ def test_variation_matches_pairwise_sum():
     for seed in range(5):
         G = random_graph(7, seed)
         x = rng.standard_normal(7)
-        W = G.weights.to_dense()
+        W = G.weights.csr.toarray()
         ref = sum(W[k, l] * (x[k] - x[l]) ** 2
                   for k in range(7) for l in range(k + 1, 7))
         assert abs(graph_variation(G, x) - ref) <= 1e-10
@@ -122,13 +157,13 @@ def test_variation_matches_pairwise_sum():
 
 def test_knn_identical_features_complete_graph():
     G = knn_feature_graph(np.zeros((3, 2)), k=1)
-    W = G.weights.to_dense()
+    W = G.weights.csr.toarray()
     assert_allclose(W, np.ones((3, 3)) - np.eye(3))
 
 
 def test_knn_collinear_points():
     G = knn_feature_graph(np.array([0.0, 1.0, 10.0]), k=1)
-    W = G.weights.to_dense()
+    W = G.weights.csr.toarray()
     assert W[0, 1] > 0
     assert W[1, 2] > 0  # node 10's nearest neighbor is 1; kept by symmetrization
     assert W[0, 2] == 0.0
@@ -138,7 +173,7 @@ def test_knn_symmetric_nonnegative():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((20, 3))
     G = knn_feature_graph(X, k=4)
-    W = G.weights.to_dense()
+    W = G.weights.csr.toarray()
     assert_allclose(W, W.T)
     assert (W >= 0).all()
 
@@ -187,7 +222,7 @@ def test_content_graph_hand_toy():
     R = RatingMatrix(3, 3, [0, 0, 1, 1, 2, 2], [0, 1, 0, 1, 1, 2],
                      [5.0, 3.0, 5.0, 1.0, 3.0, 4.0])
     G = content_graph(R, axis="rows")
-    W = G.weights.to_dense()
+    W = G.weights.csr.toarray()
     assert abs(W[0, 1] - np.exp(-2.0)) <= 1e-12
     assert abs(W[0, 2] - 1.0) <= 1e-12
     assert W[1, 2] == 0.0
@@ -197,14 +232,14 @@ def test_content_graph_identical_rows_weight_one():
     R = RatingMatrix(3, 2, [0, 0, 1, 1, 2, 2], [0, 1, 0, 1, 0, 1],
                      [3.0, 4.0, 3.0, 4.0, 1.0, 1.0])
     G = content_graph(R, axis="rows")
-    assert G.weights.to_dense()[0, 1] == pytest.approx(1.0)
+    assert G.weights.csr.toarray()[0, 1] == pytest.approx(1.0)
 
 
 def test_content_graph_disjoint_support_zero_weight():
     # rows 0 and 2 share no rated column; their weight must be 0
     R = RatingMatrix(3, 3, [0, 1, 1, 2], [0, 0, 2, 2], [5.0, 5.0, 2.0, 2.0])
     G = content_graph(R, axis="rows")
-    W = G.weights.to_dense()
+    W = G.weights.csr.toarray()
     assert W[0, 2] == 0.0
     assert W[0, 1] > 0 and W[1, 2] > 0
 
@@ -339,7 +374,8 @@ def test_product_apply_bitwise_equals_column_major_formula():
     # (n, m) C-order view; the sums are the same, term for term.
     def column_major(op, x):
         X = x.reshape((op.m, op.n), order="F")
-        smooth = op.alpha * (op._Lr @ X) + op.beta * (op._Lc @ X.T).T
+        smooth = (op.alpha * (op.row_graph.laplacian @ X)
+                  + op.beta * (op.col_graph.laplacian @ X.T).T)
         return op.sample_diag * x + smooth.ravel(order="F")
 
     rng = np.random.default_rng(7)

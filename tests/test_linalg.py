@@ -64,7 +64,7 @@ def test_spmv_matches_dense_oracle():
     for _ in range(20):
         A = random_sparse_sym(8, rng)
         x = rng.standard_normal(8)
-        assert np.max(np.abs(A.csr @ x - A.to_dense() @ x)) <= 1e-12
+        assert np.max(np.abs(A.csr @ x - A.csr.toarray() @ x)) <= 1e-12
 
 
 def test_sparsesym_holds_one_csr():
@@ -72,7 +72,7 @@ def test_sparsesym_holds_one_csr():
     assert A.csr is A.csr
     assert A.row_offsets is A.csr.indptr and A.values is A.csr.data
     G = laplacian_from_weights(SparseSym.from_dense(np.ones((3, 3)) - np.eye(3)))
-    assert G.csr() is G.csr() is G.laplacian.csr
+    assert type(G.laplacian) is sp.csr_matrix
 
 
 def test_sparsesym_rejects_noncanonical_csr():
@@ -94,14 +94,14 @@ def test_sparsesym_from_scipy_sums_duplicates():
     assert not dup.has_canonical_format
     A = SparseSym.from_scipy(dup)
     assert A.csr.nnz == 3
-    assert_allclose(A.to_dense(), [[3.0, 3.0], [3.0, 0.0]])
+    assert_allclose(A.csr.toarray(), [[3.0, 3.0], [3.0, 0.0]])
 
 
 def test_sparsesym_roundtrip_dense():
     rng = np.random.default_rng(1)
     A = random_sparse_sym(10, rng)
-    B = SparseSym.from_dense(A.to_dense())
-    assert_allclose(A.to_dense(), B.to_dense())
+    B = SparseSym.from_dense(A.csr.toarray())
+    assert_allclose(A.csr.toarray(), B.csr.toarray())
 
 
 def test_sparsesym_rejects_asymmetric():
@@ -367,7 +367,7 @@ def test_gershgorin_diagonal():
 
 def test_gershgorin_unit_self_loop_moves_left_end():
     # Laplacian discs have left end 0; a unit self-loop moves that row's to 1.
-    L = path_laplacian(4).to_dense()
+    L = path_laplacian(4).csr.toarray()
     L[2, 2] += 1.0
     centers, radii = gershgorin_bounds(SparseSym.from_dense(L))
     assert_allclose(centers - radii, [0.0, 0.0, 1.0, 0.0], atol=1e-15)
@@ -378,7 +378,7 @@ def test_gershgorin_sound_on_random_matrices():
     for _ in range(200):
         n = int(rng.integers(2, 15))
         A = random_sparse_sym(n, rng, density=0.5)
-        lam_min = np.linalg.eigvalsh(A.to_dense())[0]
+        lam_min = np.linalg.eigvalsh(A.csr.toarray())[0]
         centers, radii = gershgorin_bounds(A)
         left = np.min(centers - radii)
         assert lam_min >= left - 1e-10
@@ -393,7 +393,7 @@ def test_edge_list_roundtrip(tmp_path):
     path = tmp_path / "g.txt"
     save_edge_list(A, path)
     B = load_edge_list(path)
-    assert_allclose(A.to_dense(), B.to_dense(), atol=1e-15)
+    assert_allclose(A.csr.toarray(), B.csr.toarray(), atol=1e-15)
 
 
 def test_edge_list_plain_floats(tmp_path):
@@ -438,12 +438,22 @@ def test_edge_list_rejects_duplicate_edge(tmp_path):
             load_edge_list(path)
 
 
+def test_edge_list_names_index_beyond_n(tmp_path):
+    # An index of n or above used to raise scipy's bare "axis 0 index 5
+    # exceeds matrix dimension 3".
+    path = tmp_path / "e.txt"
+    path.write_text("# c\n0 1 1.0\n1 5 1.0\n")
+    with pytest.raises(ValueError, match=re.escape("e.txt:3: index (1,5) out of range for n=3")):
+        load_edge_list(path, n=3)
+    assert load_edge_list(path, n=6).n == 6
+
+
 def test_edge_list_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("# header\n\n0 1 1.0\n")
     B = load_edge_list(path)
     assert B.n == 2
-    assert B.to_dense()[0, 1] == 1.0
+    assert B.csr.toarray()[0, 1] == 1.0
 
 
 # -------------------------------------------------------------- text tables

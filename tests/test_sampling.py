@@ -286,7 +286,7 @@ def test_igcs_trace_matches_hand_simulation():
     # 4x3, zeta=2, K=6, dense-eig reimplementation of the block alternation
     rg, cg = random_graph(4, 11), random_graph(3, 12)
     q, alpha, beta, zeta, K = 0.5, 0.1, 0.1, 2, 6
-    Lr, Lc = rg.laplacian.to_dense(), cg.laplacian.to_dense()
+    Lr, Lc = rg.laplacian.toarray(), cg.laplacian.toarray()
 
     sampled = np.zeros((4, 3), dtype=bool)
     mode, block, streak = "cluster", 0, 0
