@@ -1,8 +1,9 @@
 """Dual-graph regularized completion.
 
 Solves (diag(s) + alpha * I (x) L_r + beta * L_c (x) I) vec(X) = vec(Y) by
-conjugate gradient over the implicit product operator, where Y is the observed
-matrix zero-filled off the sample set. Also: the quadratic objective and its
+conjugate gradient over the implicit product operator, preconditioned by
+fast diagonalization where that pays, where Y is the observed matrix
+zero-filled off the sample set. Also: the quadratic objective and its
 gradient, the reconstruction-error upper bound, and RMSE scoring.
 """
 
@@ -110,6 +111,7 @@ def dglr_solve(p: CompletionProblem, opts: Optional[SolverOptions] = None,
                estimate_lambda_min: bool = True) -> CompletionReport:
     """Solve the completion system; returns X*, the final relative residual,
     and (optionally) a LOBPCG estimate of the operator's smallest eigenvalue.
+    Both solves take the operator's preconditioner().
 
     Raises on a singular operator (unsampled product-graph component) and on
     CG non-convergence, which reports the final residual.
@@ -118,8 +120,9 @@ def dglr_solve(p: CompletionProblem, opts: Optional[SolverOptions] = None,
     opts = opts or SolverOptions()
     op = p.operator()
     b = p.rhs()
+    precond = op.preconditioner()
     try:
-        x = cg_solve(op.apply, b, opts)
+        x = cg_solve(op.apply, b, opts, precond)
     except ConvergenceError as e:
         raise ConvergenceError(
             f"completion CG did not converge ({e}); operator may be nearly "
@@ -132,7 +135,7 @@ def dglr_solve(p: CompletionProblem, opts: Optional[SolverOptions] = None,
     if estimate_lambda_min:
         eig_opts = SolverOptions(seed=opts.seed)
         rng = np.random.default_rng(eig_opts.seed)
-        pair = lobpcg_smallest(op.apply, random_unit(rng, op.size), eig_opts)
+        pair = lobpcg_smallest(op.apply, random_unit(rng, op.size), eig_opts, precond)
         if not pair.converged:
             _log.warning("lambda_min estimate did not converge (residual %.3e "
                          "after %d iterations)", pair.residual, pair.iterations)

@@ -2,9 +2,10 @@
 
 CSR storage, conjugate gradient, a single-vector LOBPCG for the smallest
 eigenpair (with warm start; one operator application per iteration plus one
-that confirms the final residual), a dense symmetric eigendecomposition oracle
-for small problems, Gershgorin disc utilities, the one reader of the package's
-numeric text tables, and edge-list I/O.
+that confirms the final residual), both optionally preconditioned, a dense
+symmetric eigendecomposition oracle for small problems, Gershgorin disc
+utilities, the one reader of the package's numeric text tables, and
+edge-list I/O.
 """
 
 from __future__ import annotations
@@ -138,7 +139,8 @@ def random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def cg_solve(apply: Callable[[np.ndarray], np.ndarray], b,
-             opts: Optional[SolverOptions] = None) -> np.ndarray:
+             opts: Optional[SolverOptions] = None,
+             precond: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> np.ndarray:
     """Conjugate gradient for a symmetric positive definite system, from x = 0.
 
     Parameters
@@ -150,6 +152,10 @@ def cg_solve(apply: Callable[[np.ndarray], np.ndarray], b,
     opts : SolverOptions
         tol is a relative residual bound (default 1e-8); max_iter defaults
         to 10n.
+    precond : callable, optional
+        r -> T r for an SPD approximation T of A^-1; the search directions
+        are built from T r instead of r. The stopping test reads the
+        unpreconditioned residual b - A x. None runs plain CG.
 
     Raises
     ------
@@ -169,9 +175,11 @@ def cg_solve(apply: Callable[[np.ndarray], np.ndarray], b,
 
     x = np.zeros(n)
     r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    if np.sqrt(rs) / b_norm <= tol:
+    z = r if precond is None else precond(r)
+    p = z.copy()
+    rz = float(r @ z)
+    r_norm = b_norm
+    if r_norm / b_norm <= tol:
         return x
 
     for _ in range(max_iter):
@@ -181,21 +189,23 @@ def cg_solve(apply: Callable[[np.ndarray], np.ndarray], b,
             raise ConvergenceError("NaN/Inf encountered in CG")
         if pAp <= 0.0:
             raise ConvergenceError("operator is not positive definite (p'Ap <= 0)")
-        gamma = rs / pAp
+        gamma = rz / pAp
         x = x + gamma * p
         r = r - gamma * Ap
-        rs_new = float(r @ r)
-        if not np.isfinite(rs_new):
+        r_norm = np.sqrt(float(r @ r))
+        if not np.isfinite(r_norm):
             raise ConvergenceError("NaN/Inf encountered in CG")
-        if np.sqrt(rs_new) / b_norm <= tol:
+        if r_norm / b_norm <= tol:
             return x
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        z = r if precond is None else precond(r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
 
     raise ConvergenceError(
         f"CG did not converge in {max_iter} iterations "
-        f"(relative residual {np.sqrt(rs) / b_norm:.3e})",
-        residual=np.sqrt(rs) / b_norm,
+        f"(relative residual {r_norm / b_norm:.3e})",
+        residual=r_norm / b_norm,
     )
 
 
@@ -239,12 +249,15 @@ _STORAGE_ORDER = {3: [2, 0, 1], 2: [0, 1]}
 
 
 def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray], x0,
-                    opts: Optional[SolverOptions] = None) -> EigenPair:
+                    opts: Optional[SolverOptions] = None,
+                    precond: Optional[Callable[[np.ndarray], np.ndarray]] = None
+                    ) -> EigenPair:
     """Smallest eigenpair of a symmetric PSD operator, block size 1.
 
     Each iteration does a Rayleigh-Ritz step on span{x, w, p} where w is the
-    residual and p the previous search direction. x0 seeds the subspace, so
-    passing the previous eigenvector warm-starts the solve.
+    residual, or its image under precond, and p the previous search
+    direction. x0 seeds the subspace, so passing the previous eigenvector
+    warm-starts the solve.
 
     The operator is applied once per iteration, to w: A x and A p are carried
     forward as the same linear combinations that produce x and p (Knyazev,
@@ -266,6 +279,10 @@ def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray], x0,
     opts : SolverOptions
         tol bounds the absolute residual ||A v - lambda v|| (default 1e-6);
         max_iter defaults to 500.
+    precond : callable, optional
+        r -> T r for an SPD T; only the search direction w = T r changes.
+        The convergence test and the reported residual stay those of A
+        itself. None searches along the residual.
 
     Returns
     -------
@@ -305,6 +322,8 @@ def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray], x0,
         if it == max_iter:
             break
         w = V[2]
+        if precond is not None:
+            w[:] = precond(w)
         AV[2] = apply(w)
         g = V @ w
         h = AV @ w

@@ -19,7 +19,14 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .graphs import GraphLaplacian, ProductOperator, lin_index, product_dense
+from .graphs import (
+    GraphLaplacian,
+    ProductOperator,
+    fast_diag_preconditioner,
+    lin_index,
+    product_dense,
+    trivial_graph,
+)
 from .linalg import (
     ConvergenceError,
     EigenPair,
@@ -144,14 +151,14 @@ def _normalize_allowed(allowed, size: int) -> np.ndarray:
     return mask
 
 
-def _solve_step(apply, x0, opts, rng, n, what):
+def _solve_step(apply, x0, opts, precond, rng, n, what):
     """One eigensolve; retry once from a fresh random start before giving up."""
-    pair = lobpcg_smallest(apply, x0, opts)
+    pair = lobpcg_smallest(apply, x0, opts, precond)
     if not pair.converged:
         _log.warning("%s: eigensolver did not converge (residual %.3e after %d "
                      "iterations); retrying from a random start",
                      what, pair.residual, pair.iterations)
-        retry = lobpcg_smallest(apply, random_unit(rng, n), opts)
+        retry = lobpcg_smallest(apply, random_unit(rng, n), opts, precond)
         retry = EigenPair(retry.value, retry.vec, retry.residual,
                           pair.iterations + retry.iterations, retry.converged)
         if not retry.converged:
@@ -169,7 +176,8 @@ def greedy_disc_shift(op: ProductOperator, K: int,
     """The greedy disc-shift loop shared by GCS and A-optimal local search.
 
     Each of the K steps solves for the first eigenvector phi of the current
-    operator (warm-started with the previous phi unless warm_start is off),
+    operator (warm-started with the previous phi unless warm_start is off,
+    and preconditioned by op.preconditioner() as it stands),
     takes k = pick(phi, available), available being the boolean mask of
     unsampled allowed indices (read only), and sets diagonal entry k to 1.
     what names the sampler in convergence errors. The caller's operator is
@@ -188,7 +196,8 @@ def greedy_disc_shift(op: ProductOperator, K: int,
     state = SamplerState()
     for t in range(K):
         x0 = warm if warm is not None else random_unit(rng, size)
-        pair = _solve_step(op.apply, x0, opts, rng, size, f"{what} step {t}")
+        pair = _solve_step(op.apply, x0, opts, op.preconditioner(), rng, size,
+                           f"{what} step {t}")
         k_star = pick(pair.vec, available)
         op.sample_diag[k_star] = 1.0
         available[k_star] = False
@@ -224,9 +233,11 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
     the best unsampled allowed row, and marks the entry in both the cluster
     and group indicators. After zeta consecutive picks the sampler jumps to
     the group of the last picked row (matrix (1-q) * diag(indicator_row_i) +
-    beta * L_c), and so on until K entries are chosen. The warm vector lives
-    only within one block streak; each new streak starts from a seeded random
-    vector. An exhausted block advances to the next block index, wrapping.
+    beta * L_c), and so on until K entries are chosen. Each block solve is
+    preconditioned by fast_diag_preconditioner of its block. The warm vector
+    lives only within one block streak; each new streak starts from a seeded
+    random vector. An exhausted block advances to the next block index,
+    wrapping.
     """
     if not (0.0 < q < 1.0):
         raise ValueError("q must lie in (0, 1)")
@@ -240,10 +251,11 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
         raise ValueError(f"budget {K} exceeds available pool {pool}")
 
     # Per mode: (index in block, block) views of the allowed and sampled grids,
-    # factor Laplacian, diagonal and Laplacian weights, linear-index strides.
+    # factor graph, diagonal and Laplacian weights, linear-index strides.
     sampled = np.zeros((m, n), dtype=bool)
-    modes = {"cluster": (allowed2d, sampled, row_graph.laplacian, q, alpha, (1, m)),
-             "group": (allowed2d.T, sampled.T, col_graph.laplacian, 1.0 - q, beta, (m, 1))}
+    modes = {"cluster": (allowed2d, sampled, row_graph, q, alpha, (1, m)),
+             "group": (allowed2d.T, sampled.T, col_graph, 1.0 - q, beta, (m, 1))}
+    point = trivial_graph()  # a block is the Kronecker sum of its factor and a point
     rng = np.random.default_rng(opts.seed)
 
     mode = "cluster"
@@ -255,7 +267,7 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
 
     skips = 0
     while len(picks) < K:
-        allow, samp, L, w_diag, w_lap, stride = modes[mode]
+        allow, samp, G, w_diag, w_lap, stride = modes[mode]
         dim, n_blocks = samp.shape
         avail = allow[:, block] & ~samp[:, block]
         if not avail.any():
@@ -268,10 +280,11 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
             continue
         skips = 0
         streak += 1
-        ind = samp[:, block].astype(np.float64)
-        apply = lambda v: w_diag * (ind * v) + w_lap * (L @ v)
+        diag, L = w_diag * samp[:, block], G.laplacian
+        apply = lambda v: diag * v + w_lap * (L @ v)
+        precond = fast_diag_preconditioner(G, point, w_lap, 0.0, diag)
         x0 = warm if warm is not None else random_unit(rng, dim)
-        pair = _solve_step(apply, x0, opts,
+        pair = _solve_step(apply, x0, opts, precond,
                            rng, dim, f"IGCS {mode} {block} (pick {len(picks)})")
         phi = pair.vec
         k_star = argmax_abs_tied(phi, np.flatnonzero(avail))

@@ -281,3 +281,14 @@ def test_reconstruct_validates_alignment():
     basis = bandlimited_basis(rg, cg, k1=2, k2=2)
     with pytest.raises(ValueError):
         bandlimited_reconstruct(basis, [0, 1, 2, 3], np.zeros(3))
+
+
+def test_aopt_step_zero_converges_on_singular_start():
+    # Unsampled, the operator is singular and its next eigenvalue is only
+    # 0.030: plain residual iterations stall near a residual of 5e-6 (tol
+    # 1e-6) at step 0, preconditioned ones converge in 3.
+    d = synthetic_netflix(60, 40, 4, 4, noise_sigma=0.6, seed=32212)
+    op = ProductOperator(d.row_graph, d.col_graph, 1.0, 1.0)
+    basis = bandlimited_basis(d.row_graph, d.col_graph, 4, 4)
+    ss = aopt_local_search(basis, op, 40, 50, SolverOptions(seed=32212))
+    assert len(ss) == 40 and len(set(ss.pairs)) == 40

@@ -11,6 +11,7 @@ from discshift.graphs import (
     RatingMatrix,
     community_graph,
     content_graph,
+    fast_diag_preconditioner,
     graph_variation,
     knn_feature_graph,
     laplacian_from_weights,
@@ -407,3 +408,66 @@ def test_product_dense_cap():
     rg, cg = path_graph(70), path_graph(70)
     with pytest.raises(ValueError):
         product_dense(ProductOperator(rg, cg, 0.1, 0.1))
+
+
+# ------------------------------------------------ fast-diagonalization inverse
+
+
+def test_preconditioner_inverts_shifted_smooth_part():
+    # T = (S + cI)^-1 with c the mean of the diagonal term, floored at 1/mn.
+    rng = np.random.default_rng(8)
+    for seed, k in enumerate([0, 1, 3]):
+        op = ProductOperator(random_graph(7, seed), random_graph(5, 20 + seed), 2.3, 4.1)
+        op.sample_diag[rng.choice(35, k, replace=False)] = 1.0
+        smooth = product_dense(op) - np.diag(op.sample_diag)
+        T = op.preconditioner()
+        for _ in range(3):
+            x = rng.standard_normal(35)
+            want = np.linalg.solve(smooth + max(k, 1) / 35 * np.eye(35), x)
+            assert np.max(np.abs(T(x) - want)) <= 1e-10
+
+
+@pytest.mark.parametrize("mode", ["cluster", "group"])
+def test_preconditioner_inverts_igcs_block(mode):
+    # An IGCS block w_diag * diag(ind) + w_lap * L is the product of its
+    # factor with a one-node graph.
+    rng = np.random.default_rng(9)
+    G = random_graph(9, 3) if mode == "cluster" else random_graph(6, 4)
+    w_diag, w_lap = (0.3, 0.8) if mode == "cluster" else (0.7, 1.9)
+    for k in (0, 1, 4):
+        ind = np.zeros(G.n)
+        ind[rng.choice(G.n, k, replace=False)] = 1.0
+        diag = w_diag * ind
+        T = fast_diag_preconditioner(G, trivial_graph(), w_lap, 0.0, diag)
+        c = max(diag.sum(), 1.0) / G.n
+        block = w_lap * G.laplacian.toarray()
+        x = rng.standard_normal(G.n)
+        assert np.max(np.abs(T(x) - np.linalg.solve(block + c * np.eye(G.n), x))) <= 1e-10
+
+
+def test_preconditioner_rule_drops_it_on_dense_samples_at_weak_smoothing():
+    # At alpha = beta = 0.01 every mode of the smooth part lies below the
+    # unit diagonal, and with 10% of the grid sampled plain iterations win.
+    d = synthetic_netflix(120, 80, 4, 4, seed=1)
+    rng = np.random.default_rng(1)
+    sampled = np.zeros(120 * 80)
+    sampled[rng.choice(sampled.size, 960, replace=False)] = 1.0
+    assert ProductOperator(d.row_graph, d.col_graph, 0.01, 0.01, sampled).preconditioner() is None
+    # GCS's sparse samples, and strong smoothing at any density, keep it.
+    few = np.zeros(120 * 80)
+    few[:80] = 1.0
+    assert ProductOperator(d.row_graph, d.col_graph, 0.01, 0.01, few).preconditioner() is not None
+    assert ProductOperator(d.row_graph, d.col_graph, 1.0, 1.0, sampled).preconditioner() is not None
+
+
+@pytest.mark.parametrize("shape", [(301, 1), (2, 301)])
+def test_preconditioner_none_above_factor_cap(shape):
+    # 300 nodes is the largest factor the preconditioner's cost was measured
+    # on. Above the cap the rule answers from the sizes alone: no factor
+    # spectrum (a dense eigh) is computed for a preconditioner not used.
+    rg = path_graph(shape[0]) if shape[0] > 1 else trivial_graph()
+    cg = path_graph(shape[1]) if shape[1] > 1 else trivial_graph()
+    op = ProductOperator(rg, cg, 1.0, 1.0)
+    op.sample_diag[0] = 1.0
+    assert op.preconditioner() is None
+    assert "spectrum" not in vars(rg) and "spectrum" not in vars(cg)

@@ -156,8 +156,8 @@ def test_gcs_logs_eigensolver_retry(monkeypatch, caplog):
     real = sampling.lobpcg_smallest
     calls = []
 
-    def first_unconverged(apply, x0, opts):
-        pair = real(apply, x0, opts)
+    def first_unconverged(apply, x0, opts, precond):
+        pair = real(apply, x0, opts, precond)
         calls.append(pair)
         return dataclasses.replace(pair, converged=len(calls) > 1)
 
