@@ -16,7 +16,7 @@ import numpy as np
 
 from .graphs import GraphLaplacian, ProductOperator
 from .linalg import SolverOptions
-from .sampling import SampleSet, argmax_abs_tied, checked_linear, greedy_disc_shift
+from .sampling import TIE_TOL, SampleSet, argmax_abs_tied, checked_linear, greedy_disc_shift
 
 AOPT_EPS = 1e-8
 GRAM_RANK_TOL = 1e-10
@@ -61,12 +61,12 @@ class BandlimitedBasis:
         return (self.V @ Z @ self.U.T).ravel(order="F")
 
     def rows(self, linear_indices) -> np.ndarray:
-        """Stack of T's rows at the given product-graph indices, an integer
-        array in [0, mn) or an empty sequence."""
+        """T's rows at the given product-graph indices, an integer array in
+        [0, mn) or an empty sequence: shape linear_indices.shape + (k1*k2,)."""
         lin = checked_linear(linear_indices, self.m * self.n, "sample")
         j, i = np.divmod(lin, self.m)
         # Row r is kron(U[j_r], V[i_r]): entry p*k2 + q is U[j_r, p] * V[i_r, q].
-        return (self.U[j][:, :, None] * self.V[i][:, None, :]).reshape(lin.size, self.rank)
+        return (self.U[j][..., :, None] * self.V[i][..., None, :]).reshape(lin.shape + (self.rank,))
 
     def materialize(self) -> np.ndarray:
         """T as a dense array; refuses mn above MATERIALIZE_CAP."""
@@ -86,52 +86,77 @@ def bandlimited_basis(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
     return BandlimitedBasis(U=col_graph.spectrum[1][:, :k1], V=row_graph.spectrum[1][:, :k2])
 
 
-def aopt_objective(basis: BandlimitedBasis, S) -> float:
+def aopt_objective(basis: BandlimitedBasis, S):
     """A-optimal score Tr[(T_S' T_S + eps I)^-1] of a selection S of linear
-    indices.
+    indices, as a float; of each row of a (b, k) array of selections, as a
+    (b,) array. A single selection is scored as a batch of one.
 
     eps is AOPT_EPS = 1e-8 while the Gram matrix cannot be full rank (or is
     numerically singular) and to 0 once it is safely invertible, so full-rank
-    selections are scored exactly. The selection is scored as a set: rows
+    selections are scored exactly. A selection is scored as a set: rows
     enter the Gram in sorted order, and eigenvalues at or below
     GRAM_RANK_TOL count as exact zeros. Otherwise 1/(eps + noise) would
     amplify null-space rounding into the score and make near-tied
-    candidates compare differently across evaluation orders.
+    candidates compare differently across evaluation orders. Each Gram is
+    formed exactly from its rows; a rank-one update of a shared one rounds
+    differently and changes which of two near-tied candidates wins.
     """
-    R = basis.rows(sorted(S))
-    G = R.T @ R
-    evals = np.linalg.eigvalsh(0.5 * (G + G.T))
+    S = np.asarray(S)
+    if S.ndim not in (1, 2):
+        raise ValueError(f"selections must be 1-D or 2-D, not {S.ndim}-D")
+    R = basis.rows(np.sort(np.atleast_2d(S), axis=-1))
+    G = np.matmul(R.swapaxes(-1, -2), R)
+    evals = np.linalg.eigvalsh(0.5 * (G + G.swapaxes(-1, -2)))
     evals = np.where(evals > GRAM_RANK_TOL, evals, 0.0)
-    full_rank = len(R) >= basis.rank and evals[0] > 0
-    shifted = evals + (0.0 if full_rank else AOPT_EPS)
+    full_rank = (R.shape[-2] >= basis.rank) & (evals[:, 0] > 0)
+    shifted = evals + np.where(full_rank, 0.0, AOPT_EPS)[:, None]
     if np.any(shifted <= 0):
         raise np.linalg.LinAlgError(
             "sampled Gram matrix singular beyond regularization")
-    return float(np.sum(1.0 / shifted))
+    scores = np.sum(1.0 / shifted, axis=-1)
+    return float(scores[0]) if S.ndim == 1 else scores
+
+
+def aopt_pool(phi: np.ndarray, available: np.ndarray, L_pool: int) -> List[int]:
+    """The min(L_pool, #available) indices that as many successive
+    argmax_abs_tied picks over the available ones take, in pick order.
+
+    Only candidates within TIE_TOL of the L_pool-th largest |phi| can be
+    picked: every pick's tie band lies inside that set, so the picks run
+    over it alone.
+    """
+    cand = np.flatnonzero(available)
+    count = min(L_pool, cand.size)
+    mags = np.abs(phi[cand])
+    kth = np.partition(mags, cand.size - count)[cand.size - count]
+    band = cand[mags >= kth - TIE_TOL]
+    pool = []
+    for _ in range(count):
+        pool.append(argmax_abs_tied(phi, band))
+        band = band[band != pool[-1]]
+    return pool
 
 
 def aopt_pick(basis: BandlimitedBasis, L_pool: int):
     """A-optimal pick rule for greedy_disc_shift; it remembers its picks, so
     use one per run.
 
-    The pool is the top L_pool available indices by |phi|, filled slot by
-    slot with GCS's tie rule (argmax_abs_tied) so that it does not depend on
-    eigensolver noise; the pick is the pool member that minimizes
-    aopt_objective of the picks so far plus it.
+    The pool is aopt_pool, the top L_pool available indices by |phi| under
+    GCS's tie rule, so that it does not depend on eigensolver noise; the
+    pick is the pool member that minimizes aopt_objective of the picks so
+    far plus it. The whole pool is scored in one batch.
     """
     if not (1 <= L_pool <= basis.m * basis.n):
         raise ValueError(f"L_pool={L_pool} out of range")
     chosen: List[int] = []
 
     def pick(phi, available):
-        remaining = available.copy()
-        pool = []
-        for _ in range(min(L_pool, int(remaining.sum()))):
-            pool.append(argmax_abs_tied(phi, np.flatnonzero(remaining)))
-            remaining[pool[-1]] = False
+        pool = sorted(aopt_pool(phi, available, L_pool))
+        S = np.empty((len(pool), len(chosen) + 1), dtype=np.int64)
+        S[:, :-1] = chosen
+        S[:, -1] = pool
         best_idx, best_val = None, None
-        for c in sorted(pool):
-            val = aopt_objective(basis, chosen + [c])
+        for c, val in zip(pool, aopt_objective(basis, S).tolist()):
             if best_val is None or val < best_val - 1e-12:
                 best_idx, best_val = c, val
         chosen.append(best_idx)

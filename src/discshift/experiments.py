@@ -132,8 +132,8 @@ def save_ratings(data: RatingMatrix, path) -> None:
     with open(path, "w") as f:
         f.write(f"# m={data.m} n={data.n}\n")
         f.write("row,col,value\n")
-        for i, j, v in zip(data.rows, data.cols, data.vals):
-            f.write(f"{i},{j},{float(v)!r}\n")
+        f.writelines(f"{i},{j},{v!r}\n" for i, j, v in
+                     zip(data.rows.tolist(), data.cols.tolist(), data.vals.tolist()))
 
 
 def split_dataset(data: RatingMatrix, cfg: ExperimentConfig,

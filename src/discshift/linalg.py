@@ -396,12 +396,12 @@ def gershgorin_bounds(A: SparseSym) -> Tuple[np.ndarray, np.ndarray]:
 
 def save_edge_list(A: SparseSym, path) -> None:
     """Write the upper triangle (incl. diagonal) as `i j value` lines, 0-based."""
+    rows = np.repeat(np.arange(A.n), np.diff(A.row_offsets))
+    upper = A.col_indices >= rows
     with open(path, "w") as f:
-        for i in range(A.n):
-            lo, hi = A.row_offsets[i], A.row_offsets[i + 1]
-            for c, v in zip(A.col_indices[lo:hi], A.values[lo:hi]):
-                if c >= i:
-                    f.write(f"{i} {c} {float(v)!r}\n")
+        f.writelines(f"{i} {c} {v!r}\n" for i, c, v in
+                     zip(rows[upper].tolist(), A.col_indices[upper].tolist(),
+                         A.values[upper].tolist()))
 
 
 def read_table(path, dtype, delimiter: Optional[str] = ",") -> np.ndarray:

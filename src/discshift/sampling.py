@@ -129,16 +129,16 @@ def argmax_abs_tied(vec: np.ndarray, candidates: np.ndarray, tie_tol: float = TI
 
 
 def checked_linear(idx, size: int, what: str) -> np.ndarray:
-    """idx as int64 linear indices into [0, size). They must be an integer
-    array, or an empty sequence; the error names `what` and the first index
-    outside the range."""
+    """idx as int64 linear indices into [0, size), in idx's shape. They must
+    be an integer array, or an empty sequence; the error names `what` and
+    the first index outside the range."""
     idx = np.asarray(idx)
     if idx.size and idx.dtype.kind not in "iu":  # np.asarray([]) is float64
         raise ValueError(f"{what} must be integer linear indices, not {idx.dtype}")
     idx = idx.astype(np.int64, copy=False)
     outside = (idx < 0) | (idx >= size)
     if outside.any():  # numpy would wrap a negative index
-        raise ValueError(f"{what} index {idx[np.argmax(outside)]} outside [0, {size})")
+        raise ValueError(f"{what} index {idx.flat[np.argmax(outside)]} outside [0, {size})")
     return idx
 
 

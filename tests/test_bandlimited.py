@@ -10,12 +10,13 @@ from discshift.bandlimited import (
     AOPT_EPS,
     aopt_local_search,
     aopt_objective,
+    aopt_pool,
     bandlimited_basis,
     bandlimited_reconstruct,
 )
 from discshift.graphs import ProductOperator, laplacian_from_weights, lin_index, synthetic_netflix
 from discshift.linalg import SolverOptions, SparseSym
-from discshift.sampling import SampleSet, gcs_sample
+from discshift.sampling import TIE_TOL, SampleSet, argmax_abs_tied, gcs_sample
 
 
 def path_graph(n):
@@ -207,6 +208,58 @@ def test_aopt_deficient_selection_regularized():
     assert abs(val - ref) / ref <= 1e-7
 
 
+def test_aopt_batched_scores_equal_single_scores():
+    basis = bandlimited_basis(random_graph(12, 5), random_graph(10, 6), 4, 4)
+    rng = np.random.default_rng(6)
+    # |chosen| = 0 (empty), 7 (k+1 < 16: deficient), 15 (k+1 = 16: the
+    # step that reaches full rank) and 30 (full rank).
+    for k in (0, 7, 15, 30):
+        perm = rng.permutation(120)
+        chosen, pool = perm[:k], perm[k:k + 50]
+        S = np.column_stack([np.tile(chosen, (50, 1)), pool])
+        batch = aopt_objective(basis, S)
+        assert batch.shape == (50,)
+        assert [aopt_objective(basis, row.tolist()) for row in S] == batch.tolist()
+        assert [aopt_objective(basis, row[::-1]) for row in S] == batch.tolist()
+        if k + 1 < basis.rank:
+            assert batch.min() > 1 / AOPT_EPS
+        else:
+            assert batch.max() < 1 / AOPT_EPS
+    assert aopt_objective(basis, np.empty((0, 3), dtype=np.int64)).shape == (0,)
+    with pytest.raises(ValueError, match="3-D"):
+        aopt_objective(basis, np.zeros((2, 2, 2), dtype=np.int64))
+
+
+def slot_by_slot_pool(phi, available, L_pool):
+    """Reference pool fill: one argmax_abs_tied pick per slot over every
+    remaining available index."""
+    remaining = available.copy()
+    pool = []
+    for _ in range(min(L_pool, int(remaining.sum()))):
+        pool.append(argmax_abs_tied(phi, np.flatnonzero(remaining)))
+        remaining[pool[-1]] = False
+    return pool
+
+
+def test_aopt_pool_equals_slot_by_slot_argmax():
+    rng = np.random.default_rng(40)
+    for _ in range(300):
+        size = int(rng.integers(1, 200))
+        # Magnitudes on a grid of TIE_TOL/3 steps: exact ties, and tie bands
+        # that chain across several values.
+        phi = rng.choice([-1.0, 1.0], size) * (0.01 + TIE_TOL / 3 * rng.integers(0, 12, size))
+        available = rng.random(size) < 0.8
+        available[rng.integers(size)] = True
+        L_pool = int(rng.integers(1, size + 1))
+        assert aopt_pool(phi, available, L_pool) == slot_by_slot_pool(phi, available, L_pool)
+    # Every candidate is tied with the top one, so each slot's band (100
+    # candidates) is wider than the pool (5 slots): the lowest indices win.
+    phi = np.full(100, 0.1)
+    phi[::7] += 0.5 * TIE_TOL
+    available = np.ones(100, dtype=bool)
+    assert aopt_pool(phi, available, 5) == slot_by_slot_pool(phi, available, 5) == [0, 1, 2, 3, 4]
+
+
 # ------------------------------------------------------------- local search
 
 
@@ -292,3 +345,32 @@ def test_aopt_step_zero_converges_on_singular_start():
     basis = bandlimited_basis(d.row_graph, d.col_graph, 4, 4)
     ss = aopt_local_search(basis, op, 40, 50, SolverOptions(seed=32212))
     assert len(ss) == 40 and len(set(ss.pairs)) == 40
+
+
+# Picks of aopt_local_search on 60x40 inputs with structurally tied
+# candidates: their scores differ by 1.4e-12 to 2.5e-10, so the order in
+# which the Gram matrix is summed decides between them. A scorer that
+# updates the Gram by rank one picked differently on all four.
+GOLDEN_60x40 = {
+    1107: [8, 1179, 201, 1868, 654, 681, 1974, 39, 594, 2181, 783, 1221, 213, 1599,
+           1959, 1071, 1263, 2214, 111, 728, 1307, 940, 1941, 71, 1283, 2259, 256,
+           619, 1923, 812, 234, 947, 731, 512, 2228, 1274, 1731, 2031, 188, 1096],
+    1108: [43, 643, 1210, 32, 490, 632, 1352, 829, 532, 1368, 1969, 610, 1461, 81,
+           681, 1954, 1822, 1423, 3, 770, 521, 903, 1323, 1930, 170, 806, 1226,
+           1982, 884, 506, 1250, 2057, 888, 100, 1233, 2073, 1848, 813, 237, 977],
+    1204: [15, 615, 57, 717, 1230, 1210, 70, 670, 1317, 1575, 810, 570, 1874, 1913,
+           1595, 1820, 1893, 134, 825, 1762, 35, 674, 1628, 1975, 1886, 113, 1175,
+           1493, 2250, 80, 806, 1454, 1930, 1653, 715, 2315, 95, 663, 1475, 3],
+    1606: [46, 24, 37, 1320, 2026, 856, 1237, 854, 2017, 1216, 1897, 14, 891, 1366,
+           2184, 63, 665, 1202, 572, 561, 776, 824, 1352, 1934, 1644, 1913, 411,
+           684, 825, 1064, 2174, 1431, 1884, 340, 436, 1271, 1965, 1235, 1706, 2071],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_60x40))
+def test_aopt_picks_golden_on_tied_inputs(seed):
+    d = synthetic_netflix(60, 40, 4, 4, noise_sigma=0.6, seed=seed)
+    op = ProductOperator(d.row_graph, d.col_graph, 1.0, 1.0)
+    basis = bandlimited_basis(d.row_graph, d.col_graph, 4, 4)
+    ss = aopt_local_search(basis, op, 40, 50, SolverOptions(seed=seed))
+    assert ss.linear.tolist() == GOLDEN_60x40[seed]

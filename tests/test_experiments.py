@@ -2,6 +2,7 @@
 
 import os
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,6 +38,19 @@ def test_load_ratings_empty_with_directive(tmp_path):
     data = load_ratings(path)
     assert (data.m, data.n) == (2, 2)
     assert data.n_known == 0
+
+
+def test_save_ratings_pins_float_bytes(tmp_path):
+    # RatingMatrix rejects non-finite values, so a plain record stands in
+    # for it: the writer formats whatever triplets it is given.
+    data = SimpleNamespace(m=2, n=4, rows=np.array([0, 1, 0, 1, 0, 1, 0]),
+                           cols=np.array([0, 0, 1, 1, 2, 2, 3]),
+                           vals=np.array([np.nan, np.inf, -np.inf, -0.0, 1e-300, 0.1, 1 / 3]))
+    path = tmp_path / "r.csv"
+    save_ratings(data, path)
+    assert path.read_bytes() == (b"# m=2 n=4\nrow,col,value\n"
+                                 b"0,0,nan\n1,0,inf\n0,1,-inf\n1,1,-0.0\n"
+                                 b"0,2,1e-300\n1,2,0.1\n0,3,0.3333333333333333\n")
 
 
 def test_ratings_roundtrip(tmp_path):

@@ -448,6 +448,20 @@ def test_edge_list_plain_floats(tmp_path):
     assert "float64" not in text
 
 
+def test_edge_list_pins_float_bytes(tmp_path):
+    # Upper triangle in row order; the lower mirror is not written.
+    upper = {(0, 1): np.nan, (0, 2): np.inf, (1, 1): -0.0, (1, 3): -np.inf,
+             (2, 2): 0.1, (2, 3): 1e-300, (3, 3): 1 / 3}
+    entries = sorted({**upper, **{(j, i): v for (i, j), v in upper.items()}}.items())
+    ij = np.array([e[0] for e in entries])
+    vals = np.array([e[1] for e in entries])
+    A = SparseSym(sp.csr_matrix((vals, (ij[:, 0], ij[:, 1])), shape=(4, 4)))
+    path = tmp_path / "g.txt"
+    save_edge_list(A, path)
+    assert path.read_bytes() == (b"0 1 nan\n0 2 inf\n1 1 -0.0\n1 3 -inf\n"
+                                 b"2 2 0.1\n2 3 1e-300\n3 3 0.3333333333333333\n")
+
+
 def test_edge_list_rejects_malformed(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0 1\n")
