@@ -27,7 +27,6 @@ from .graphs import (
     graph_variation,
     knn_feature_graph,
     laplacian_from_weights,
-    lin_index,
     product_apply,
     synthetic_netflix,
     trivial_graph,

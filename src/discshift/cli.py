@@ -33,25 +33,25 @@ from .graphs import (
     synthetic_netflix,
 )
 from .linalg import ConvergenceError, SolverOptions, load_edge_list, save_edge_list
-from .sampling import in_grid, load_sample_set, save_sample_set
+from .sampling import load_sample_set, save_sample_set
+
+
+def _read(reader, path, *args, **kwargs):
+    """reader(path, *args, **kwargs), for every file the CLI reads; a file it
+    cannot open or parse exits with a message that starts with the path."""
+    try:
+        return reader(path, *args, **kwargs)
+    except (OSError, ValueError) as e:
+        raise SystemExit(str(e) if str(e).startswith(str(path)) else f"{path}: {e}")
 
 
 def _load_graph(path):
-    return laplacian_from_weights(load_edge_list(path))
+    return _read(lambda p: laplacian_from_weights(load_edge_list(p)), path)
 
 
 def _load_pairs(path, m, n):
-    """A `row,col` CSV as a SampleSet; a malformed file or a pair outside the
-    m x n grid exits with its message."""
-    try:
-        ss = load_sample_set(path, m)[0]
-    except ValueError as e:
-        raise SystemExit(str(e))
-    try:
-        in_grid(ss.ij, m, n)
-    except ValueError as e:
-        raise SystemExit(f"{path}: {e}")
-    return ss
+    """A `row,col` CSV of entries of the m x n grid as a SampleSet."""
+    return _read(load_sample_set, path, m, n)[0]
 
 
 def _cmd_gen(args):
@@ -79,10 +79,10 @@ def _cmd_graph(args):
     if (args.ratings is None) == (args.features is None):
         raise SystemExit("pass exactly one of --ratings (G2) or --features (G1)")
     if args.ratings:
-        data = load_ratings(args.ratings)
+        data = _read(load_ratings, args.ratings)
         g = content_graph(data, axis=args.axis, d_s=args.d_s, gamma=args.gamma)
     else:
-        feats = np.loadtxt(args.features, delimiter=",", ndmin=2)
+        feats = _read(np.loadtxt, args.features, delimiter=",", ndmin=2)
         g = knn_feature_graph(feats, k=args.k)
     save_edge_list(g.weights, args.out)
     print(f"wrote {args.out} ({g.n} nodes, {g.weights.csr.nnz // 2} edges, "
@@ -117,7 +117,7 @@ def _cmd_sample(args):
 
 
 def _cmd_complete(args):
-    data = load_ratings(args.ratings)
+    data = _read(load_ratings, args.ratings)
     row_graph = _load_graph(args.row_graph)
     col_graph = _load_graph(args.col_graph)
     omega = _load_pairs(args.omega, data.m, data.n)
@@ -137,8 +137,8 @@ def _cmd_complete(args):
 
 
 def _cmd_eval(args):
-    X = np.loadtxt(args.completed, delimiter=",", ndmin=2)
-    truth = load_ratings(args.truth)
+    X = _read(np.loadtxt, args.completed, delimiter=",", ndmin=2)
+    truth = _read(load_ratings, args.truth)
     if X.shape != (truth.m, truth.n):
         raise SystemExit(f"{args.completed}: shape {X.shape[0]}x{X.shape[1]} does not "
                          f"match the truth's {truth.m}x{truth.n}")
@@ -152,7 +152,7 @@ def _cmd_eval(args):
 
 
 def _cmd_experiment(args):
-    cfg = parse_config(args.config)
+    cfg = _read(parse_config, args.config)
     rows = run_experiment(cfg)
     out = os.path.join(cfg.output_dir, "metrics.csv")
     if rows:

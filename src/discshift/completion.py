@@ -17,8 +17,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .graphs import ProductOperator, RatingMatrix, GraphLaplacian
-from .linalg import ConvergenceError, SolverOptions, cg_solve, lobpcg_smallest, random_unit
-from .sampling import SampleSet, in_grid
+from .linalg import (ConvergenceError, SolverOptions, cg_solve, entry_pairs,
+                     lobpcg_smallest, random_unit)
+from .sampling import SampleSet
 
 _log = logging.getLogger(__name__)
 
@@ -43,11 +44,8 @@ class CompletionProblem:
         m, n = self.row_graph.n, self.col_graph.n
         if (self.observations.m, self.observations.n) != (m, n):
             raise ValueError("observation dims must match the graphs")
-        rows, cols = self.omega.ij.T
-        # Out-of-range pairs count as unobserved; checked before indexing
-        # because numpy would wrap a negative index.
-        known = (rows >= 0) & (rows < m) & (cols >= 0) & (cols < n)
-        known[known] = self.observations.mask_bool()[rows[known], cols[known]]
+        rows, cols = entry_pairs(self.omega.ij, m, n).T
+        known = self.observations.mask_bool()[rows, cols]
         if not known.all():
             i, j = self.omega.ij[np.argmin(known)]
             raise ValueError("omega contains unobserved entries (missing from the "
@@ -193,16 +191,14 @@ def mse_upper_bound(x_star, ground_truth, noise, p: CompletionProblem,
 
 def rmse_eval(x_star, ground_truth, eval_set) -> float:
     """Root mean squared error over (row, col) pairs: a SampleSet, a sequence
-    of pairs or a (k, 2) array.
-
-    Raises ValueError naming the first pair outside x_star's shape.
+    of pairs or a (k, 2) array, which must keep the entry rule
+    (`linalg.entry_pairs`) on x_star's grid.
     """
-    ij = eval_set.ij if isinstance(eval_set, SampleSet) else eval_set
-    if len(ij) == 0:
-        raise ValueError("empty evaluation set")
     Xs = np.asarray(x_star, dtype=np.float64)
     G = np.asarray(ground_truth, dtype=np.float64)
-    rows, cols = in_grid(ij, *Xs.shape).T
+    rows, cols = entry_pairs(getattr(eval_set, "ij", eval_set), *Xs.shape).T
+    if rows.size == 0:
+        raise ValueError("empty evaluation set")
     diff = Xs[rows, cols] - G[rows, cols]
     return float(np.sqrt(np.mean(diff * diff)))
 

@@ -22,12 +22,11 @@ from .graphs import (
     ProductOperator,
     RatingMatrix,
     content_graph,
-    first_bad_entry,
     knn_feature_graph,
     laplacian_from_weights,
     synthetic_netflix,
 )
-from .linalg import SolverOptions, load_edge_list, read_table, table_lines
+from .linalg import EntryError, SolverOptions, load_edge_list, read_table, table_lines
 from .sampling import (
     SampleSet,
     gcs_sample,
@@ -118,14 +117,12 @@ def load_ratings(path) -> RatingMatrix:
     m, n = map(int, dims[-1] if dims else (rows.max(initial=-1) + 1, cols.max(initial=-1) + 1))
     try:
         return RatingMatrix(m, n, rows, cols, t["value"])
-    except ValueError as e:
-        bad = first_bad_entry(rows, cols, m, n)
-        if bad is None:
-            raise ValueError(f"{path}: {e}") from None
-        k, first = bad
+    except EntryError as e:  # the table's indices are int64, so e.k is set
         lines = table_lines(path)
-        where = "" if first is None else f", first at line {lines[first]}"
-        raise ValueError(f"{path}:{lines[k]}: {e}{where}") from None
+        where = "" if e.first is None else f", first at line {lines[e.first]}"
+        raise ValueError(f"{path}:{lines[e.k]}: {e}{where}") from None
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def save_ratings(data: RatingMatrix, path) -> None:

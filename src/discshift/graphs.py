@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .linalg import SparseSym
+from .linalg import EntryError, SparseSym, as_int64, entry_pairs
 
 COMMUNITY_DRAWS = 50
 PRODUCT_DENSE_CAP = 4096
@@ -27,15 +27,6 @@ PRODUCT_DENSE_CAP = 4096
 # fraction of low modes exceeds FAST_DIAG_SHARE.
 FAST_DIAG_CAP = 300
 FAST_DIAG_SHARE = 0.01
-
-
-def lin_index(i: int, j: int, m: int) -> int:
-    """Column-major linear index l = i + m*j (0-based)."""
-    if not (0 <= i < m):
-        raise ValueError(f"row {i} out of range for m={m}")
-    if j < 0:
-        raise ValueError(f"negative column {j}")
-    return i + m * j
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,10 +73,6 @@ def laplacian_from_weights(W: SparseSym) -> GraphLaplacian:
     degrees = np.asarray(Wm.sum(axis=1)).ravel()
     L = sp.diags(degrees) - Wm  # a canonical CSR, symmetric as W is
     max_degree = float(degrees.max()) if W.n else 0.0
-    # Row sums of D - W are zero by construction; guard against bad input.
-    row_sums = L @ np.ones(W.n)
-    if W.n and np.max(np.abs(row_sums)) > 1e-10:
-        raise ValueError("Laplacian row sums exceed 1e-10")
     return GraphLaplacian(n=W.n, weights=W, laplacian=L, max_degree=max_degree)
 
 
@@ -136,36 +123,23 @@ def knn_feature_graph(features, k: int = 10) -> GraphLaplacian:
     kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
     neighbor = dist <= kth[:, None]
 
-    sel = dist[neighbor]
-    sigma = float(sel.mean())
-    W = np.zeros((n, n))
-    if sigma > 0:
-        W[neighbor] = np.exp(-(dist[neighbor] ** 2) / sigma**2)
-    else:
-        # All retained distances are zero; the kernel degenerates to 1.
-        W[neighbor] = 1.0
-    W = np.maximum(W, W.T)
-    np.fill_diagonal(W, 0.0)
-    return laplacian_from_weights(SparseSym.from_dense(W))
+    sigma = float(dist[neighbor].mean())
+    return _kernel_graph(neighbor, dist ** 2, sigma ** 2)
 
 
-def first_bad_entry(rows: np.ndarray, cols: np.ndarray, m: int, n: int):
-    """The first entry, in order, outside the m x n grid or repeating an
-    earlier one: (k, None) or (k, index of the earlier one); None if none."""
-    out = (rows < 0) | (rows >= m) | (cols < 0) | (cols >= n)
-    # Entries outside the grid get distinct negative keys, so none repeats.
-    lin = np.where(out, -1 - np.arange(rows.size), rows * n + cols)
-    _, first, inverse = np.unique(lin, return_index=True, return_inverse=True)
-    bad = out | (first[inverse] != np.arange(rows.size))
-    if not bad.any():
-        return None
-    k = int(np.argmax(bad))
-    return k, None if out[k] else int(first[inverse[k]])
+def _kernel_graph(keep: np.ndarray, sq: np.ndarray, width: float) -> GraphLaplacian:
+    """The graph of weights exp(-sq / width) on the off-diagonal `keep`
+    pairs, symmetrized by max(w_ij, w_ji); 1 on them when width <= 0 (the
+    default widths are 0 only when every kept sq is)."""
+    W = np.zeros(keep.shape)
+    W[keep] = np.exp(-sq[keep] / width) if width > 0 else 1.0
+    return laplacian_from_weights(SparseSym.from_dense(np.maximum(W, W.T)))
 
 
 @dataclass(frozen=True)
 class RatingMatrix:
-    """Partially observed m x n rating matrix stored as triplets."""
+    """Partially observed m x n rating matrix stored as triplets, whose
+    (row, col) pairs keep the entry rule (`linalg.entry_pairs`)."""
 
     m: int
     n: int
@@ -174,19 +148,26 @@ class RatingMatrix:
     vals: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", np.asarray(self.rows, dtype=np.int64))
-        object.__setattr__(self, "cols", np.asarray(self.cols, dtype=np.int64))
-        object.__setattr__(self, "vals", np.asarray(self.vals, dtype=np.float64))
-        if not (self.rows.shape == self.cols.shape == self.vals.shape):
+        rows, cols = (as_int64(a, "rating") for a in (self.rows, self.cols))
+        vals = np.asarray(self.vals, dtype=np.float64)
+        if rows is None or cols is None:
+            raise ValueError("rating indices must be integers")
+        if not (rows.shape == cols.shape == vals.shape):
             raise ValueError("triplet arrays must align")
-        bad = first_bad_entry(self.rows, self.cols, self.m, self.n)
-        if bad is not None:
-            k, first = bad
-            ij = f"({self.rows[k]},{self.cols[k]})"
-            raise ValueError(f"index {ij} out of range for {self.m}x{self.n}"
-                             if first is None else f"duplicate entry {ij}")
-        if not np.all(np.isfinite(self.vals)):
+        try:
+            entry_pairs(np.column_stack((rows, cols)), self.m, self.n)
+        except EntryError as e:
+            if e.k is None:
+                raise
+            ij = f"({rows[e.k]},{cols[e.k]})"
+            raise EntryError(f"index {ij} out of range for {self.m}x{self.n}"
+                             if e.first is None else f"duplicate entry {ij}",
+                             e.k, e.first) from None
+        if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite rating value")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "vals", vals)
 
     @property
     def n_known(self) -> int:
@@ -268,16 +249,7 @@ def content_graph(Z: RatingMatrix, axis: str = "rows", d_s: Optional[float] = No
         dev = (dist[retained] - d_min) ** 2
         gamma = float(dev.mean()) if dev.size else 0.0
 
-    W = np.zeros((n, n))
-    if gamma > 0:
-        W[retained] = np.exp(-((dist[retained] - d_min) ** 2) / gamma)
-    else:
-        # All retained distances sit at d_min; the kernel degenerates to 1.
-        W[retained] = 1.0
-    W = np.maximum(W, W.T)  # symmetric by construction; guard roundoff
-    np.fill_diagonal(W, 0.0)
-
-    G = laplacian_from_weights(SparseSym.from_dense(W))
+    G = _kernel_graph(retained, (dist - d_min) ** 2, gamma)
     ncomp = G.n_components()
     if ncomp > 1:
         warnings.warn(f"content graph is disconnected ({ncomp} components)")

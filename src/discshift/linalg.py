@@ -4,8 +4,8 @@ CSR storage, conjugate gradient, a single-vector LOBPCG for the smallest
 eigenpair (with warm start; one operator application per iteration plus one
 that confirms the final residual), both optionally preconditioned, a dense
 symmetric eigendecomposition oracle for small problems, Gershgorin disc
-utilities, the one reader of the package's numeric text tables, and
-edge-list I/O.
+utilities, the one reader of the package's numeric text tables, the one
+rule for matrix entries, and edge-list I/O.
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ class SparseSym:
     """Symmetric sparse matrix held as one canonical scipy CSR.
 
     The matrix is validated once, here: it must be a square float64 CSR in
-    canonical format (sorted column indices, no duplicate entries) and
-    numerically symmetric within 1e-12. `csr` and the array properties are
-    views of that one matrix, shared rather than copied; do not modify them.
+    canonical format (sorted column indices, no duplicate entries), finite
+    and symmetric within 1e-12. `csr` and the array properties are views of
+    that one matrix, shared rather than copied; do not modify them.
     Build instances with from_scipy or from_dense.
     """
 
@@ -70,6 +70,8 @@ class SparseSym:
             raise ValueError("matrix must be square")
         if not m.has_canonical_format:
             raise ValueError("CSR must have sorted column indices and no duplicates")
+        if not np.isfinite(m.data).all():
+            raise ValueError("matrix has NaN or infinite entries")
         d = m - m.T
         if d.nnz and np.max(np.abs(d.data)) > SYMMETRY_TOL:
             raise ValueError("matrix is not symmetric within 1e-12")
@@ -447,28 +449,87 @@ def table_lines(path) -> List[int]:
                 if re.split("|".join(TABLE_COMMENTS), line, maxsplit=1)[0].strip()]
 
 
+def as_int64(a, what: str) -> Optional[np.ndarray]:
+    """a as a new int64 array of its shape, or None unless every element is an
+    integer (an empty sequence counts): not a bool, even in a list of ints,
+    where numpy reads True as 1, nor a float, whole or not. An integer beyond
+    int64 raises `<what> index beyond int64`."""
+    if not isinstance(a, np.ndarray) or a.dtype in (object, np.uint64):
+        a = np.asarray(a, dtype=object)  # astype(int64) then checks the range
+        if not all(issubclass(t, (int, np.integer)) and t is not bool
+                   for t in set(map(type, a.flat))):
+            return None
+    elif a.dtype.kind not in "iu":
+        return None if a.size else a.astype(np.int64)
+    try:
+        return a.astype(np.int64)
+    except OverflowError:
+        raise ValueError(f"{what} index beyond int64") from None
+
+
+class EntryError(ValueError):
+    """A pair that breaks `entry_pairs`' rule, at position `k`; `first` is
+    that of the earlier pair it repeats. Both None where they do not apply."""
+
+    def __init__(self, message, k=None, first=None):
+        super().__init__(message)
+        self.k, self.first = k, first
+
+
+def entry_pairs(pairs, m: int, n: Optional[int] = None) -> np.ndarray:
+    """The one rule for matrix entries: `pairs` (a sequence of (row, col)
+    pairs or a (k, 2) array) as a new (k, 2) int64 array, if each pair is two
+    integers (`as_int64`) inside the m x n grid (n None: any column >= 0) and
+    unlike every earlier pair. Otherwise EntryError names the first bad pair:
+    `pair (i, j) outside the <m>x<n> grid` (n None: `row i out of range for
+    m=<m>` or `negative column j`) or `sample pairs must be distinct: (i, j)
+    repeats`. A linear index i + m*j beyond int64 raises ValueError."""
+    ij = as_int64(pairs, "sample pair")
+    if ij is None or ij.shape != (0,) and (ij.ndim != 2 or ij.shape[1] != 2):
+        raise EntryError("sample pairs must be (row, col) integer pairs")
+    ij = ij.reshape(-1, 2)  # an empty sequence reads as shape (0,)
+    rows, cols = ij.T
+    out = (rows < 0) | (rows >= m) | (cols < 0) | (cols >= (np.inf if n is None else n))
+    if m * (int(cols.max(initial=-1)) + 1 if n is None else n) > np.iinfo(np.int64).max:
+        raise ValueError("sample pair index beyond int64")
+    # Pairs outside the grid get distinct negative keys, so none repeats.
+    key = np.where(out, -1 - np.arange(len(ij)), rows + m * cols)
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(len(ij), dtype=bool)
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+    bad = out | repeat
+    if bad.any():
+        k = int(np.argmax(bad))
+        i, j = ij[k].tolist()
+        if repeat[k]:
+            raise EntryError(f"sample pairs must be distinct: ({i}, {j}) repeats",
+                             k, int(np.argmax(key == key[k])))
+        raise EntryError(f"pair ({i}, {j}) outside the {m}x{n} grid" if n is not None
+                         else f"row {i} out of range for m={m}" if not 0 <= i < m
+                         else f"negative column {j}", k)
+    return ij
+
+
 def load_edge_list(path, n: Optional[int] = None) -> SparseSym:
-    """Read an `i j value` upper-triangle edge list and mirror it. A negative
-    index, a lower-triangle entry, an index of n or above (n given) or a
-    repeated edge raises with its line."""
+    """Read an `i j value` upper-triangle edge list and mirror it. The first
+    line that breaks the entry rule (`entry_pairs`, on the n x n grid) or
+    holds a lower-triangle entry raises with its line number."""
     t = read_table(path, [("i", "i8"), ("j", "i8"), ("value", "f8")], delimiter=None)
     i, j, v = t["i"], t["j"], t["value"]
     size = int(j.max(initial=-1)) + 1 if n is None else n
-    bad = np.flatnonzero((i < 0) | (j < i) | (j >= size))
-    if bad.size:
-        k = bad[0]
+    lower = np.flatnonzero(j < i)
+    k, first = (lower[0] if lower.size else i.size), None
+    try:  # the lines before the first lower-triangle one
+        entry_pairs(np.column_stack((i[:k], j[:k])), size, size)
+    except EntryError as e:
+        k, first = e.k, e.first
+    if k < i.size:
+        lines = table_lines(path)
         what = ("negative index" if min(i[k], j[k]) < 0
                 else "lower-triangle entry in upper-triangle file" if j[k] < i[k]
-                else f"index ({i[k]},{j[k]}) out of range for n={n}")
-        raise ValueError(f"{path}:{table_lines(path)[k]}: {what}")
-    # Every j is below size now, so each (i, j) keys uniquely.
-    _, first, inverse = np.unique(i * size + j, return_index=True, return_inverse=True)
-    repeat = first[inverse] != np.arange(i.size)
-    if repeat.any():
-        k = int(np.argmax(repeat))
-        lines = table_lines(path)
-        raise ValueError(f"{path}:{lines[k]}: duplicate edge ({i[k]},{j[k]}), "
-                         f"first at line {lines[first[inverse[k]]]}")
+                else f"index ({i[k]},{j[k]}) out of range for n={n}" if first is None
+                else f"duplicate edge ({i[k]},{j[k]}), first at line {lines[first]}")
+        raise ValueError(f"{path}:{lines[k]}: {what}")
     off = i != j
     m = sp.csr_matrix((np.concatenate([v, v[off]]),
                        (np.concatenate([i, j[off]]), np.concatenate([j, i[off]]))),

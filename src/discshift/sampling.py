@@ -23,7 +23,6 @@ from .graphs import (
     GraphLaplacian,
     ProductOperator,
     fast_diag_preconditioner,
-    lin_index,
     product_dense,
     trivial_graph,
 )
@@ -31,6 +30,8 @@ from .linalg import (
     ConvergenceError,
     EigenPair,
     SolverOptions,
+    as_int64,
+    entry_pairs,
     lobpcg_smallest,
     random_unit,
     read_table,
@@ -49,32 +50,18 @@ ORACLE_TIE_TOL = 1e-12
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     """Ordered entry selections as one read-only (k, 2) int64 array `ij` of
-    (row, col) pairs, built from a sequence of pairs or a (k, 2) array;
-    `pairs` and `linear` derive from it. Compares by identity."""
+    (row, col) pairs on m rows (`linalg.entry_pairs`), built from a sequence
+    of pairs or a (k, 2) array; `pairs` and `linear` derive from it.
+    Compares by identity."""
 
     ij: np.ndarray
     m: int
     budget: int
 
     def __post_init__(self):
-        a = self.ij
-        if not (isinstance(a, np.ndarray) and a.dtype.kind == "i"):
-            a = np.array(a, dtype=object)  # compares exactly, whatever the number types
-        if a.shape == (0,):
-            a = a.reshape(0, 2)
-        try:
-            ij = a.astype(np.int64)
-        except OverflowError:
-            raise ValueError("sample pair index beyond int64") from None
-        except (TypeError, ValueError):
-            ij = None
-        if ij is None or a.ndim != 2 or a.shape[1] != 2 or not (ij == a).all():
-            raise ValueError("sample pairs must be (row, col) integer pairs")
+        ij = entry_pairs(self.ij, self.m)
         ij.flags.writeable = False
         object.__setattr__(self, "ij", ij)
-        s = ij[np.lexsort(ij.T)]
-        if np.any((s[1:] == s[:-1]).all(axis=1)):
-            raise ValueError("sample pairs must be distinct")
         if len(ij) > self.budget:
             raise ValueError("more samples than budget")
 
@@ -87,10 +74,7 @@ class SampleSet:
 
     @property
     def linear(self) -> np.ndarray:
-        """Column-major indices i + m*j; lin_index's error on the first bad pair."""
-        bad = ((self.ij < 0) | (self.ij >= (self.m, np.inf))).any(axis=1)
-        if bad.any():
-            lin_index(*self.ij[np.argmax(bad)].tolist(), self.m)
+        """Column-major indices i + m*j."""
         return self.ij[:, 0] + self.m * self.ij[:, 1]
 
 
@@ -98,17 +82,6 @@ def _from_linear(lin, m: int, budget: int) -> SampleSet:
     """The SampleSet of column-major linear indices, in their order."""
     j, i = divmod(np.asarray(lin, dtype=np.int64), m)
     return SampleSet(np.column_stack((i, j)), m, budget)
-
-
-def in_grid(pairs, m: int, n: int) -> np.ndarray:
-    """(row, col) pairs as a (k, 2) array; raises ValueError naming the first
-    pair outside the m x n grid (numpy would wrap a negative index)."""
-    ij = np.asarray(pairs).reshape(-1, 2)
-    outside = ((ij < 0) | (ij >= (m, n))).any(axis=1)
-    if outside.any():
-        i, j = ij[np.argmax(outside)]
-        raise ValueError(f"pair ({i}, {j}) outside the {m}x{n} grid")
-    return ij
 
 
 @dataclass
@@ -130,12 +103,11 @@ def argmax_abs_tied(vec: np.ndarray, candidates: np.ndarray, tie_tol: float = TI
 
 def checked_linear(idx, size: int, what: str) -> np.ndarray:
     """idx as int64 linear indices into [0, size), in idx's shape. They must
-    be an integer array, or an empty sequence; the error names `what` and
-    the first index outside the range."""
-    idx = np.asarray(idx)
-    if idx.size and idx.dtype.kind not in "iu":  # np.asarray([]) is float64
-        raise ValueError(f"{what} must be integer linear indices, not {idx.dtype}")
-    idx = idx.astype(np.int64, copy=False)
+    be integers (`linalg.as_int64`), or an empty sequence; the error names
+    `what` and the first index outside the range."""
+    idx = as_int64(idx, what)
+    if idx is None:
+        raise ValueError(f"{what} must be integer linear indices")
     outside = (idx < 0) | (idx >= size)
     if outside.any():  # numpy would wrap a negative index
         raise ValueError(f"{what} index {idx.flat[np.argmax(outside)]} outside [0, {size})")
@@ -369,10 +341,11 @@ def save_sample_set(ss: SampleSet, csv_path, meta: Optional[dict] = None) -> Non
         f.write("\n")
 
 
-def load_sample_set(csv_path, m: int):
-    """Load a `row,col` table (see `read_table`) and its sidecar if present;
-    returns (SampleSet, meta). The budget is the sidecar's K, or the pair
-    count if that is larger or there is no sidecar."""
+def load_sample_set(csv_path, m: int, n: int):
+    """Load a `row,col` table (see `read_table`) of m x n grid entries
+    (`entry_pairs`) and its sidecar if present; returns (SampleSet, meta).
+    The budget is the sidecar's K, or the pair count if that is larger or
+    there is no sidecar."""
     csv_path = str(csv_path)
     t = read_table(csv_path, [("row", "i8"), ("col", "i8")])
     meta = {}
@@ -383,7 +356,8 @@ def load_sample_set(csv_path, m: int):
         pass
     k = max(len(t), int(meta.get("K") or 0))
     try:
-        return SampleSet(np.column_stack((t["row"], t["col"])), m=m, budget=k), meta
+        return SampleSet(entry_pairs(np.column_stack((t["row"], t["col"])), m, n),
+                         m=m, budget=k), meta
     except ValueError as e:
         raise ValueError(f"{csv_path}: {e}") from None
 

@@ -14,7 +14,7 @@ from discshift.bandlimited import (
     bandlimited_basis,
     bandlimited_reconstruct,
 )
-from discshift.graphs import ProductOperator, laplacian_from_weights, lin_index, synthetic_netflix
+from discshift.graphs import ProductOperator, laplacian_from_weights, synthetic_netflix
 from discshift.linalg import SolverOptions, SparseSym
 from discshift.sampling import TIE_TOL, SampleSet, argmax_abs_tied, gcs_sample
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -70,7 +71,7 @@ def test_sample_gcs(dataset, tmp_path):
                  "--col-graph", str(dataset / "col_graph.txt"),
                  "--alpha", "1.0", "--beta", "1.0", "--out", str(out)])
     assert code == 0
-    ss, meta = load_sample_set(out, m=12)
+    ss, meta = load_sample_set(out, m=12, n=9)
     assert len(ss) == 6 and len(set(ss.pairs)) == 6
     assert meta["method"] == "gcs" and meta["K"] == 6
     assert meta["q"] is None
@@ -82,7 +83,7 @@ def test_sample_fractional_budget(dataset, tmp_path):
     main(["sample", "--method", "random", "--budget", "0.1",
           "--row-graph", str(dataset / "row_graph.txt"),
           "--col-graph", str(dataset / "col_graph.txt"), "--out", str(out)])
-    ss, _ = load_sample_set(out, m=12)
+    ss, _ = load_sample_set(out, m=12, n=9)
     assert len(ss) == round(0.1 * 108)
 
 
@@ -91,7 +92,7 @@ def test_sample_random_without_graphs(tmp_path):
     code = main(["sample", "--method", "random", "--budget", "5",
                  "--m", "4", "--n", "3", "--seed", "1", "--out", str(out)])
     assert code == 0
-    ss, _ = load_sample_set(out, m=4)
+    ss, _ = load_sample_set(out, m=4, n=3)
     assert len(ss) == 5
     assert all(0 <= i < 4 and 0 <= j < 3 for i, j in ss.pairs)
 
@@ -107,7 +108,7 @@ def test_sample_igcs_respects_pool(dataset, tmp_path):
                  "--col-graph", str(dataset / "col_graph.txt"),
                  "--out", str(out)])
     assert code == 0
-    ss, meta = load_sample_set(out, m=12)
+    ss, meta = load_sample_set(out, m=12, n=9)
     assert set(ss.pairs) <= set(allowed)
     assert meta["zeta"] == 2
 
@@ -130,7 +131,7 @@ def test_sample_matches_run_sampler(dataset, tmp_path):
                      "--row-graph", str(dataset / "row_graph.txt"),
                      "--col-graph", str(dataset / "col_graph.txt"),
                      "--out", str(out)]) == 0
-        ss, meta = load_sample_set(out, m=12)
+        ss, meta = load_sample_set(out, m=12, n=9)
         ref, ref_meta = run_sampler(params, method, 5, 3, 12, 9, rg, cg,
                                     allowed=lin)
         assert ss.pairs == ref.pairs
@@ -152,7 +153,7 @@ def test_sample_aopt(dataset, tmp_path):
                  "--col-graph", str(dataset / "col_graph.txt"),
                  "--out", str(out)])
     assert code == 0
-    ss, _ = load_sample_set(out, m=12)
+    ss, _ = load_sample_set(out, m=12, n=9)
     assert len(ss) == 5
 
 
@@ -305,6 +306,57 @@ def test_sample_rejects_pool_pair_outside_grid(dataset, tmp_path):
             main(["sample", "--method", "random", "--budget", "1",
                   "--pool", str(pool), "--m", "12", "--n", "9",
                   "--out", str(tmp_path / "s.csv")])
+
+
+BAD_FILES = {
+    "ratings.csv": ("# m=12 n=9\n0,0,1.0\n0,0,2.0\n",
+                    ":3: duplicate entry (0,0), first at line 2"),
+    "lower.txt": ("1 0 1.0\n", ":1: lower-triangle entry"),
+    "nan.txt": ("0 1 nan\n", ": matrix has NaN or infinite entries"),
+    "dense.csv": ("1,2,x\n", ": could not convert string 'x' to float64"),
+    "int.cfg": ("dataset = synthetic\nzeta = x\n", ": invalid literal for int()"),
+    "key.cfg": ("dataset = synthetic\nbogus = 1\n", ": unknown config key 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("reader,bad", [
+    ("complete --ratings", "ratings.csv"), ("eval --truth", "ratings.csv"),
+    ("graph --ratings", "ratings.csv"), ("complete --row-graph", "lower.txt"),
+    ("sample --col-graph", "nan.txt"), ("eval --completed", "dense.csv"),
+    ("graph --features", "dense.csv"), ("experiment --config", "int.cfg"),
+    ("experiment --config", "key.cfg")])
+def test_unreadable_file_exits_naming_it(dataset, tmp_path, reader, bad):
+    # Each of these used to end in a traceback; the loadtxt and config
+    # errors did not name the file at all.
+    path = tmp_path / bad
+    text, msg = BAD_FILES[bad]
+    path.write_text(text)
+    X, pairs = str(tmp_path / "x.csv"), str(tmp_path / "pairs.csv")
+    np.savetxt(X, np.ones((12, 9)), delimiter=",")
+    with open(pairs, "w") as f:
+        f.write("0,0\n")
+    ratings, rg, cg = (str(dataset / name) for name in ("ratings.csv", "row_graph.txt",
+                                                         "col_graph.txt"))
+    out = str(tmp_path / "out")
+
+    def complete(ratings=ratings, rg=rg):
+        return ["complete", "--ratings", ratings, "--omega", pairs, "--row-graph", rg,
+                "--col-graph", cg, "--out", out]
+
+    def evaluate(X=X, truth=ratings):
+        return ["eval", "--completed", X, "--truth", truth, "--eval-set", pairs]
+
+    argv = {"complete --ratings": complete(ratings=str(path)),
+            "eval --truth": evaluate(truth=str(path)),
+            "graph --ratings": ["graph", "--ratings", str(path), "--out", out],
+            "complete --row-graph": complete(rg=str(path)),
+            "sample --col-graph": ["sample", "--method", "gcs", "--budget", "2",
+                                   "--row-graph", rg, "--col-graph", str(path), "--out", out],
+            "eval --completed": evaluate(X=str(path)),
+            "graph --features": ["graph", "--features", str(path), "--out", out],
+            "experiment --config": ["experiment", "--config", str(path)]}[reader]
+    with pytest.raises(SystemExit, match="^" + re.escape(f"{path}{msg}")):
+        main(argv)
 
 
 def test_experiment_subcommand(tmp_path, capsys):

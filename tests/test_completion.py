@@ -78,12 +78,18 @@ def test_problem_rejects_unobserved_omega():
 
 
 def test_problem_rejects_out_of_range_omega():
-    # fully observed, so only the range check can reject; -1 would wrap to 1
+    # fully observed, so only the grid check can reject; -1 would wrap to 1.
+    # A SampleSet of m=2 rows rejects the negative pairs and (2, 0) itself.
     obs = RatingMatrix.from_dense(np.ones((2, 2)))
-    for pair in [(0, -1), (-1, 0), (2, 0), (0, 2)]:
-        omega = SampleSet(((0, 0), pair), m=2, budget=2)
-        with pytest.raises(ValueError, match=rf"unobserved.*{re.escape(str(pair))}"):
+    for pair, msg in [((0, -1), "negative column -1"), ((-1, 0), "row -1 out of range for m=2"),
+                      ((2, 0), "row 2 out of range for m=2"),
+                      ((0, 2), "pair (0, 2) outside the 2x2 grid")]:
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            omega = SampleSet(((0, 0), pair), m=2, budget=2)
             CompletionProblem(obs, omega, path_graph(2), path_graph(2), 0.1, 0.1)
+    omega = SampleSet(((0, 0), (2, 0)), m=3, budget=2)  # a SampleSet of a larger grid
+    with pytest.raises(ValueError, match=re.escape("pair (2, 0) outside the 2x2 grid")):
+        CompletionProblem(obs, omega, path_graph(2), path_graph(2), 0.1, 0.1)
 
 
 def test_problem_rejects_zero_weights_partial():

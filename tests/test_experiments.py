@@ -278,7 +278,7 @@ def test_run_experiment_sidecar_records_iterations(tmp_path):
     rows = run_experiment(cfg)
     assert [r.method for r in rows] == ["aopt", "gcs", "igcs"]
     for r in rows:
-        _, meta = load_sample_set(tmp_path / "out" / f"{r.method}_seed0_K6.csv", m=12)
+        _, meta = load_sample_set(tmp_path / "out" / f"{r.method}_seed0_K6.csv", m=12, n=9)
         assert len(meta["iter_counts"]) == 6
         assert sum(meta["iter_counts"]) == r.lobpcg_total_iters > 0
 
@@ -336,7 +336,7 @@ def test_run_experiment_scores_unpicked_pool_in_order(tmp_path, monkeypatch):
     data = resolve_dataset(TINY_SYNTH, 0)[0]
     pool = split_dataset(data, cfg, 0)[1]
     for method, got in zip(cfg.methods, seen):
-        ss, _ = load_sample_set(tmp_path / "out" / f"{method}_seed0_K6.csv", m=12)
+        ss, _ = load_sample_set(tmp_path / "out" / f"{method}_seed0_K6.csv", m=12, n=9)
         pool_pairs = [[int(data.rows[p]), int(data.cols[p])] for p in pool]
         assert got == [pr for pr in pool_pairs if tuple(pr) not in set(ss.pairs)]
 

@@ -15,13 +15,12 @@ from discshift.graphs import (
     graph_variation,
     knn_feature_graph,
     laplacian_from_weights,
-    lin_index,
     product_apply,
     product_dense,
     synthetic_netflix,
     trivial_graph,
 )
-from discshift.linalg import SparseSym
+from discshift.linalg import SparseSym, load_edge_list
 
 
 def path_graph(n):
@@ -35,27 +34,6 @@ def random_graph(n, seed, p=0.4):
     rng = np.random.default_rng(seed)
     W = np.triu((rng.random((n, n)) < p) * rng.uniform(0.2, 1.0, (n, n)), 1)
     return laplacian_from_weights(SparseSym.from_dense(W + W.T))
-
-
-# ----------------------------------------------------------------- indexing
-
-
-def test_lin_index_origin():
-    assert lin_index(0, 0, 3) == 0
-
-
-def test_lin_index_arithmetic():
-    # column-major: l = i + m*j
-    assert lin_index(2, 1, 3) == 5
-
-
-def test_index_roundtrip_exhaustive():
-    for m in range(1, 11):
-        for n in range(1, 11):
-            for j in range(n):
-                for i in range(m):
-                    # the samplers map picks back with divmod
-                    assert divmod(lin_index(i, j, m), m) == (j, i)
 
 
 # ---------------------------------------------------------------- Laplacian
@@ -120,6 +98,25 @@ def test_graph_laplacian_compares_by_identity():
 def test_laplacian_rejects_negative_weight():
     with pytest.raises(ValueError):
         laplacian_from_weights(SparseSym.from_dense(np.array([[0.0, -1.0], [-1.0, 0.0]])))
+
+
+def test_laplacian_weights_any_scale_finite_only(tmp_path):
+    # A row-sum guard of 1e-10 used to reject every such graph at 1e6 (its
+    # row sums round at ~1e-9), and NaN or inf weights passed every check.
+    rng = np.random.default_rng(0)
+    for scale in (1e3, 1e6, 1e12):
+        for _ in range(20):
+            W = np.triu(rng.uniform(0.0, scale, (20, 20)), 1)
+            G = laplacian_from_weights(SparseSym.from_dense(W + W.T))
+            assert np.abs(G.laplacian @ np.ones(20)).max() <= 1e-12 * G.max_degree
+    for bad in (np.nan, np.inf, -np.inf):
+        W = np.array([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            SparseSym.from_dense(W)
+        path = tmp_path / "g.txt"
+        path.write_text(f"0 1 {bad}\n")
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            load_edge_list(path)
 
 
 def test_trivial_graph():

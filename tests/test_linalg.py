@@ -10,9 +10,11 @@ import scipy.sparse as sp
 
 import discshift.linalg as linalg
 from discshift.bandlimited import aopt_local_search, bandlimited_basis
+from discshift.completion import CompletionProblem, rmse_eval
 from discshift.experiments import load_ratings
 from discshift.graphs import (
     ProductOperator,
+    RatingMatrix,
     laplacian_from_weights,
     product_dense,
     synthetic_netflix,
@@ -23,12 +25,19 @@ from discshift.linalg import (
     SparseSym,
     cg_solve,
     dense_sym_eig,
+    entry_pairs,
     gershgorin_bounds,
     load_edge_list,
     lobpcg_smallest,
     save_edge_list,
 )
-from discshift.sampling import gcs_sample, igcs_sample, load_sample_set
+from discshift.sampling import (
+    SampleSet,
+    gcs_sample,
+    igcs_sample,
+    load_sample_set,
+    random_sample,
+)
 
 
 def path_laplacian(n):
@@ -450,15 +459,16 @@ def test_edge_list_plain_floats(tmp_path):
 
 def test_edge_list_pins_float_bytes(tmp_path):
     # Upper triangle in row order; the lower mirror is not written.
-    upper = {(0, 1): np.nan, (0, 2): np.inf, (1, 1): -0.0, (1, 3): -np.inf,
-             (2, 2): 0.1, (2, 3): 1e-300, (3, 3): 1 / 3}
+    # Non-finite values are rejected by SparseSym, so the extremes are finite.
+    upper = {(0, 1): 5e-324, (0, 2): 1.7976931348623157e308, (1, 1): -0.0,
+             (1, 3): -2.5, (2, 2): 0.1, (2, 3): 1e-300, (3, 3): 1 / 3}
     entries = sorted({**upper, **{(j, i): v for (i, j), v in upper.items()}}.items())
     ij = np.array([e[0] for e in entries])
     vals = np.array([e[1] for e in entries])
     A = SparseSym(sp.csr_matrix((vals, (ij[:, 0], ij[:, 1])), shape=(4, 4)))
     path = tmp_path / "g.txt"
     save_edge_list(A, path)
-    assert path.read_bytes() == (b"0 1 nan\n0 2 inf\n1 1 -0.0\n1 3 -inf\n"
+    assert path.read_bytes() == (b"0 1 5e-324\n0 2 1.7976931348623157e+308\n1 1 -0.0\n1 3 -2.5\n"
                                  b"2 2 0.1\n2 3 1e-300\n3 3 0.3333333333333333\n")
 
 
@@ -522,7 +532,7 @@ def ratings_entries(path):
 
 
 def pairs_entries(path):
-    return list(load_sample_set(path, m=4)[0].pairs)
+    return list(load_sample_set(path, m=4, n=4)[0].pairs)
 
 
 def edge_entries(path):
@@ -573,3 +583,91 @@ def test_readers_report_index_beyond_int64(tmp_path, kind):
     path.write_text("\n".join(["# c", table_line(kind, 0, 1), table_line(kind, 1, 2**64)]))
     with pytest.raises(ValueError, match=re.escape(f"t.txt:3: index (1,{2**64}) out of range")):
         READERS[kind][0](path)
+
+
+# --------------------------------------------------------------- entry rule
+
+# Per fault: (row, col) pairs of the 3x2 grid whose last pair breaks the entry
+# rule, and linear indices i + 3j that carry the fault to the entry points
+# that take those. A linear index list may repeat an index (a batch of A-opt
+# selections does), so it has no "repeated" case.
+BAD_ENTRIES = {
+    "fractional": ([(0, 0), (0.5, 1)], [0, 3.5]),
+    "whole float": ([(0, 0), (1.0, 1)], [0, 4.0]),
+    "bool": ([(0, 0), (True, 0)], [0, True]),
+    "negative": ([(0, 0), (-1, 0)], [0, -1]),
+    "row >= m": ([(0, 0), (3, 1)], [0, 6]),
+    "col >= n": ([(0, 0), (0, 2)], [0, 6]),
+    "repeated": ([(0, 0), (1, 1), (0, 0)], None),
+    "beyond int64": ([(0, 0), (2**63, 0)], [0, 2**63]),
+}
+
+
+def _entry_points(tmp_path):
+    """name -> (takes pairs, call). Each call reads its entries on the 3x2 grid."""
+    g3, g2 = (laplacian_from_weights(SparseSym.from_dense(np.eye(k, k=1) + np.eye(k, k=-1)))
+              for k in (3, 2))
+    basis = bandlimited_basis(g3, g2, k1=1, k2=1)
+
+    def table(name, header, pairs, line):
+        path = tmp_path / name
+        path.write_text(header + "".join(line(i, j) for i, j in pairs))
+        return path
+
+    return {
+        "SampleSet": (True, lambda p: SampleSet(p, m=3, budget=len(p))),
+        "RatingMatrix": (True, lambda p: RatingMatrix(3, 2, [i for i, _ in p], [j for _, j in p],
+                                                      np.ones(len(p)))),
+        "rmse_eval": (True, lambda p: rmse_eval(np.ones((3, 2)), np.zeros((3, 2)), p)),
+        "CompletionProblem": (True, lambda p: CompletionProblem(
+            RatingMatrix.from_dense(np.ones((3, 2))), SampleSet(p, m=3, budget=len(p)),
+            g3, g2, 0.1, 0.1)),
+        "load_ratings": (True, lambda p: load_ratings(
+            table("r.csv", "# m=3 n=2\n", p, lambda i, j: f"{i},{j},1.5\n"))),
+        "load_sample_set": (True, lambda p: load_sample_set(
+            table("s.csv", "row,col\n", p, lambda i, j: f"{i},{j}\n"), 3, 2)),
+        # An edge list's grid is square, n x n with n = 2; (3, 1) is lower.
+        "load_edge_list": (True, lambda p: load_edge_list(
+            table("e.txt", "", p, lambda i, j: f"{i} {j} 1.5\n"), n=2)),
+        "allowed": (False, lambda lin: random_sample(3, 2, 1, allowed=lin)),
+        "BandlimitedBasis.rows": (False, lambda lin: basis.rows(lin)),
+    }
+
+
+def test_every_entry_point_keeps_the_entry_rule(tmp_path):
+    good = ([(0, 0), (0, 1)], [0, 3])
+    for name, (takes_pairs, call) in _entry_points(tmp_path).items():
+        call(good[0] if takes_pairs else good[1])
+        for fault, (pairs, linear) in BAD_ENTRIES.items():
+            if name == "SampleSet" and fault == "col >= n":
+                continue  # a SampleSet knows m only; CompletionProblem checks n
+            bad = pairs if takes_pairs else linear
+            if bad is None:
+                continue
+            with pytest.raises(ValueError):
+                call(bad)
+
+
+def test_entry_pairs_names_the_first_bad_pair():
+    assert entry_pairs([], 3, 2).shape == (0, 2)
+    ij = entry_pairs(np.array([[2, 1], [0, 0]], dtype=np.uint8), 3, 2)
+    assert ij.dtype == np.int64 and ij.tolist() == [[2, 1], [0, 0]]
+    for pairs, msg, k, first in (
+            ([(0, 0), (0, 2), (0, 0)], "pair (0, 2) outside the 3x2 grid", 1, None),
+            ([(0, 0), (1, 1), (0, 0), (5, 0)], "sample pairs must be distinct: (0, 0) repeats", 2, 0),
+            ([(0, 0), (True, 1)], "sample pairs must be (row, col) integer pairs", None, None)):
+        with pytest.raises(linalg.EntryError, match=re.escape(msg)) as err:
+            entry_pairs(pairs, 3, 2)
+        assert (err.value.k, err.value.first) == (k, first)
+    with pytest.raises(ValueError, match="beyond int64"):
+        entry_pairs([(0, 2**62)], 3)  # its linear index i + 3j would overflow
+
+
+def test_edge_list_reports_earlier_of_two_faults(tmp_path):
+    path = tmp_path / "e.txt"
+    path.write_text("0 1 1.0\n0 1 1.0\n2 1 1.0\n")
+    with pytest.raises(ValueError, match=re.escape("e.txt:2: duplicate edge (0,1), first at line 1")):
+        load_edge_list(path)
+    path.write_text("2 1 1.0\n0 1 1.0\n0 1 1.0\n")
+    with pytest.raises(ValueError, match="e.txt:1: lower-triangle"):
+        load_edge_list(path)

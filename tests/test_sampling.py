@@ -13,7 +13,6 @@ from discshift.graphs import (
     ProductOperator,
     community_graph,
     laplacian_from_weights,
-    lin_index,
     product_dense,
     synthetic_netflix,
 )
@@ -94,7 +93,7 @@ def test_sample_set_rejects_duplicates():
 
 
 def test_sample_set_pairs_are_python_ints():
-    ss = SampleSet(((np.int64(2), np.int32(1)), (0, 0), (1.0, 2)), m=3, budget=3)
+    ss = SampleSet(((np.int64(2), np.int32(1)), (0, 0), (1, 2)), m=3, budget=3)
     assert ss.pairs == ((2, 1), (0, 0), (1, 2))
     assert all(type(v) is int for pair in ss.pairs for v in pair)
 
@@ -223,7 +222,7 @@ def test_gcs_lambda_min_monotone_below_one():
     probe = op.copy()
     prev = dense_lambda_min(probe)
     for (i, j) in ss.pairs:
-        probe.sample_diag[lin_index(i, j, probe.m)] = 1.0
+        probe.sample_diag[i + probe.m * j] = 1.0
         lam = dense_lambda_min(probe)
         assert lam >= prev - 1e-10
         assert lam < 1.0
@@ -431,7 +430,7 @@ def test_oracle_dominates_gcs_per_step():
     ss, _ = gcs_sample(op, 5)
     probe = op.copy()
     for t, (i, j) in enumerate(ss.pairs):
-        probe.sample_diag[lin_index(i, j, probe.m)] = 1.0
+        probe.sample_diag[i + probe.m * j] = 1.0
         assert trace[t] >= dense_lambda_min(probe) - 1e-9
 
 
@@ -475,7 +474,7 @@ def test_sample_set_roundtrip(tmp_path):
     path = tmp_path / "s.csv"
     save_sample_set(ss, path, meta={"method": "gcs", "seed": 0, "alpha": 0.1,
                                     "beta": 0.1, "wall_time_seconds": 0.5})
-    loaded, meta = load_sample_set(path, m=3)
+    loaded, meta = load_sample_set(path, m=3, n=2)
     assert loaded.pairs == ss.pairs
     assert meta["method"] == "gcs"
     assert meta["K"] == 3
@@ -486,7 +485,7 @@ def test_sample_set_roundtrip(tmp_path):
 def test_sample_set_load_without_sidecar(tmp_path):
     path = tmp_path / "bare.csv"
     path.write_text("row,col\n1,2\n0,0\n")
-    ss, meta = load_sample_set(path, m=2)
+    ss, meta = load_sample_set(path, m=2, n=3)
     assert ss.pairs == ((1, 2), (0, 0))
     assert meta == {}
 
@@ -495,5 +494,5 @@ def test_sample_set_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("row,col\nx,y\n")
     with pytest.raises(ValueError, match="bad.csv:2"):
-        load_sample_set(path, m=2)
+        load_sample_set(path, m=2, n=2)
 
