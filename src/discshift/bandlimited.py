@@ -15,8 +15,8 @@ from typing import List, Optional
 import numpy as np
 
 from .graphs import GraphLaplacian, ProductOperator
-from .linalg import SolverOptions
-from .sampling import TIE_TOL, SampleSet, argmax_abs_tied, checked_linear, greedy_disc_shift
+from .linalg import SolverOptions, checked_linear
+from .sampling import TIE_TOL, SampleSet, argmax_abs_tied, greedy_disc_shift
 
 AOPT_EPS = 1e-8
 GRAM_RANK_TOL = 1e-10

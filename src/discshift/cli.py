@@ -36,13 +36,20 @@ from .linalg import ConvergenceError, SolverOptions, load_edge_list, save_edge_l
 from .sampling import load_sample_set, save_sample_set
 
 
+def _exit(e, path, files=()):
+    """A SystemExit for an OSError or ValueError raised while reading `path`
+    or `files`: its message starts with the file it names, else with `path`."""
+    msg = f"{e.filename}: {e.strerror}" if isinstance(e, OSError) and e.filename else str(e)
+    return SystemExit(msg if msg.startswith((str(path), *files)) else f"{path}: {msg}")
+
+
 def _read(reader, path, *args, **kwargs):
     """reader(path, *args, **kwargs), for every file the CLI reads; a file it
     cannot open or parse exits with a message that starts with the path."""
     try:
         return reader(path, *args, **kwargs)
     except (OSError, ValueError) as e:
-        raise SystemExit(str(e) if str(e).startswith(str(path)) else f"{path}: {e}")
+        raise _exit(e, path)
 
 
 def _load_graph(path):
@@ -153,7 +160,15 @@ def _cmd_eval(args):
 
 def _cmd_experiment(args):
     cfg = _read(parse_config, args.config)
-    rows = run_experiment(cfg)
+    try:
+        rows = run_experiment(cfg)
+    except (OSError, ValueError) as e:
+        # Raised before the first cell: a dataset, graph or feature file that
+        # cannot be read, named first as _read names it, or a config that
+        # does not fit the data.
+        files = tuple(str(p) for p in (cfg.dataset, cfg.row_graph, cfg.col_graph,
+                                       cfg.features_row, cfg.features_col) if p)
+        raise _exit(e, args.config, files)
     out = os.path.join(cfg.output_dir, "metrics.csv")
     if rows:
         export_metrics(rows, out)

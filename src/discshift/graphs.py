@@ -11,13 +11,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .linalg import EntryError, SparseSym, as_int64, entry_pairs
+from .linalg import EntryError, SparseSym, as_int64, checked_linear, entry_pairs
 
 COMMUNITY_DRAWS = 50
 PRODUCT_DENSE_CAP = 4096
@@ -188,7 +188,9 @@ class RatingMatrix:
         return M
 
     def subset(self, positions) -> "RatingMatrix":
-        idx = np.asarray(positions, dtype=np.int64)
+        """The entries at `positions`, integer indices into the triplets
+        (`linalg.checked_linear`), in that order."""
+        idx = checked_linear(positions, self.n_known, "position")
         return RatingMatrix(self.m, self.n, self.rows[idx], self.cols[idx], self.vals[idx])
 
     @classmethod
@@ -397,7 +399,7 @@ class ProductOperator:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return product_apply(self, x)
 
-    def preconditioner(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+    def preconditioner(self) -> Optional[FastDiagPreconditioner]:
         """fast_diag_preconditioner for Q as it stands."""
         return fast_diag_preconditioner(self.row_graph, self.col_graph, self.alpha,
                                         self.beta, self.sample_diag)
@@ -418,9 +420,31 @@ def product_apply(op: ProductOperator, x) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class FastDiagPreconditioner:
+    """x -> (S + cI)^-1 x, built by fast_diag_preconditioner (see there).
+
+    `shift` is d - c for the operator A = S + diag(d) it was built for, so
+    that A T r = r + shift * T r holds for any r, up to the rounding of the
+    factor eigenvectors U and V: a solver gets the image of a preconditioned
+    vector without applying A (`linalg.lobpcg_smallest`).
+    The arrays are shared, not copied; do not modify them.
+    """
+
+    U: np.ndarray
+    V: np.ndarray
+    inv: np.ndarray
+    shift: np.ndarray
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        n, m = self.inv.shape
+        V, U = self.V, self.U
+        return (V @ ((V.T @ x.reshape((n, m)) @ U) * self.inv) @ U.T).ravel()
+
+
 def fast_diag_preconditioner(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
                              alpha: float, beta: float, diag: np.ndarray
-                             ) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+                             ) -> Optional[FastDiagPreconditioner]:
     """x -> (S + cI)^-1 x for A = diag(d) + S, S = alpha I (x) L_r + beta L_c (x) I,
     on column-major m x n vectors, or None where the rule below says so.
 
@@ -428,17 +452,22 @@ def fast_diag_preconditioner(row_graph: GraphLaplacian, col_graph: GraphLaplacia
     S is diagonal in V (x) U, so the inverse is four dense products of factor
     size (fast diagonalization; Lynch, Rice & Thomas, Numer. Math. 6, 1964).
     c = max(sum(d), 1) / mn, the mean of the diagonal term, floored so the
-    inverse stays bounded on S's null space.
+    inverse stays bounded on S's null space. The result also carries the
+    shift d - c (FastDiagPreconditioner).
 
     The rule: samples on the low modes, those where S is below max(d), cost
     the preconditioned solvers iterations, and on a product of two graphs a
-    preconditioned iteration costs about 2.5 plain ones. So None when
+    preconditioned CG iteration costs about 2.5 plain ones. So None when
     (#nonzero d / mn) * (#low modes / mn) exceeds FAST_DIAG_SHARE there, as at
     alpha = beta = 0.01 with 10% of the grid sampled. On one graph (the other
     a point, an IGCS block) it won at every density measured. A factor above
     FAST_DIAG_CAP nodes gives None, before any spectrum is computed: the
     dense products grow as mn(m + n) against the sparse matvec's nnz, and
-    the 2.5 above was measured at 120 x 80 only.
+    the 2.5 above was measured at 120 x 80 only. It holds for CG alone: a
+    preconditioned LOBPCG iteration takes the image of its search direction
+    from the shift instead of a matvec, so it costs less. The rule and its
+    constants are kept as they were measured, with LOBPCG applying A on
+    every iteration.
     """
     m, n = row_graph.n, col_graph.n
     if max(m, n) > FAST_DIAG_CAP:
@@ -449,12 +478,8 @@ def fast_diag_preconditioner(row_graph: GraphLaplacian, col_graph: GraphLaplacia
     low = np.count_nonzero(smooth < diag.max(initial=0.0))
     if min(m, n) > 1 and np.count_nonzero(diag) * low > FAST_DIAG_SHARE * diag.size ** 2:
         return None
-    inv = 1.0 / (smooth + max(float(diag.sum()), 1.0) / diag.size)
-
-    def apply(x):
-        return (V @ ((V.T @ x.reshape((n, m)) @ U) * inv) @ U.T).ravel()
-
-    return apply
+    c = max(float(diag.sum()), 1.0) / diag.size
+    return FastDiagPreconditioner(U, V, 1.0 / (smooth + c), diag - c)
 
 
 def product_dense(op: ProductOperator) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 CSR storage, conjugate gradient, a single-vector LOBPCG for the smallest
 eigenpair (with warm start; one operator application per iteration plus one
-that confirms the final residual), both optionally preconditioned, a dense
+that confirms the final residual, or only the confirming one when the
+preconditioner supplies the image of each search direction and the start
+comes with its image), both optionally preconditioned, a dense
 symmetric eigendecomposition oracle for small problems, Gershgorin disc
 utilities, the one reader of the package's numeric text tables, the one
 rule for matrix entries, and edge-list I/O.
@@ -10,10 +12,11 @@ rule for matrix entries, and edge-list I/O.
 
 from __future__ import annotations
 
+import io
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Protocol, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,9 +39,12 @@ P_DROP_TOL = 1e-14
 
 SYMMETRY_TOL = 1e-12
 
-# Text tables (ratings, sample sets, edge lists) skip everything from either
-# marker to the end of a line: `#` comments and `row,...` headers.
-TABLE_COMMENTS = ("#", "row")
+# Text tables (ratings, sample sets, edge lists) skip everything from `#` (a
+# comment) or `row` (a header) to the end of a line. The readers delete what
+# `row` skips before parsing, keeping every newline, because np.loadtxt takes
+# a second comment marker through a per-line Python pass instead of its C
+# tokenizer.
+_HEADER = re.compile("row[^\n]*")
 
 
 class ConvergenceError(RuntimeError):
@@ -106,13 +112,16 @@ class SparseSym:
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Eigenvalue with its unit-norm eigenvector plus solver bookkeeping."""
+    """Eigenvalue with its unit-norm eigenvector plus solver bookkeeping.
+    `image` is A vec from the application that computed `residual`, where
+    the solver keeps it (`lobpcg_smallest`)."""
 
     value: float
     vec: np.ndarray
     residual: float = 0.0
     iterations: int = 0
     converged: bool = True
+    image: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -218,10 +227,15 @@ def _residual(V, AV, lam):
     return float(np.linalg.norm(V[2]))
 
 
-def _restart(A, V, AV):
-    """Normalize x = V[1] and apply A to it afresh; returns (lambda, residual)."""
-    V[1] /= np.linalg.norm(V[1])
-    AV[1] = A(V[1])
+def _restart(A, V, AV, image=None):
+    """Normalize x = V[1] and set A x: apply A afresh, or divide `image`, the
+    image of x as it was, by the same norm. Returns (lambda, residual)."""
+    norm = np.linalg.norm(V[1])
+    V[1] /= norm
+    if image is None:
+        AV[1] = A(V[1])
+    else:
+        np.divide(image, norm, out=AV[1])
     lam = float(V[1] @ AV[1])
     return lam, _residual(V, AV, lam)
 
@@ -245,6 +259,15 @@ def _ritz(M, K):
     return float(evals[0]), s * (Linv.T @ Y[:, 0])
 
 
+class ShiftedPreconditioner(Protocol):
+    """r -> T r, with the shift vector of an operator A that satisfies
+    A T r = r + shift * T r (`graphs.FastDiagPreconditioner`)."""
+
+    shift: np.ndarray
+
+    def __call__(self, r: np.ndarray) -> np.ndarray: ...
+
+
 # Columns of the coefficient matrix for the rows of V[3 - k:], which hold
 # [p, x, w] (k = 3) or [x, w] (k = 2), on the Rayleigh-Ritz basis (x, w[, p]).
 _STORAGE_ORDER = {3: [2, 0, 1], 2: [0, 1]}
@@ -252,8 +275,8 @@ _STORAGE_ORDER = {3: [2, 0, 1], 2: [0, 1]}
 
 def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray], x0,
                     opts: Optional[SolverOptions] = None,
-                    precond: Optional[Callable[[np.ndarray], np.ndarray]] = None
-                    ) -> EigenPair:
+                    precond: Optional[ShiftedPreconditioner] = None,
+                    image: Optional[np.ndarray] = None) -> EigenPair:
     """Smallest eigenpair of a symmetric PSD operator, block size 1.
 
     Each iteration does a Rayleigh-Ritz step on span{x, w, p} where w is the
@@ -261,16 +284,23 @@ def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray], x0,
     direction. x0 seeds the subspace, so passing the previous eigenvector
     warm-starts the solve.
 
-    The operator is applied once per iteration, to w: A x and A p are carried
-    forward as the same linear combinations that produce x and p (Knyazev,
-    SIAM J. Sci. Comput. 23(2), 2001). The Gram matrices of the 3x3 (2x2
-    without p) Rayleigh-Ritz problem take their w entries from dot products
-    and their x and p entries from the previous step's coefficients; p is
-    left out when it is numerically in span{x, w} (see RR_PIVOT_TOL). Before
-    returning, A x is recomputed with one more operator application and the
-    reported residual is taken from it; a converged result whose fresh
-    residual is above tol goes on iterating, and the check is not counted
-    as an iteration.
+    A x and A p are carried forward as the same linear combinations that
+    produce x and p (Knyazev, SIAM J. Sci. Comput. 23(2), 2001), so each
+    iteration needs only A w. Without a preconditioner, the operator is
+    applied to w. A preconditioner T promises A T r = r + shift * T r, up to
+    rounding, and A w is taken from that instead. The Gram matrices of the
+    3x3 (2x2 without p) Rayleigh-Ritz problem take their w entries from dot
+    products and their x and p entries from the previous step's
+    coefficients; p is left out when it is numerically in span{x, w} (see
+    RR_PIVOT_TOL).
+
+    Before returning, A x is recomputed with one more operator application,
+    and the reported value, residual and image are taken from it. A result
+    whose fresh residual is above tol goes on iterating, and the check is
+    not counted as an iteration. So a preconditioned solve applies the
+    operator twice, at the start and to confirm, or once when
+    it is given the image of x0. A wrong image or shift can cost iterations
+    or leave the solve unconverged, but it is never reported as converged.
 
     Parameters
     ----------
@@ -281,22 +311,33 @@ def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray], x0,
     opts : SolverOptions
         tol bounds the absolute residual ||A v - lambda v|| (default 1e-6);
         max_iter defaults to 500.
-    precond : callable, optional
-        r -> T r for an SPD T; only the search direction w = T r changes.
-        The convergence test and the reported residual stay those of A
-        itself. None searches along the residual.
+    precond : ShiftedPreconditioner, optional
+        r -> T r for an SPD T, with the `shift` of A T r = r + shift * T r
+        (`graphs.FastDiagPreconditioner`); only the search direction w = T r
+        changes. The convergence test and the reported residual stay those
+        of A itself. None searches along the residual.
+    image : ndarray, optional
+        A x0, for a warm start whose image is known (EigenPair.image, updated
+        for what changed in A). A is then not applied to x0, and the start
+        is confirmed like any other iterate, even if already within tol.
 
     Returns
     -------
     EigenPair
-        Best iterate and its freshly computed residual; `converged` is False
-        if the tolerance was not reached within max_iter.
+        Best iterate, with its freshly computed residual and image;
+        `converged` is False if the tolerance was not reached within
+        max_iter.
     """
     opts = opts or SolverOptions()
     x0 = np.asarray(x0, dtype=np.float64)
     norm0 = np.linalg.norm(x0)
     if norm0 == 0.0 or not np.isfinite(norm0):
         raise ValueError("initial vector must be nonzero and finite")
+
+    if image is not None:
+        image = np.asarray(image, dtype=np.float64)
+        if image.shape != x0.shape:
+            raise ValueError("image must have the shape of the initial vector")
 
     tol = LOBPCG_TOL if opts.tol is None else opts.tol
     max_iter = LOBPCG_MAX_ITER if opts.max_iter is None else opts.max_iter
@@ -306,8 +347,8 @@ def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray], x0,
     V, AV = np.zeros((3, x0.size)), np.zeros((3, x0.size))
     V_next, AV_next = np.empty_like(V), np.empty_like(AV)
     V[1] = x0
-    lam, res = _restart(apply, V, AV)
-    fresh, has_p = True, False
+    lam, res = _restart(apply, V, AV, image)
+    fresh, has_p = image is None, False
     # Gram matrices of the carried (x, p): B'B in G and B'AB in H.
     G, H = np.eye(2), np.diag([lam, 0.0])
     it = 0
@@ -324,9 +365,15 @@ def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray], x0,
         if it == max_iter:
             break
         w = V[2]
-        if precond is not None:
-            w[:] = precond(w)
-        AV[2] = apply(w)
+        if precond is None:
+            AV[2] = apply(w)
+        else:
+            Tr = precond(w)
+            np.multiply(precond.shift, Tr, out=AV[2])
+            # A T r = r + shift * T r, up to the rounding of T's factors;
+            # the confirming application checks what that leaves.
+            AV[2] += w
+            w[:] = Tr
         g = V @ w
         h = AV @ w
         # On the basis (x, w, p); the p row and column are unused without p.
@@ -361,7 +408,7 @@ def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray], x0,
     if not fresh:
         lam, res = _restart(apply, V, AV)
     return EigenPair(lam, V[1].copy(), residual=res, iterations=it,
-                     converged=bool(res <= tol))
+                     converged=bool(res <= tol), image=AV[1].copy())
 
 
 def dense_sym_eig(A):
@@ -413,40 +460,46 @@ def read_table(path, dtype, delimiter: Optional[str] = ",") -> np.ndarray:
     splits on whitespace. Empty lines and everything from `#` or `row` (a
     header) to the end of a line are skipped.
 
-    The body is parsed in one np.loadtxt call; only when that fails are the
-    lines scanned, to raise `<path>:<line>: expected '<columns>'` for the
+    The body is read once, stripped of what `row` skips, and parsed in one
+    np.loadtxt call with `#` as its only marker; only when that fails are
+    the lines scanned, to raise `<path>:<line>: expected '<columns>'` for the
     first one numpy rejects, or `index (...) out of range` when an integer
     column overflows int64.
     """
     dtype = np.dtype(dtype)
-    kw = dict(dtype=dtype, delimiter=delimiter, comments=TABLE_COMMENTS, ndmin=1)
+    kw = dict(dtype=dtype, delimiter=delimiter, comments="#", ndmin=1)
+    text = _table_text(path)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a table with no data lines
         try:
-            return np.loadtxt(path, **kw)
+            return np.loadtxt(io.StringIO(text), **kw)
         except ValueError as err:
-            with open(path) as f:
-                for lineno, line in enumerate(f, start=1):
+            for lineno, line in enumerate(text.split("\n"), start=1):
+                try:
+                    np.loadtxt([line], **kw)
+                except ValueError:
+                    ints = [v.strip() for v, name in zip(line.split(delimiter), dtype.names)
+                            if dtype[name].kind == "i"]
                     try:
-                        np.loadtxt([line], **kw)
+                        huge = any(abs(int(v)) >= 2**63 for v in ints)
                     except ValueError:
-                        ints = [v.strip() for v, name in zip(line.split(delimiter), dtype.names)
-                                if dtype[name].kind == "i"]
-                        try:
-                            huge = any(abs(int(v)) >= 2**63 for v in ints)
-                        except ValueError:
-                            huge = False
-                        what = (f"index ({','.join(ints)}) out of range" if huge else
-                                f"expected '{(delimiter or ' ').join(dtype.names)}'")
-                        raise ValueError(f"{path}:{lineno}: {what}") from None
+                        huge = False
+                    what = (f"index ({','.join(ints)}) out of range" if huge else
+                            f"expected '{(delimiter or ' ').join(dtype.names)}'")
+                    raise ValueError(f"{path}:{lineno}: {what}") from None
             raise ValueError(f"{path}: {err}") from None
+
+
+def _table_text(path) -> str:
+    """The text of a table with its headers deleted, line for line."""
+    with open(path) as f:
+        return _HEADER.sub("", f.read())
 
 
 def table_lines(path) -> List[int]:
     """1-based line numbers of the records `read_table` returns, in order."""
-    with open(path) as f:
-        return [lineno for lineno, line in enumerate(f, start=1)
-                if re.split("|".join(TABLE_COMMENTS), line, maxsplit=1)[0].strip()]
+    return [lineno for lineno, line in enumerate(_table_text(path).split("\n"), start=1)
+            if line.split("#", 1)[0].strip()]
 
 
 def as_int64(a, what: str) -> Optional[np.ndarray]:
@@ -465,6 +518,19 @@ def as_int64(a, what: str) -> Optional[np.ndarray]:
         return a.astype(np.int64)
     except OverflowError:
         raise ValueError(f"{what} index beyond int64") from None
+
+
+def checked_linear(idx, size: int, what: str) -> np.ndarray:
+    """idx as int64 linear indices into [0, size), in idx's shape. They must
+    be integers (`as_int64`), or an empty sequence; the error names
+    `what` and the first index outside the range."""
+    idx = as_int64(idx, what)
+    if idx is None:
+        raise ValueError(f"{what} must be integer linear indices")
+    outside = (idx < 0) | (idx >= size)
+    if outside.any():  # numpy would wrap a negative index
+        raise ValueError(f"{what} index {idx.flat[np.argmax(outside)]} outside [0, {size})")
+    return idx
 
 
 class EntryError(ValueError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -30,7 +30,7 @@ from .linalg import (
     ConvergenceError,
     EigenPair,
     SolverOptions,
-    as_int64,
+    checked_linear,
     entry_pairs,
     lobpcg_smallest,
     random_unit,
@@ -101,19 +101,6 @@ def argmax_abs_tied(vec: np.ndarray, candidates: np.ndarray, tie_tol: float = TI
     return int(cand[np.flatnonzero(mags >= top - tie_tol)[0]])
 
 
-def checked_linear(idx, size: int, what: str) -> np.ndarray:
-    """idx as int64 linear indices into [0, size), in idx's shape. They must
-    be integers (`linalg.as_int64`), or an empty sequence; the error names
-    `what` and the first index outside the range."""
-    idx = as_int64(idx, what)
-    if idx is None:
-        raise ValueError(f"{what} must be integer linear indices")
-    outside = (idx < 0) | (idx >= size)
-    if outside.any():  # numpy would wrap a negative index
-        raise ValueError(f"{what} index {idx.flat[np.argmax(outside)]} outside [0, {size})")
-    return idx
-
-
 def _normalize_allowed(allowed, size: int) -> np.ndarray:
     """Boolean mask over [0, size) of the allowed linear indices (all when
     None); an empty sequence is an empty pool."""
@@ -123,22 +110,32 @@ def _normalize_allowed(allowed, size: int) -> np.ndarray:
     return mask
 
 
-def _solve_step(apply, x0, opts, precond, rng, n, what):
-    """One eigensolve; retry once from a fresh random start before giving up."""
-    pair = lobpcg_smallest(apply, x0, opts, precond)
+def _solve_step(apply, x0, image, opts, precond, rng, n, what):
+    """One eigensolve from x0 (with its image A x0, or None); retry once from
+    a fresh random start before giving up."""
+    pair = lobpcg_smallest(apply, x0, opts, precond, image)
     if not pair.converged:
         _log.warning("%s: eigensolver did not converge (residual %.3e after %d "
                      "iterations); retrying from a random start",
                      what, pair.residual, pair.iterations)
         retry = lobpcg_smallest(apply, random_unit(rng, n), opts, precond)
-        retry = EigenPair(retry.value, retry.vec, retry.residual,
-                          pair.iterations + retry.iterations, retry.converged)
+        retry = replace(retry, iterations=pair.iterations + retry.iterations)
         if not retry.converged:
             raise ConvergenceError(
                 f"{what}: eigensolver did not converge "
                 f"(residual {retry.residual:.3e})", residual=retry.residual)
         return retry
     return pair
+
+
+def _sampled_at(pair: EigenPair, k: int, weight: float) -> EigenPair:
+    """pair as a warm start for its operator with `weight` added at diagonal
+    entry k, which was 0: the image gains weight * vec[k] there. Both
+    sampler operators add their diagonal term last, so the result equals
+    the new operator applied to vec, bit for bit."""
+    image = pair.image.copy()
+    image[k] += weight * pair.vec[k]
+    return replace(pair, image=image)
 
 
 def greedy_disc_shift(op: ProductOperator, K: int,
@@ -148,8 +145,9 @@ def greedy_disc_shift(op: ProductOperator, K: int,
     """The greedy disc-shift loop shared by GCS and A-optimal local search.
 
     Each of the K steps solves for the first eigenvector phi of the current
-    operator (warm-started with the previous phi unless warm_start is off,
-    and preconditioned by op.preconditioner() as it stands),
+    operator (warm-started with the previous phi and its image unless
+    warm_start is off, and preconditioned by op.preconditioner() as it
+    stands),
     takes k = pick(phi, available), available being the boolean mask of
     unsampled allowed indices (read only), and sets diagonal entry k to 1.
     what names the sampler in convergence errors. The caller's operator is
@@ -163,12 +161,13 @@ def greedy_disc_shift(op: ProductOperator, K: int,
         raise ValueError(f"budget {K} exceeds available pool {int(available.sum())}")
 
     rng = np.random.default_rng(opts.seed)
-    warm: Optional[np.ndarray] = None
+    warm: Optional[EigenPair] = None
     picks: List[int] = []
     state = SamplerState()
     for t in range(K):
-        x0 = warm if warm is not None else random_unit(rng, size)
-        pair = _solve_step(op.apply, x0, opts, op.preconditioner(), rng, size,
+        x0, image = (warm.vec, warm.image) if warm is not None else (
+            random_unit(rng, size), None)
+        pair = _solve_step(op.apply, x0, image, opts, op.preconditioner(), rng, size,
                            f"{what} step {t}")
         k_star = pick(pair.vec, available)
         op.sample_diag[k_star] = 1.0
@@ -176,7 +175,7 @@ def greedy_disc_shift(op: ProductOperator, K: int,
         picks.append(k_star)
         state.iter_counts.append(pair.iterations)
         if warm_start:
-            warm = pair.vec
+            warm = _sampled_at(pair, k_star, 1.0)
     return _from_linear(picks, op.m, K), state
 
 
@@ -207,8 +206,8 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
     the group of the last picked row (matrix (1-q) * diag(indicator_row_i) +
     beta * L_c), and so on until K entries are chosen. Each block solve is
     preconditioned by fast_diag_preconditioner of its block. The warm vector
-    lives only within one block streak; each new streak starts from a seeded
-    random vector. An exhausted block advances to the next block index,
+    and its image (see greedy_disc_shift) live only within one block streak;
+    each new streak starts from a seeded random vector. An exhausted block advances to the next block index,
     wrapping.
     """
     if not (0.0 < q < 1.0):
@@ -233,7 +232,7 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
     mode = "cluster"
     block = 0
     streak = 0
-    warm: Optional[np.ndarray] = None
+    warm: Optional[EigenPair] = None
     picks: List[int] = []
     state = SamplerState()
 
@@ -253,18 +252,18 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
         skips = 0
         streak += 1
         diag, L = w_diag * samp[:, block], G.laplacian
-        apply = lambda v: diag * v + w_lap * (L @ v)
+        apply = lambda v: w_lap * (L @ v) + diag * v  # the diagonal term last
         precond = fast_diag_preconditioner(G, point, w_lap, 0.0, diag)
-        x0 = warm if warm is not None else random_unit(rng, dim)
-        pair = _solve_step(apply, x0, opts, precond,
+        x0, image = (warm.vec, warm.image) if warm is not None else (
+            random_unit(rng, dim), None)
+        pair = _solve_step(apply, x0, image, opts, precond,
                            rng, dim, f"IGCS {mode} {block} (pick {len(picks)})")
-        phi = pair.vec
-        k_star = argmax_abs_tied(phi, np.flatnonzero(avail))
+        k_star = argmax_abs_tied(pair.vec, np.flatnonzero(avail))
         samp[k_star, block] = True
         picks.append(k_star * stride[0] + block * stride[1])
         state.steps.append((mode, block, k_star))
         state.iter_counts.append(pair.iterations)
-        warm = phi
+        warm = _sampled_at(pair, k_star, w_diag)
         if streak >= zeta:
             mode = "group" if mode == "cluster" else "cluster"
             block = k_star

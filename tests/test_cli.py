@@ -316,6 +316,8 @@ BAD_FILES = {
     "dense.csv": ("1,2,x\n", ": could not convert string 'x' to float64"),
     "int.cfg": ("dataset = synthetic\nzeta = x\n", ": invalid literal for int()"),
     "key.cfg": ("dataset = synthetic\nbogus = 1\n", ": unknown config key 'bogus'"),
+    # Not written: the path once, not Python's `[Errno 2] ...: '<path>'`.
+    "missing.csv": (None, ": No such file or directory"),
 }
 
 
@@ -324,13 +326,17 @@ BAD_FILES = {
     ("graph --ratings", "ratings.csv"), ("complete --row-graph", "lower.txt"),
     ("sample --col-graph", "nan.txt"), ("eval --completed", "dense.csv"),
     ("graph --features", "dense.csv"), ("experiment --config", "int.cfg"),
-    ("experiment --config", "key.cfg")])
+    ("experiment --config", "key.cfg"), ("experiment dataset", "ratings.csv"),
+    ("experiment row_graph", "lower.txt"), ("complete --ratings", "missing.csv"),
+    ("complete --omega", "missing.csv"), ("complete --row-graph", "missing.csv"),
+    ("sample --pool", "missing.csv"), ("experiment dataset", "missing.csv")])
 def test_unreadable_file_exits_naming_it(dataset, tmp_path, reader, bad):
     # Each of these used to end in a traceback; the loadtxt and config
     # errors did not name the file at all.
     path = tmp_path / bad
     text, msg = BAD_FILES[bad]
-    path.write_text(text)
+    if text is not None:
+        path.write_text(text)
     X, pairs = str(tmp_path / "x.csv"), str(tmp_path / "pairs.csv")
     np.savetxt(X, np.ones((12, 9)), delimiter=",")
     with open(pairs, "w") as f:
@@ -339,8 +345,8 @@ def test_unreadable_file_exits_naming_it(dataset, tmp_path, reader, bad):
                                                          "col_graph.txt"))
     out = str(tmp_path / "out")
 
-    def complete(ratings=ratings, rg=rg):
-        return ["complete", "--ratings", ratings, "--omega", pairs, "--row-graph", rg,
+    def complete(ratings=ratings, omega=pairs, rg=rg):
+        return ["complete", "--ratings", ratings, "--omega", omega, "--row-graph", rg,
                 "--col-graph", cg, "--out", out]
 
     def evaluate(X=X, truth=ratings):
@@ -349,12 +355,20 @@ def test_unreadable_file_exits_naming_it(dataset, tmp_path, reader, bad):
     argv = {"complete --ratings": complete(ratings=str(path)),
             "eval --truth": evaluate(truth=str(path)),
             "graph --ratings": ["graph", "--ratings", str(path), "--out", out],
+            "complete --omega": complete(omega=str(path)),
             "complete --row-graph": complete(rg=str(path)),
+            "sample --pool": ["sample", "--method", "random", "--budget", "1", "--pool",
+                              str(path), "--m", "12", "--n", "9", "--out", out],
             "sample --col-graph": ["sample", "--method", "gcs", "--budget", "2",
                                    "--row-graph", rg, "--col-graph", str(path), "--out", out],
             "eval --completed": evaluate(X=str(path)),
             "graph --features": ["graph", "--features", str(path), "--out", out],
-            "experiment --config": ["experiment", "--config", str(path)]}[reader]
+            "experiment --config": ["experiment", "--config", str(path)]}
+    # A config whose dataset or provided graph is the bad file.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"dataset = {path if reader == 'experiment dataset' else ratings}\n"
+                   f"row_graph = {path}\ncol_graph = {cg}\noutput_dir = {out}\n")
+    argv = argv.get(reader, ["experiment", "--config", str(cfg)])
     with pytest.raises(SystemExit, match="^" + re.escape(f"{path}{msg}")):
         main(argv)
 
@@ -374,6 +388,15 @@ def test_experiment_subcommand(tmp_path, capsys):
     assert code == 0
     rows = load_metrics(out_dir / "metrics.csv")
     assert [(r.method, r.K) for r in rows] == [("gcs", 6), ("random", 6)]
+
+
+def test_experiment_config_error_names_the_config(tmp_path):
+    # Raised before the first cell, outside the per-cell failure isolation.
+    out_dir, cfg = tmp_path / "results", tmp_path / "exp.cfg"
+    cfg.write_text("dataset = synthetic:m=12,n=9,row_comm=3,col_comm=3,p_in=0.9,p_out=0.2\n"
+                   f"graph_source = g1_features\noutput_dir = {out_dir}\n")
+    with pytest.raises(SystemExit, match="^" + re.escape(f"{cfg}: g1_features needs")):
+        main(["experiment", "--config", str(cfg)])
 
 
 def test_experiment_reports_failures(tmp_path, capsys):

@@ -202,6 +202,18 @@ def test_rating_matrix_rejects_out_of_range():
         RatingMatrix(2, 2, [2], [0], [1.0])
 
 
+def test_rating_matrix_subset_takes_integer_positions():
+    R = RatingMatrix(3, 2, [0, 1, 2], [0, 1, 0], [1.0, 2.0, 3.0])
+    S = R.subset(np.array([2, 0]))
+    assert S.rows.tolist() == [2, 0] and S.vals.tolist() == [3.0, 1.0]
+    assert R.subset([]).n_known == 0
+    # Fractional positions were truncated, and negative ones wrapped.
+    for bad, msg in [([0.9, 1.7], "integer"), ([1.0], "integer"), ([True], "integer"),
+                     ([-1], "position index -1 outside"), ([3], "position index 3 outside")]:
+        with pytest.raises(ValueError, match=msg):
+            R.subset(bad)
+
+
 def test_rating_matrix_from_dense_nan_missing():
     Y = np.array([[1.0, np.nan], [np.nan, 4.0]])
     R = RatingMatrix.from_dense(Y)

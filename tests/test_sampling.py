@@ -155,8 +155,8 @@ def test_gcs_logs_eigensolver_retry(monkeypatch, caplog):
     real = sampling.lobpcg_smallest
     calls = []
 
-    def first_unconverged(apply, x0, opts, precond):
-        pair = real(apply, x0, opts, precond)
+    def first_unconverged(apply, x0, opts, precond, image=None):
+        pair = real(apply, x0, opts, precond, image)
         calls.append(pair)
         return dataclasses.replace(pair, converged=len(calls) > 1)
 
@@ -169,6 +169,25 @@ def test_gcs_logs_eigensolver_retry(monkeypatch, caplog):
     assert state.iter_counts == [calls[0].iterations + calls[1].iterations]
     assert "GCS step 0: eigensolver did not converge" in caplog.text
     assert "retrying from a random start" in caplog.text
+
+
+def test_samplers_warm_start_with_the_exact_image(monkeypatch):
+    # A warm start carries the previous solve's image plus the new diagonal
+    # term, which equals a fresh application bit for bit (GCS and IGCS).
+    real = sampling.lobpcg_smallest
+    exact = []
+
+    def spy(apply, x0, opts, precond, image=None):
+        if image is not None:
+            exact.append(np.array_equal(image, apply(x0)))
+        return real(apply, x0, opts, precond, image)
+
+    monkeypatch.setattr(sampling, "lobpcg_smallest", spy)
+    d = synthetic_netflix(12, 9, 2, 2, seed=1, p_in=0.8, p_out=0.1)
+    gcs_sample(ProductOperator(d.row_graph, d.col_graph, 1.0, 0.5), 10)
+    assert len(exact) == 9
+    igcs_sample(d.row_graph, d.col_graph, 1.0, 0.5, zeta=3, K=12)
+    assert len(exact) > 9 and all(exact)
 
 
 def test_unconverged_retry_names_sampler_step_once():
