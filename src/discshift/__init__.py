@@ -12,7 +12,6 @@ from .linalg import (
     SolverOptions,
     SparseSym,
     cg_solve,
-    dense_sym_eig,
     gershgorin_bounds,
     lobpcg_smallest,
     load_edge_list,
@@ -24,7 +23,6 @@ from .graphs import (
     RatingMatrix,
     community_graph,
     content_graph,
-    graph_variation,
     knn_feature_graph,
     laplacian_from_weights,
     product_apply,
@@ -34,7 +32,6 @@ from .graphs import (
 from .sampling import (
     SampleSet,
     SamplerState,
-    exact_greedy_oracle,
     gcs_sample,
     greedy_disc_shift,
     igcs_sample,

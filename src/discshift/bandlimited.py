@@ -20,15 +20,13 @@ from .sampling import TIE_TOL, SampleSet, argmax_abs_tied, greedy_disc_shift
 
 AOPT_EPS = 1e-8
 GRAM_RANK_TOL = 1e-10
-MATERIALIZE_CAP = 4096
 
 
 @dataclass(frozen=True)
 class BandlimitedBasis:
     """First k1 / k2 Laplacian eigenvectors of the column / row graphs.
 
-    T = U_k1 (x) V_k2 is applied through reshapes, never materialized for
-    large problems.
+    T = U_k1 (x) V_k2 is applied through reshapes, never materialized.
     """
 
     U: np.ndarray  # n x k1, column-graph eigenvectors
@@ -67,12 +65,6 @@ class BandlimitedBasis:
         j, i = np.divmod(lin, self.m)
         # Row r is kron(U[j_r], V[i_r]): entry p*k2 + q is U[j_r, p] * V[i_r, q].
         return (self.U[j][..., :, None] * self.V[i][..., None, :]).reshape(lin.shape + (self.rank,))
-
-    def materialize(self) -> np.ndarray:
-        """T as a dense array; refuses mn above MATERIALIZE_CAP."""
-        if self.m * self.n > MATERIALIZE_CAP:
-            raise ValueError("refusing to materialize a large basis")
-        return np.kron(self.U, self.V)
 
 
 def bandlimited_basis(row_graph: GraphLaplacian, col_graph: GraphLaplacian,

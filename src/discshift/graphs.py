@@ -82,14 +82,6 @@ def trivial_graph() -> GraphLaplacian:
     return laplacian_from_weights(empty)
 
 
-def graph_variation(G: GraphLaplacian, x) -> float:
-    """Quadratic form x' L x = sum_{ij} W_ij (x_i - x_j)^2 / accounting."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (G.n,):
-        raise ValueError(f"dimension mismatch: graph has {G.n} nodes, x is {x.shape}")
-    return float(x @ (G.laplacian @ x))
-
-
 def knn_feature_graph(features, k: int = 10) -> GraphLaplacian:
     """Weighted k-nearest-neighbor graph over feature vectors.
 
@@ -172,9 +164,6 @@ class RatingMatrix:
     @property
     def n_known(self) -> int:
         return int(self.rows.size)
-
-    def density(self) -> float:
-        return self.n_known / float(self.m * self.n)
 
     def to_dense(self) -> np.ndarray:
         """The ratings as an m x n array, 0 where unobserved."""
@@ -463,11 +452,13 @@ def fast_diag_preconditioner(row_graph: GraphLaplacian, col_graph: GraphLaplacia
     a point, an IGCS block) it won at every density measured. A factor above
     FAST_DIAG_CAP nodes gives None, before any spectrum is computed: the
     dense products grow as mn(m + n) against the sparse matvec's nnz, and
-    the 2.5 above was measured at 120 x 80 only. It holds for CG alone: a
-    preconditioned LOBPCG iteration takes the image of its search direction
-    from the shift instead of a matvec, so it costs less. The rule and its
-    constants are kept as they were measured, with LOBPCG applying A on
-    every iteration.
+    the 2.5 above was measured at 120 x 80 only. The rule still pays for CG:
+    at 120 x 80, alpha = beta = 0.01 and 10% sampled, preconditioned CG took
+    13.5 ms against 8.3 ms plain; at 300 x 200 and 20% sampled, 130 ms
+    against 64 ms. It costs GCS, whose preconditioned LOBPCG iteration takes
+    the image of its search direction from the shift instead of a matvec: at
+    120 x 80, alpha = beta = 0.01, GCS sampling with the rule removed ran in
+    0.73-0.80x the time.
     """
     m, n = row_graph.n, col_graph.n
     if max(m, n) > FAST_DIAG_CAP:

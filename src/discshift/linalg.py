@@ -4,8 +4,7 @@ CSR storage, conjugate gradient, a single-vector LOBPCG for the smallest
 eigenpair (with warm start; one operator application per iteration plus one
 that confirms the final residual, or only the confirming one when the
 preconditioner supplies the image of each search direction and the start
-comes with its image), both optionally preconditioned, a dense
-symmetric eigendecomposition oracle for small problems, Gershgorin disc
+comes with its image), both optionally preconditioned, Gershgorin disc
 utilities, the one reader of the package's numeric text tables, the one
 rule for matrix entries, and edge-list I/O.
 """
@@ -27,7 +26,6 @@ from scipy.linalg import lapack
 CG_TOL = 1e-8
 LOBPCG_TOL = 1e-6
 LOBPCG_MAX_ITER = 500
-DENSE_EIG_CAP = 512
 # LOBPCG leaves p out of a Rayleigh-Ritz step when the last Cholesky pivot of
 # the unit-diagonal Gram matrix of (x, w, p) is below RR_PIVOT_TOL, i.e. when p
 # lies within an angle of about RR_PIVOT_TOL of span{x, w}. A pivot taken from
@@ -409,29 +407,6 @@ def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray], x0,
         lam, res = _restart(apply, V, AV)
     return EigenPair(lam, V[1].copy(), residual=res, iterations=it,
                      converged=bool(res <= tol), image=AV[1].copy())
-
-
-def dense_sym_eig(A):
-    """Full spectrum of a dense symmetric matrix, ascending.
-
-    Small-problem oracle; refuses matrices above DENSE_EIG_CAP or with
-    asymmetry beyond 1e-10. Returns a list of EigenPair with orthonormal
-    eigenvectors.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    n = A.shape[0]
-    if n > DENSE_EIG_CAP:
-        raise ValueError(f"dimension {n} above dense oracle cap {DENSE_EIG_CAP}")
-    if n and np.max(np.abs(A - A.T)) > 1e-10:
-        raise ValueError("matrix asymmetry beyond 1e-10")
-    evals, evecs = np.linalg.eigh(0.5 * (A + A.T))
-    resid = np.linalg.norm(A @ evecs - evecs * evals, axis=0)
-    return [
-        EigenPair(float(evals[i]), evecs[:, i], residual=float(resid[i]))
-        for i in range(n)
-    ]
 
 
 def gershgorin_bounds(A: SparseSym) -> Tuple[np.ndarray, np.ndarray]:

@@ -6,14 +6,14 @@ self-loop there. GCS picks the largest-magnitude entry; the A-optimal local
 search in `bandlimited` runs the same loop with a pooled pick rule. The
 block-wise variant (IGCS) alternates between per-column "cluster" and
 per-row "group" blocks of the split operator so every eigensolve stays
-factor-sized. A uniform random baseline and an exact greedy oracle (dense,
-test-scale only) round things out.
+factor-sized. Each eigensolve runs once: one that does not converge raises
+ConvergenceError naming the sampler and step. A uniform random baseline
+rounds things out.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
@@ -23,7 +23,6 @@ from .graphs import (
     GraphLaplacian,
     ProductOperator,
     fast_diag_preconditioner,
-    product_dense,
     trivial_graph,
 )
 from .linalg import (
@@ -37,14 +36,10 @@ from .linalg import (
     read_table,
 )
 
-_log = logging.getLogger(__name__)
-
 # Magnitudes this close to the candidate max count as tied; the lowest linear
 # index wins. Calibrated to the eigenvector error of LOBPCG at its default
 # tolerance, and matching the gap below which selection is ambiguous anyway.
 TIE_TOL = 1e-4
-ORACLE_CAP = 64
-ORACLE_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +81,8 @@ def _from_linear(lin, m: int, budget: int) -> SampleSet:
 
 @dataclass
 class SamplerState:
-    """What a greedy sampler reports per pick: its LOBPCG iterations (a
-    retry's included) and, for IGCS, the (mode, block, index) of the pick."""
+    """What a greedy sampler reports per pick: its LOBPCG iterations and,
+    for IGCS, the (mode, block, index) of the pick."""
 
     iter_counts: List[int] = field(default_factory=list)
     steps: List[Tuple[str, int, int]] = field(default_factory=list)
@@ -110,21 +105,17 @@ def _normalize_allowed(allowed, size: int) -> np.ndarray:
     return mask
 
 
-def _solve_step(apply, x0, image, opts, precond, rng, n, what):
-    """One eigensolve from x0 (with its image A x0, or None); retry once from
-    a fresh random start before giving up."""
+def _solve_step(apply, warm, opts, precond, rng, n, what):
+    """One eigensolve from warm's vector and image, or from a random unit
+    vector with no image when warm is None; raises ConvergenceError naming
+    `what` if it does not converge."""
+    x0, image = (warm.vec, warm.image) if warm is not None else (
+        random_unit(rng, n), None)
     pair = lobpcg_smallest(apply, x0, opts, precond, image)
     if not pair.converged:
-        _log.warning("%s: eigensolver did not converge (residual %.3e after %d "
-                     "iterations); retrying from a random start",
-                     what, pair.residual, pair.iterations)
-        retry = lobpcg_smallest(apply, random_unit(rng, n), opts, precond)
-        retry = replace(retry, iterations=pair.iterations + retry.iterations)
-        if not retry.converged:
-            raise ConvergenceError(
-                f"{what}: eigensolver did not converge "
-                f"(residual {retry.residual:.3e})", residual=retry.residual)
-        return retry
+        raise ConvergenceError(
+            f"{what}: eigensolver did not converge "
+            f"(residual {pair.residual:.3e})", residual=pair.residual)
     return pair
 
 
@@ -165,9 +156,7 @@ def greedy_disc_shift(op: ProductOperator, K: int,
     picks: List[int] = []
     state = SamplerState()
     for t in range(K):
-        x0, image = (warm.vec, warm.image) if warm is not None else (
-            random_unit(rng, size), None)
-        pair = _solve_step(op.apply, x0, image, opts, op.preconditioner(), rng, size,
+        pair = _solve_step(op.apply, warm, opts, op.preconditioner(), rng, size,
                            f"{what} step {t}")
         k_star = pick(pair.vec, available)
         op.sample_diag[k_star] = 1.0
@@ -254,10 +243,8 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
         diag, L = w_diag * samp[:, block], G.laplacian
         apply = lambda v: w_lap * (L @ v) + diag * v  # the diagonal term last
         precond = fast_diag_preconditioner(G, point, w_lap, 0.0, diag)
-        x0, image = (warm.vec, warm.image) if warm is not None else (
-            random_unit(rng, dim), None)
-        pair = _solve_step(apply, x0, image, opts, precond,
-                           rng, dim, f"IGCS {mode} {block} (pick {len(picks)})")
+        pair = _solve_step(apply, warm, opts, precond, rng, dim,
+                           f"IGCS {mode} {block} (pick {len(picks)})")
         k_star = argmax_abs_tied(pair.vec, np.flatnonzero(avail))
         samp[k_star, block] = True
         picks.append(k_star * stride[0] + block * stride[1])
@@ -281,40 +268,6 @@ def random_sample(m: int, n: int, K: int, seed: int = 0, allowed=None) -> Sample
         raise ValueError(f"budget {K} exceeds available pool {pool.size}")
     rng = np.random.default_rng(seed)
     return _from_linear(rng.choice(pool, size=K, replace=False), m, K)
-
-
-def exact_greedy_oracle(op: ProductOperator, K: int) -> Tuple[SampleSet, List[float]]:
-    """Brute-force greedy: per step, add the unit self-loop that maximizes the
-    smallest eigenvalue, evaluated densely over every candidate; a candidate
-    must beat the best so far by ORACLE_TIE_TOL, so ties go to the lowest index.
-
-    Test oracle only; refuses mn above ORACLE_CAP. Returns the selections and
-    the per-step smallest eigenvalue right after each addition.
-    """
-    size = op.size
-    if size > ORACLE_CAP:
-        raise ValueError(f"mn={size} above exact oracle cap {ORACLE_CAP}")
-    Q = product_dense(op)
-    sampled = op.sample_diag.astype(bool).copy()
-    picks: List[int] = []
-    trace: List[float] = []
-    for _ in range(K):
-        cand = np.flatnonzero(~sampled)
-        if cand.size == 0:
-            raise ValueError("budget exceeds pool")
-        best = None
-        for k in cand:
-            Qk = Q.copy()
-            Qk[k, k] += 1.0
-            lam = float(np.linalg.eigvalsh(Qk)[0])
-            if best is None or lam > best[1] + ORACLE_TIE_TOL:
-                best = (int(k), lam)
-        k_star, lam_star = best
-        Q[k_star, k_star] += 1.0
-        sampled[k_star] = True
-        picks.append(k_star)
-        trace.append(lam_star)
-    return _from_linear(picks, op.m, K), trace
 
 
 def lambda_max_bound(row_graph: GraphLaplacian, col_graph: GraphLaplacian,

@@ -47,12 +47,12 @@ from discshift.linalg import (
 )
 from discshift.sampling import (
     SampleSet,
-    exact_greedy_oracle,
     gcs_sample,
     igcs_sample,
     lambda_max_bound,
     random_sample,
 )
+from oracles import exact_greedy_oracle
 
 RESULTS = []
 

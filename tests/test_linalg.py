@@ -27,7 +27,6 @@ from discshift.linalg import (
     SolverOptions,
     SparseSym,
     cg_solve,
-    dense_sym_eig,
     entry_pairs,
     gershgorin_bounds,
     load_edge_list,
@@ -431,39 +430,6 @@ def test_sampler_picks_golden(seed):
     assert (ss.linear.tolist(), sum(state.iter_counts)) == want["igcs"]
     basis = bandlimited_basis(d.row_graph, d.col_graph, 3, 3)
     assert aopt_local_search(basis, op, 12, 10, opts=opts).linear.tolist() == want["aopt"]
-
-
-# ---------------------------------------------------------------- dense eig
-
-
-def test_dense_eig_diagonal():
-    pairs = dense_sym_eig(np.diag([3.0, 1.0, 2.0]))
-    assert_allclose([p.value for p in pairs], [1.0, 2.0, 3.0])
-
-
-def test_dense_eig_2x2_by_hand():
-    # char poly (2-l)^2 - 1 = 0 -> l in {1, 3}
-    pairs = dense_sym_eig(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    assert_allclose([p.value for p in pairs], [1.0, 3.0], atol=1e-12)
-
-
-def test_dense_eig_reconstruction():
-    rng = np.random.default_rng(12)
-    A = random_spd(10, rng)
-    pairs = dense_sym_eig(A)
-    V = np.column_stack([p.vec for p in pairs])
-    lam = np.array([p.value for p in pairs])
-    assert np.linalg.norm(A - (V * lam) @ V.T) <= 1e-9
-
-
-def test_dense_eig_cap():
-    with pytest.raises(ValueError):
-        dense_sym_eig(np.eye(600))
-
-
-def test_dense_eig_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        dense_sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 # --------------------------------------------------------------- Gershgorin

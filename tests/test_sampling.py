@@ -1,8 +1,5 @@
 """Tests for the greedy samplers and sample-set persistence."""
 
-import dataclasses
-import logging
-
 import numpy as np
 import pytest
 
@@ -20,7 +17,6 @@ from discshift.linalg import ConvergenceError, SolverOptions, SparseSym
 from discshift.sampling import (
     SampleSet,
     argmax_abs_tied,
-    exact_greedy_oracle,
     gcs_sample,
     igcs_sample,
     lambda_max_bound,
@@ -28,6 +24,7 @@ from discshift.sampling import (
     random_sample,
     save_sample_set,
 )
+from oracles import exact_greedy_oracle
 
 
 def path_graph(n):
@@ -149,28 +146,6 @@ def test_gcs_first_pick_is_linear_zero():
         assert ss.pairs[0] == (0, 0)
 
 
-def test_gcs_logs_eigensolver_retry(monkeypatch, caplog):
-    # The first solve reports no convergence; the sampler warns, retries
-    # from a random start and goes on with the retry's vector.
-    real = sampling.lobpcg_smallest
-    calls = []
-
-    def first_unconverged(apply, x0, opts, precond, image=None):
-        pair = real(apply, x0, opts, precond, image)
-        calls.append(pair)
-        return dataclasses.replace(pair, converged=len(calls) > 1)
-
-    monkeypatch.setattr(sampling, "lobpcg_smallest", first_unconverged)
-    op = ProductOperator(path_graph(3), path_graph(2), 0.1, 0.1)
-    with caplog.at_level(logging.WARNING, logger="discshift.sampling"):
-        ss, state = gcs_sample(op, 1)
-    assert len(calls) == 2
-    assert ss.pairs[0] == (0, 0)
-    assert state.iter_counts == [calls[0].iterations + calls[1].iterations]
-    assert "GCS step 0: eigensolver did not converge" in caplog.text
-    assert "retrying from a random start" in caplog.text
-
-
 def test_samplers_warm_start_with_the_exact_image(monkeypatch):
     # A warm start carries the previous solve's image plus the new diagonal
     # term, which equals a fresh application bit for bit (GCS and IGCS).
@@ -190,21 +165,34 @@ def test_samplers_warm_start_with_the_exact_image(monkeypatch):
     assert len(exact) > 9 and all(exact)
 
 
-def test_unconverged_retry_names_sampler_step_once():
-    # With one LOBPCG iteration allowed, the first solve and its retry both
-    # fail; the error names the sampler and step exactly once.
+def test_unconverged_solve_names_sampler_step_once(monkeypatch):
+    # With one LOBPCG iteration allowed, the first solve fails; each sampler
+    # raises after that one solve, naming itself and its step exactly once.
+    real = sampling.lobpcg_smallest
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sampling, "lobpcg_smallest", spy)
     d = synthetic_netflix(30, 20, 2, 2, seed=1)
     op = ProductOperator(d.row_graph, d.col_graph, 1.0, 1.0)
     opts = SolverOptions(max_iter=1)
-    with pytest.raises(ConvergenceError) as exc:
-        gcs_sample(op, 3, opts=opts)
-    assert str(exc.value).startswith("GCS step 0: eigensolver did not converge")
-    assert str(exc.value).count("step") == 1
     basis = bandlimited_basis(d.row_graph, d.col_graph, 2, 2)
-    with pytest.raises(ConvergenceError) as exc:
-        aopt_local_search(basis, op, 3, 2, opts=opts)
-    assert str(exc.value).startswith("A-opt step 0: eigensolver did not converge")
-    assert str(exc.value).count("step") == 1
+    runs = [(lambda: gcs_sample(op, 3, opts=opts), "GCS step 0", ["step"]),
+            (lambda: aopt_local_search(basis, op, 3, 2, opts=opts), "A-opt step 0",
+             ["step"]),
+            (lambda: igcs_sample(d.row_graph, d.col_graph, 1.0, 1.0, K=3, opts=opts),
+             "IGCS cluster 0 (pick 0)", ["cluster", "pick"])]
+    for run, what, words in runs:
+        calls.clear()
+        with pytest.raises(ConvergenceError) as exc:
+            run()
+        msg = str(exc.value)
+        assert msg.startswith(f"{what}: eigensolver did not converge"), msg
+        assert all(msg.count(w) == 1 for w in words), msg
+        assert len(calls) == 1
 
 
 def test_gcs_matches_dense_reference():
