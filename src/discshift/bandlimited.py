@@ -130,28 +130,25 @@ def aopt_pool(phi: np.ndarray, available: np.ndarray, L_pool: int) -> List[int]:
 
 
 def aopt_pick(basis: BandlimitedBasis, L_pool: int):
-    """A-optimal pick rule for greedy_disc_shift; it remembers its picks, so
-    use one per run.
+    """A-optimal pick rule for greedy_disc_shift.
 
     The pool is aopt_pool, the top L_pool available indices by |phi| under
     GCS's tie rule, so that it does not depend on eigensolver noise; the
-    pick is the pool member that minimizes aopt_objective of the picks so
-    far plus it. The whole pool is scored in one batch.
+    pick is the pool member that minimizes aopt_objective of the run's
+    picks so far plus it. The whole pool is scored in one batch.
     """
     if not (1 <= L_pool <= basis.m * basis.n):
         raise ValueError(f"L_pool={L_pool} out of range")
-    chosen: List[int] = []
 
-    def pick(phi, available):
+    def pick(phi, available, picks):
         pool = sorted(aopt_pool(phi, available, L_pool))
-        S = np.empty((len(pool), len(chosen) + 1), dtype=np.int64)
-        S[:, :-1] = chosen
+        S = np.empty((len(pool), len(picks) + 1), dtype=np.int64)
+        S[:, :-1] = picks
         S[:, -1] = pool
         best_idx, best_val = None, None
         for c, val in zip(pool, aopt_objective(basis, S).tolist()):
             if best_val is None or val < best_val - 1e-12:
                 best_idx, best_val = c, val
-        chosen.append(best_idx)
         return best_idx
 
     return pick

@@ -18,6 +18,9 @@ import numpy as np
 from .completion import CompletionProblem, dglr_solve, rmse_eval, save_report
 from .completion import write_dense_csv as _write_dense_csv
 from .experiments import (
+    GENERATOR_DEFAULTS,
+    METHODS,
+    ExperimentConfig,
     export_metrics,
     load_ratings,
     parse_config,
@@ -184,19 +187,22 @@ def _cmd_experiment(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def add_flags(p, defaults):
+        """One --<key> flag per item of `defaults`, typed and defaulted by its value."""
+        for key, default in defaults.items():
+            p.add_argument("--" + key.replace("_", "-"), type=type(default), default=default)
+
+    def config_flags(p, *names):
+        """--<name> flags with ExperimentConfig's defaults."""
+        add_flags(p, {name: getattr(ExperimentConfig, name) for name in names})
+
     parser = argparse.ArgumentParser(
         prog="discshift",
         description="Greedy disc-shift sampling and dual-graph regularized completion")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic block-smooth dataset")
-    p.add_argument("--m", type=int, default=60)
-    p.add_argument("--n", type=int, default=40)
-    p.add_argument("--row-comm", type=int, default=4)
-    p.add_argument("--col-comm", type=int, default=4)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--p-in", type=float, default=0.3)
-    p.add_argument("--p-out", type=float, default=0.01)
+    add_flags(p, GENERATOR_DEFAULTS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=_cmd_gen)
@@ -209,22 +215,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=None,
                    help="kernel width (default: mean squared deviation)")
     p.add_argument("--features", help="feature CSV for the kNN graph (G1)")
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=int, default=ExperimentConfig.knn_k)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_graph)
 
     p = sub.add_parser("sample", help="select matrix entries to observe")
-    p.add_argument("--method", choices=("gcs", "igcs", "random", "aopt"),
-                   required=True)
+    p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--budget", required=True,
                    help="absolute K, or a fraction of m*n when < 1")
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--beta", type=float, default=0.1)
-    p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--zeta", type=int, default=1)
-    p.add_argument("--l-pool", type=int, default=1)
-    p.add_argument("--k1", type=int, default=4)
-    p.add_argument("--k2", type=int, default=4)
+    config_flags(p, "alpha", "beta", "q", "zeta", "l_pool", "k1", "k2")
     p.add_argument("--pool", help="CSV of allowed row,col entries")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--row-graph", help="row-graph adjacency edge list")
@@ -239,9 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", required=True, help="CSV of observed row,col entries")
     p.add_argument("--row-graph", required=True)
     p.add_argument("--col-graph", required=True)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--beta", type=float, default=0.1)
-    p.add_argument("--tol", type=float, default=None)
+    config_flags(p, "alpha", "beta")
+    p.add_argument("--tol", type=float, default=ExperimentConfig.tol)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--x-out", help="optional dense CSV of the reconstruction")

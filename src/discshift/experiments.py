@@ -11,7 +11,7 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -37,6 +37,11 @@ from .sampling import (
 )
 
 METRICS_HEADER = "method,seed,K,rmse,lambda_min_est,wall_time_seconds,lobpcg_total_iters"
+METHODS = ("gcs", "igcs", "random", "aopt")
+# The parameters of a `synthetic:` dataset spec, which are also the flags of
+# `discshift gen`, with their defaults.
+GENERATOR_DEFAULTS = {"m": 60, "n": 40, "row_comm": 4, "col_comm": 4,
+                      "noise_sigma": 0.0, "p_in": 0.3, "p_out": 0.01}
 
 
 @dataclass
@@ -54,7 +59,7 @@ class ExperimentConfig:
     sample_budget_fraction: float = 1.0
     eval_fraction: float = 0.0
     methods: List[str] = field(default_factory=lambda: ["gcs"])
-    budgets: List[float] = field(default_factory=list)
+    budgets: List[Union[int, float]] = field(default_factory=list)
     alpha: float = 0.1
     beta: float = 0.1
     q: float = 0.5
@@ -80,10 +85,9 @@ class ExperimentConfig:
         total = self.initial_fraction + self.sample_budget_fraction + self.eval_fraction
         if total > 1.0 + 1e-12:
             raise ValueError(f"split fractions sum to {total} > 1")
-        known = {"gcs", "igcs", "random", "aopt"}
-        bad = [m for m in self.methods if m not in known]
+        bad = [m for m in self.methods if m not in METHODS]
         if bad:
-            raise ValueError(f"unknown methods {bad}; choose from {sorted(known)}")
+            raise ValueError(f"unknown methods {bad}; choose from {sorted(METHODS)}")
 
 
 @dataclass(frozen=True)
@@ -163,15 +167,8 @@ def _parse_generator_spec(spec: str) -> dict:
             raise ValueError(f"bad generator parameter {part!r}")
         key, val = (s.strip() for s in part.split("=", 1))
         params[key] = val
-    out = {
-        "m": int(params.pop("m", 60)),
-        "n": int(params.pop("n", 40)),
-        "n_row_comm": int(params.pop("row_comm", 4)),
-        "n_col_comm": int(params.pop("col_comm", 4)),
-        "noise_sigma": float(params.pop("noise_sigma", 0.0)),
-        "p_in": float(params.pop("p_in", 0.3)),
-        "p_out": float(params.pop("p_out", 0.01)),
-    }
+    out = {key: type(default)(params.pop(key, default))
+           for key, default in GENERATOR_DEFAULTS.items()}
     if params:
         raise ValueError(f"unknown generator parameters {sorted(params)}")
     return out
@@ -183,8 +180,10 @@ def resolve_dataset(dataset: str, seed: int):
     Returns (ratings, ground_truth or None, row_graph or None, col_graph or None).
     """
     if dataset.startswith("synthetic"):
-        kw = _parse_generator_spec(dataset)
-        bundle = synthetic_netflix(seed=seed, **kw)
+        g = _parse_generator_spec(dataset)
+        bundle = synthetic_netflix(g["m"], g["n"], g["row_comm"], g["col_comm"],
+                                   noise_sigma=g["noise_sigma"], seed=seed,
+                                   p_in=g["p_in"], p_out=g["p_out"])
         return bundle.ratings, bundle.ground_truth, bundle.row_graph, bundle.col_graph
     data = load_ratings(dataset)
     return data, None, None, None
@@ -368,7 +367,10 @@ def load_metrics(path) -> List[MetricsRow]:
 def parse_config(path) -> ExperimentConfig:
     """Parse `key = value` lines into an ExperimentConfig.
 
-    Lists are comma separated; `#` starts a comment. Unknown keys raise.
+    Each value converts to its field's annotated type: a List is comma
+    separated, and a Union takes the first of its types that converts, so
+    Optional[X] converts as X and a budget of `24` stays an int. `#` starts
+    a comment. Unknown keys raise.
     """
     raw = {}
     with open(path) as f:
@@ -381,30 +383,25 @@ def parse_config(path) -> ExperimentConfig:
             key, val = (s.strip() for s in line.split("=", 1))
             raw[key] = val
 
-    def _num(s: str):
-        try:
-            return int(s)
-        except ValueError:
-            return float(s)
+    def convert(tp, val: str):
+        if get_origin(tp) is list:
+            return [convert(get_args(tp)[0], v.strip()) for v in val.split(",") if v.strip()]
+        if get_origin(tp) is Union:
+            *first, last = (t for t in get_args(tp) if t is not type(None))
+            for t in first:
+                try:
+                    return t(val)
+                except ValueError:
+                    pass
+            return last(val)
+        return tp(val)
 
+    types = get_type_hints(ExperimentConfig)
     kwargs = {}
     for key, val in raw.items():
-        if key in ("methods",):
-            kwargs[key] = [v.strip() for v in val.split(",") if v.strip()]
-        elif key in ("seeds",):
-            kwargs[key] = [int(v) for v in val.split(",") if v.strip()]
-        elif key in ("budgets",):
-            kwargs[key] = [_num(v) for v in val.split(",") if v.strip()]
-        elif key in ("initial_fraction", "sample_budget_fraction", "eval_fraction",
-                     "alpha", "beta", "q", "tol"):
-            kwargs[key] = float(val)
-        elif key in ("zeta", "l_pool", "k1", "k2", "knn_k"):
-            kwargs[key] = int(val)
-        elif key in ("dataset", "graph_source", "output_dir", "row_graph",
-                     "col_graph", "features_row", "features_col"):
-            kwargs[key] = val
-        else:
+        if key not in types:
             raise ValueError(f"{path}: unknown config key {key!r}")
+        kwargs[key] = convert(types[key], val)
     if "dataset" not in kwargs:
         raise ValueError(f"{path}: config must set 'dataset'")
     return ExperimentConfig(**kwargs)

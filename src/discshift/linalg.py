@@ -15,7 +15,7 @@ import io
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Protocol, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -257,15 +257,6 @@ def _ritz(M, K):
     return float(evals[0]), s * (Linv.T @ Y[:, 0])
 
 
-class ShiftedPreconditioner(Protocol):
-    """r -> T r, with the shift vector of an operator A that satisfies
-    A T r = r + shift * T r (`graphs.FastDiagPreconditioner`)."""
-
-    shift: np.ndarray
-
-    def __call__(self, r: np.ndarray) -> np.ndarray: ...
-
-
 # Columns of the coefficient matrix for the rows of V[3 - k:], which hold
 # [p, x, w] (k = 3) or [x, w] (k = 2), on the Rayleigh-Ritz basis (x, w[, p]).
 _STORAGE_ORDER = {3: [2, 0, 1], 2: [0, 1]}
@@ -273,7 +264,7 @@ _STORAGE_ORDER = {3: [2, 0, 1], 2: [0, 1]}
 
 def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray], x0,
                     opts: Optional[SolverOptions] = None,
-                    precond: Optional[ShiftedPreconditioner] = None,
+                    precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                     image: Optional[np.ndarray] = None) -> EigenPair:
     """Smallest eigenpair of a symmetric PSD operator, block size 1.
 
@@ -309,7 +300,7 @@ def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray], x0,
     opts : SolverOptions
         tol bounds the absolute residual ||A v - lambda v|| (default 1e-6);
         max_iter defaults to 500.
-    precond : ShiftedPreconditioner, optional
+    precond : callable with a `shift`, optional
         r -> T r for an SPD T, with the `shift` of A T r = r + shift * T r
         (`graphs.FastDiagPreconditioner`); only the search direction w = T r
         changes. The convergence test and the reported residual stay those

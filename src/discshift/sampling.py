@@ -130,7 +130,7 @@ def _sampled_at(pair: EigenPair, k: int, weight: float) -> EigenPair:
 
 
 def greedy_disc_shift(op: ProductOperator, K: int,
-                      pick: Callable[[np.ndarray, np.ndarray], int], what: str,
+                      pick: Callable[[np.ndarray, np.ndarray, List[int]], int], what: str,
                       allowed=None, opts: Optional[SolverOptions] = None,
                       warm_start: bool = True) -> Tuple[SampleSet, SamplerState]:
     """The greedy disc-shift loop shared by GCS and A-optimal local search.
@@ -139,8 +139,9 @@ def greedy_disc_shift(op: ProductOperator, K: int,
     operator (warm-started with the previous phi and its image unless
     warm_start is off, and preconditioned by op.preconditioner() as it
     stands),
-    takes k = pick(phi, available), available being the boolean mask of
-    unsampled allowed indices (read only), and sets diagonal entry k to 1.
+    takes k = pick(phi, available, picks), available being the boolean mask
+    of unsampled allowed indices and picks the run's picks so far (both read
+    only), and sets diagonal entry k to 1.
     what names the sampler in convergence errors. The caller's operator is
     not mutated. Returns (SampleSet, SamplerState).
     """
@@ -158,7 +159,7 @@ def greedy_disc_shift(op: ProductOperator, K: int,
     for t in range(K):
         pair = _solve_step(op.apply, warm, opts, op.preconditioner(), rng, size,
                            f"{what} step {t}")
-        k_star = pick(pair.vec, available)
+        k_star = pick(pair.vec, available, picks)
         op.sample_diag[k_star] = 1.0
         available[k_star] = False
         picks.append(k_star)
@@ -176,7 +177,7 @@ def gcs_sample(op: ProductOperator, K: int, allowed=None,
     The greedy_disc_shift loop, picking the available index with the largest
     |phi| (ties to the lowest linear index). Returns (SampleSet, SamplerState).
     """
-    def pick(phi, available):
+    def pick(phi, available, picks):
         return argmax_abs_tied(phi, np.flatnonzero(available))
 
     return greedy_disc_shift(op, K, pick, "GCS", allowed, opts, warm_start)
@@ -196,8 +197,10 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
     beta * L_c), and so on until K entries are chosen. Each block solve is
     preconditioned by fast_diag_preconditioner of its block. The warm vector
     and its image (see greedy_disc_shift) live only within one block streak;
-    each new streak starts from a seeded random vector. An exhausted block advances to the next block index,
-    wrapping.
+    each new streak starts from a seeded random vector. An exhausted block
+    advances to the next block index, wrapping; one always has an available
+    entry, since the blocks of a mode partition the grid and K is at most
+    the pool.
     """
     if not (0.0 < q < 1.0):
         raise ValueError("q must lie in (0, 1)")
@@ -225,7 +228,6 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
     picks: List[int] = []
     state = SamplerState()
 
-    skips = 0
     while len(picks) < K:
         allow, samp, G, w_diag, w_lap, stride = modes[mode]
         dim, n_blocks = samp.shape
@@ -234,11 +236,7 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
             block = (block + 1) % n_blocks
             streak = 0
             warm = None
-            skips += 1
-            if skips > n_blocks:
-                raise RuntimeError("no available block; pool exhausted unexpectedly")
             continue
-        skips = 0
         streak += 1
         diag, L = w_diag * samp[:, block], G.laplacian
         apply = lambda v: w_lap * (L @ v) + diag * v  # the diagonal term last

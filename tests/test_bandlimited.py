@@ -10,13 +10,20 @@ from discshift.bandlimited import (
     AOPT_EPS,
     aopt_local_search,
     aopt_objective,
+    aopt_pick,
     aopt_pool,
     bandlimited_basis,
     bandlimited_reconstruct,
 )
 from discshift.graphs import ProductOperator, laplacian_from_weights, synthetic_netflix
 from discshift.linalg import SolverOptions, SparseSym
-from discshift.sampling import TIE_TOL, SampleSet, argmax_abs_tied, gcs_sample
+from discshift.sampling import (
+    TIE_TOL,
+    SampleSet,
+    argmax_abs_tied,
+    gcs_sample,
+    greedy_disc_shift,
+)
 
 
 def path_graph(n):
@@ -285,6 +292,19 @@ def test_local_search_mid_pool_matches_reference():
     op = ProductOperator(rg, cg, 0.1, 0.1)
     ss = aopt_local_search(basis, op, K=3, L_pool=4)
     assert list(ss.pairs) == brute_force_aopt(basis, op, 3, 4)
+
+
+def test_aopt_pick_reused_picks_as_a_fresh_rule():
+    # The rule reads the run's picks from the loop, so a second run with the
+    # same rule starts from no picks.
+    bundle = synthetic_netflix(30, 20, 3, 3, seed=0, p_in=0.6, p_out=0.05)
+    basis = bandlimited_basis(bundle.row_graph, bundle.col_graph, k1=4, k2=4)
+    op = ProductOperator(bundle.row_graph, bundle.col_graph, 1.0, 1.0)
+    rule = aopt_pick(basis, 20)
+    first, _ = greedy_disc_shift(op, 12, rule, "A-opt")
+    again, _ = greedy_disc_shift(op, 12, rule, "A-opt")
+    fresh, _ = greedy_disc_shift(op, 12, aopt_pick(basis, 20), "A-opt")
+    assert again.pairs == fresh.pairs == first.pairs
 
 
 def test_local_search_validates_pool():

@@ -8,11 +8,13 @@ import sys
 import numpy as np
 import pytest
 
-from discshift.cli import main
+from discshift.cli import build_parser, main
 from discshift.experiments import (
+    GENERATOR_DEFAULTS,
     ExperimentConfig,
     load_metrics,
     load_ratings,
+    resolve_dataset,
     run_sampler,
 )
 from discshift.graphs import laplacian_from_weights
@@ -145,6 +147,12 @@ def test_sample_gcs_needs_graphs(tmp_path):
               "--m", "4", "--n", "3", "--out", str(tmp_path / "s.csv")])
 
 
+def test_sample_needs_graphs_or_shape(tmp_path):
+    with pytest.raises(SystemExit, match="^pass --row-graph/--col-graph or --m/--n$"):
+        main(["sample", "--method", "random", "--budget", "3",
+              "--out", str(tmp_path / "s.csv")])
+
+
 def test_sample_aopt(dataset, tmp_path):
     out = tmp_path / "s.csv"
     code = main(["sample", "--method", "aopt", "--budget", "5",
@@ -240,6 +248,16 @@ def test_eval_rejects_duplicate_pairs(dataset, tmp_path):
     eval_csv = tmp_path / "eval.csv"
     eval_csv.write_text("0,0\n1,2\n0,0\n")
     with pytest.raises(SystemExit, match="eval.csv: sample pairs must be distinct"):
+        main(["eval", "--completed", str(X), "--truth", str(dataset / "ratings.csv"),
+              "--eval-set", str(eval_csv)])
+
+
+def test_eval_rejects_empty_eval_set(dataset, tmp_path):
+    X = tmp_path / "x.csv"
+    np.savetxt(X, np.ones((12, 9)), delimiter=",")
+    eval_csv = tmp_path / "eval.csv"
+    eval_csv.write_text("row,col\n")
+    with pytest.raises(SystemExit, match="^" + re.escape(f"{eval_csv}: empty evaluation set")):
         main(["eval", "--completed", str(X), "--truth", str(dataset / "ratings.csv"),
               "--eval-set", str(eval_csv)])
 
@@ -414,6 +432,42 @@ def test_experiment_reports_failures(tmp_path, capsys):
     assert code == 1
     assert (out_dir / "failures.log").exists()
     assert "failures.log" in capsys.readouterr().err
+
+
+def test_experiment_without_methods_runs_no_cells(tmp_path, capsys):
+    out_dir, cfg = tmp_path / "results", tmp_path / "exp.cfg"
+    cfg.write_text("dataset = synthetic:m=12,n=9,row_comm=3,col_comm=3,p_in=0.9,p_out=0.2\n"
+                   f"methods =\noutput_dir = {out_dir}\n")
+    assert main(["experiment", "--config", str(cfg)]) == 1
+    assert "no cells ran" in capsys.readouterr().err
+    assert not (out_dir / "metrics.csv").exists()
+    assert not (out_dir / "failures.log").exists()
+
+
+def test_parser_defaults_are_the_config_defaults():
+    parser = build_parser()
+    cfg = ExperimentConfig(dataset="unused")
+    sample = vars(parser.parse_args(["sample", "--method", "gcs", "--budget", "1",
+                                     "--out", "s.csv"]))
+    for name in ("alpha", "beta", "q", "zeta", "l_pool", "k1", "k2"):
+        assert sample[name] == getattr(cfg, name)
+        assert type(sample[name]) is type(getattr(cfg, name))
+    complete = vars(parser.parse_args(["complete", "--ratings", "r", "--omega", "o",
+                                       "--row-graph", "a", "--col-graph", "b",
+                                       "--out", "x"]))
+    assert (complete["alpha"], complete["beta"], complete["tol"]) == (cfg.alpha, cfg.beta, cfg.tol)
+    graph = vars(parser.parse_args(["graph", "--features", "f", "--out", "g"]))
+    assert graph["k"] == cfg.knn_k
+    gen = vars(parser.parse_args(["gen", "--out-dir", "d"]))
+    assert {key: gen[key] for key in GENERATOR_DEFAULTS} == GENERATOR_DEFAULTS
+
+
+def test_gen_defaults_are_the_synthetic_spec_defaults(tmp_path):
+    assert main(["gen", "--out-dir", str(tmp_path)]) == 0
+    data = load_ratings(tmp_path / "ratings.csv")
+    spec, *_ = resolve_dataset("synthetic", seed=0)
+    assert (data.m, data.n) == (spec.m, spec.n) == (60, 40)
+    assert np.array_equal(data.to_dense(), spec.to_dense())
 
 
 def test_unknown_subcommand_exits():

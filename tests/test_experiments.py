@@ -2,6 +2,7 @@
 
 import os
 import re
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +24,8 @@ from discshift.experiments import (
     save_ratings,
     split_dataset,
 )
-from discshift.graphs import RatingMatrix
+from discshift.graphs import RatingMatrix, synthetic_netflix
+from discshift.linalg import save_edge_list
 from discshift.sampling import load_sample_set
 
 TINY_SYNTH = "synthetic:m=12,n=9,row_comm=3,col_comm=3,p_in=0.9,p_out=0.2"
@@ -355,6 +357,42 @@ def test_run_experiment_g2_graphs(tmp_path):
     assert len(rows) == 1 and np.isfinite(rows[0].rmse)
 
 
+def test_run_experiment_provided_graph_files(tmp_path):
+    bundle = synthetic_netflix(12, 9, 3, 3, seed=0, p_in=0.9, p_out=0.2)
+    ratings, rg, cg = tmp_path / "d.csv", tmp_path / "rg.txt", tmp_path / "cg.txt"
+    save_ratings(bundle.ratings, ratings)
+    save_edge_list(bundle.row_graph.weights, rg)
+    save_edge_list(bundle.col_graph.weights, cg)
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(dataset=str(ratings), sample_budget_fraction=0.5,
+                           methods=["gcs", "random"], budgets=[6], seeds=[0, 1],
+                           graph_source="provided", row_graph=str(rg),
+                           col_graph=str(cg), output_dir=str(out))
+    rows = run_experiment(cfg)
+    assert [(r.method, r.seed, r.K) for r in rows] == [
+        ("gcs", 0, 6), ("gcs", 1, 6), ("random", 0, 6), ("random", 1, 6)]
+    assert all(np.isfinite(r.rmse) for r in rows)
+    assert not (out / "failures.log").exists()
+
+
+def test_run_experiment_g1_feature_graphs(tmp_path):
+    rng = np.random.default_rng(6)
+    data = RatingMatrix.from_dense(rng.integers(1, 6, (10, 8)).astype(float))
+    path, fr, fc = tmp_path / "d.csv", tmp_path / "fr.csv", tmp_path / "fc.csv"
+    save_ratings(data, path)
+    np.savetxt(fr, rng.normal(size=(10, 3)), delimiter=",")
+    np.savetxt(fc, rng.normal(size=(8, 3)), delimiter=",")
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(dataset=str(path), sample_budget_fraction=0.5,
+                           methods=["gcs", "random"], budgets=[8], seeds=[0],
+                           graph_source="g1_features", features_row=str(fr),
+                           features_col=str(fc), knn_k=3, output_dir=str(out))
+    rows = run_experiment(cfg)
+    assert [(r.method, r.seed, r.K) for r in rows] == [("gcs", 0, 8), ("random", 0, 8)]
+    assert all(np.isfinite(r.rmse) for r in rows)
+    assert not (out / "failures.log").exists()
+
+
 # ------------------------------------------------------------------ metrics
 
 
@@ -414,6 +452,64 @@ def test_parse_config_full(tmp_path):
     assert cfg.seeds == [0, 1, 2]
     assert cfg.alpha == 0.2 and cfg.beta == 0.3 and cfg.zeta == 7
     assert cfg.output_dir == "results"
+
+
+def test_parse_config_every_key(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text(
+        "dataset = d.csv\n"
+        "initial_fraction = 0.1\n"
+        "sample_budget_fraction = 0.5\n"
+        "eval_fraction = 0.2\n"
+        "methods = gcs, igcs ,random,aopt\n"
+        "budgets = 0.05, 24\n"
+        "alpha = 1\n"
+        "beta = 0.5\n"
+        "q = 0.25\n"
+        "zeta = 3\n"
+        "l_pool = 7\n"
+        "k1 = 2\n"
+        "k2 = 5\n"
+        "graph_source = g1_features\n"
+        "knn_k = 6\n"
+        "seeds = 9\n"
+        "seeds = 3, 4  # the last duplicate wins\n"
+        "output_dir = out dir\n"
+        "row_graph = r.txt\n"
+        "col_graph = c.txt\n"
+        "features_row = fr.csv\n"
+        "features_col = fc.csv\n"
+        "tol = 1e-9\n"
+    )
+    cfg = parse_config(path)
+    expected = {
+        "dataset": "d.csv", "initial_fraction": 0.1, "sample_budget_fraction": 0.5,
+        "eval_fraction": 0.2, "methods": ["gcs", "igcs", "random", "aopt"],
+        "budgets": [0.05, 24], "alpha": 1.0, "beta": 0.5, "q": 0.25, "zeta": 3,
+        "l_pool": 7, "k1": 2, "k2": 5, "graph_source": "g1_features", "knn_k": 6,
+        "seeds": [3, 4], "output_dir": "out dir", "row_graph": "r.txt",
+        "col_graph": "c.txt", "features_row": "fr.csv", "features_col": "fc.csv",
+        "tol": 1e-9,
+    }
+    got = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    assert got == expected
+
+    def types(v):
+        return [type(x) for x in v] if isinstance(v, list) else type(v)
+
+    assert {k: types(v) for k, v in got.items()} == {k: types(v) for k, v in expected.items()}
+
+
+@pytest.mark.parametrize("text,message", [
+    ("dataset = x\nwat = 1\n", ": unknown config key 'wat'"),
+    ("dataset = x\nalpha 1\n", ":2: expected 'key = value'"),
+    ("alpha = 1\n", ": config must set 'dataset'"),
+], ids=["unknown-key", "bad-line", "no-dataset"])
+def test_parse_config_messages(tmp_path, text, message):
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}{message}") + "$"):
+        parse_config(path)
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):
