@@ -1,5 +1,8 @@
 """Tests for the greedy samplers and sample-set persistence."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -348,6 +351,46 @@ def test_igcs_deterministic():
     a, _ = igcs_sample(rg, cg, 0.1, 0.1, zeta=2, K=8, opts=SolverOptions(seed=3))
     b, _ = igcs_sample(rg, cg, 0.1, 0.1, zeta=2, K=8, opts=SolverOptions(seed=3))
     assert a.pairs == b.pairs
+
+
+# The picks, the IGCS step record (sha256 of its JSON) and the LOBPCG iteration
+# total on a 60x40 instance with a seeded 300-entry allowed pool. IGCS runs out
+# of blocks four times there, wrapping once from the last cluster to cluster 0.
+POOL_GOLDEN = {
+    "igcs": ([2, 47, 38, 998, 518, 698, 661, 705, 680, 1280, 2360, 1520, 1545, 1526,
+              1529, 809, 1409, 690, 930, 2130, 2111, 2154, 2132, 1592, 92, 2372,
+              2357, 2368, 31, 6, 27, 1287, 1887, 1107, 1085, 1138, 1090, 430, 1930,
+              790, 831, 792, 817, 1417, 277, 637, 602, 640, 624, 1464, 1644, 924,
+              909, 958, 952, 352, 1912, 532, 499, 489, 515, 875, 2315, 335, 319, 351,
+              315, 915, 2235, 255, 242, 262, 246, 1146, 1446, 726, 743, 775, 737,
+              1877, 2177, 437, 454, 475, 441, 81, 1162, 1882, 1342, 1323, 1367, 1327,
+              1627, 1687, 1747, 1787, 1773, 1751, 1391, 1031, 1631, 1667, 1668, 1632,
+              1872, 1692, 1752, 1780, 1790, 1750, 1690, 130, 370, 401, 385, 362,
+              1862, 2163, 1023, 1263],
+             "587245076da3282016a8dcddfd1de0f468c2d2eafc29f05e0a68aa850ca01356", 809),
+    "gcs": ([2, 841, 26, 872, 831, 1146, 1621, 1667, 91, 924, 1681, 130, 882, 475,
+             1263, 1804, 1730, 168, 1122, 432, 1773, 1162, 1857, 262, 1031, 315, 1751,
+             952, 401, 1882, 1206, 553, 1974, 1422, 726, 2003, 345, 1107, 1644, 637],
+            286),
+    "aopt": [65, 909, 95, 930, 1631, 1667, 1138, 168, 1826, 262, 1391, 1773, 432,
+             1180, 1734, 351, 999, 1692, 362, 1031],
+}
+
+
+def test_sampler_picks_golden_with_allowed_pool():
+    d = synthetic_netflix(60, 40, 3, 3, noise_sigma=0.6, seed=5)
+    allowed = np.random.default_rng(5).choice(60 * 40, size=300, replace=False)
+    opts = SolverOptions(seed=5)
+    ss, state = igcs_sample(d.row_graph, d.col_graph, 1.0, 0.5, q=0.3, zeta=3, K=120,
+                            allowed=allowed, opts=opts)
+    steps_hash = hashlib.sha256(json.dumps(state.steps).encode()).hexdigest()
+    assert (ss.linear.tolist(), steps_hash, sum(state.iter_counts)) == POOL_GOLDEN["igcs"]
+    op = ProductOperator(d.row_graph, d.col_graph, 1.0, 0.5)
+    ss, state = gcs_sample(op, 40, allowed=allowed, opts=opts, warm_start=False)
+    assert (ss.linear.tolist(), sum(state.iter_counts)) == POOL_GOLDEN["gcs"]
+    basis = bandlimited_basis(d.row_graph, d.col_graph, 3, 3)
+    ss = aopt_local_search(basis, op, 20, 10, opts=opts, allowed=allowed)
+    assert ss.linear.tolist() == POOL_GOLDEN["aopt"]
 
 
 # ------------------------------------------------------------------- random
