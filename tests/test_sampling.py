@@ -168,6 +168,32 @@ def test_samplers_warm_start_with_the_exact_image(monkeypatch):
     assert len(exact) > 9 and all(exact)
 
 
+def test_samplers_start_fresh_once_per_streak(monkeypatch):
+    # A solve with no image starts from a random vector: GCS does so at step 0
+    # only, or at every step without warm starts; IGCS at the start of each
+    # streak, i.e. each run of picks in one (mode, block), a streak cut short
+    # by an exhausted block included.
+    real = sampling.lobpcg_smallest
+    fresh = []
+
+    def spy(apply, x0, opts, precond, image=None):
+        fresh.append(image is None)
+        return real(apply, x0, opts, precond, image)
+
+    monkeypatch.setattr(sampling, "lobpcg_smallest", spy)
+    d = synthetic_netflix(60, 40, 3, 3, noise_sigma=0.6, seed=5)
+    allowed = np.random.default_rng(5).choice(60 * 40, size=300, replace=False)
+    _, state = igcs_sample(d.row_graph, d.col_graph, 1.0, 0.5, q=0.3, zeta=3, K=120,
+                           allowed=allowed, opts=SolverOptions(seed=5))
+    streaks = 1 + sum(a[:2] != b[:2] for a, b in zip(state.steps, state.steps[1:]))
+    assert len(fresh) == 120 and sum(fresh) == streaks == 42
+    op = ProductOperator(d.row_graph, d.col_graph, 1.0, 0.5)
+    for warm_start, want in ((True, 1), (False, 15)):
+        fresh.clear()
+        gcs_sample(op, 15, allowed=allowed, warm_start=warm_start)
+        assert len(fresh) == 15 and sum(fresh) == want
+
+
 def test_unconverged_solve_names_sampler_step_once(monkeypatch):
     # With one LOBPCG iteration allowed, the first solve fails; each sampler
     # raises after that one solve, naming itself and its step exactly once.
