@@ -1,11 +1,12 @@
 """Sampling strategies over the product graph.
 
-The greedy disc-shift loop repeatedly solves for the current operator's
-first eigenvector, warm-started, picks an entry from it, and adds a unit
-self-loop there. GCS picks the largest-magnitude entry; the A-optimal local
-search in `bandlimited` runs the same loop with a pooled pick rule. The
-block-wise variant (IGCS) alternates between per-column "cluster" and
-per-row "group" blocks of the split operator so every eigensolve stays
+Every greedy sampler runs one disc-shift loop: each step solves for its
+operator's first eigenvector, picks an entry, and shifts that entry's
+Gershgorin disc by a self-loop. A step schedule says what each step solves.
+GCS and the A-optimal local search in `bandlimited` run the one-block
+schedule on the full product operator with their own pick rules; IGCS runs
+GCS's rule on a block schedule alternating per-column "cluster" and per-row
+"group" blocks of the split operator, so every eigensolve stays
 factor-sized. Each eigensolve runs once: one that does not converge raises
 ConvergenceError naming the sampler and step. A uniform random baseline
 rounds things out.
@@ -13,8 +14,9 @@ rounds things out.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -27,7 +29,6 @@ from .graphs import (
 )
 from .linalg import (
     ConvergenceError,
-    EigenPair,
     SolverOptions,
     checked_linear,
     entry_pairs,
@@ -36,9 +37,10 @@ from .linalg import (
     read_table,
 )
 
-# Magnitudes this close to the candidate max count as tied; the lowest linear
-# index wins. Calibrated to the eigenvector error of LOBPCG at its default
-# tolerance, and matching the gap below which selection is ambiguous anyway.
+# Magnitudes within this absolute band of the candidate max count as tied; the
+# lowest linear index wins. The band does not scale with |phi| (entries about
+# 1/sqrt(size)): at 120x80 it ties about half the candidates. ROADMAP item 1
+# proposes a relative band.
 TIE_TOL = 1e-4
 
 
@@ -105,68 +107,83 @@ def _normalize_allowed(allowed, size: int) -> np.ndarray:
     return mask
 
 
-def _solve_step(apply, warm, opts, precond, rng, n, what):
-    """One eigensolve from warm's vector and image, or from a random unit
-    vector with no image when warm is None; raises ConvergenceError naming
-    `what` if it does not converge."""
-    x0, image = (warm.vec, warm.image) if warm is not None else (
-        random_unit(rng, n), None)
-    pair = lobpcg_smallest(apply, x0, opts, precond, image)
-    if not pair.converged:
-        raise ConvergenceError(
-            f"{what}: eigensolver did not converge "
-            f"(residual {pair.residual:.3e})", residual=pair.residual)
-    return pair
+def _largest_abs(phi, available, picks):
+    """GCS's pick rule: the available index with the largest |phi|, ties to
+    the lowest index."""
+    return argmax_abs_tied(phi, np.flatnonzero(available))
 
 
-def _sampled_at(pair: EigenPair, k: int, weight: float) -> EigenPair:
-    """pair as a warm start for its operator with `weight` added at diagonal
-    entry k, which was 0: the image gains weight * vec[k] there. Both
-    sampler operators add their diagonal term last, so the result equals
-    the new operator applied to vec, bit for bit."""
-    image = pair.image.copy()
-    image[k] += weight * pair.vec[k]
-    return replace(pair, image=image)
+def _disc_shift(steps, K: int, pick: Callable[[np.ndarray, np.ndarray, List[int]], int],
+                m: int, opts: SolverOptions) -> Tuple[SampleSet, SamplerState]:
+    """The greedy disc-shift loop: the one place that solves, picks, records
+    and warm-starts, for K steps of the schedule `steps`.
+
+    steps is a generator, sent each pick k (None first), that yields the next
+    step as (apply, precond, available, weight, (offset, stride), fresh, what,
+    record): the operator and preconditioner as they stand, the boolean mask
+    of available indices, the diagonal weight of a pick, the map k ->
+    offset + stride * k to linear indices, whether to start from a seeded
+    random vector (else from the last pair), the name for ConvergenceError,
+    and the (mode, block) to record in SamplerState.steps, or None. It shifts
+    the picked disc when sent k, so no step is built after the K-th pick.
+    Each step solves once and takes k = pick(phi, available, picks), picks
+    being the linear picks so far (read only). Returns (SampleSet, SamplerState).
+    """
+    rng = np.random.default_rng(opts.seed)
+    picks: List[int] = []
+    state = SamplerState()
+    k = None
+    for _ in range(K):
+        apply, precond, available, weight, (offset, stride), fresh, what, record = steps.send(k)
+        x0, image = (random_unit(rng, available.size), None) if fresh else warm
+        pair = lobpcg_smallest(apply, x0, opts, precond, image)
+        if not pair.converged:
+            raise ConvergenceError(
+                f"{what}: eigensolver did not converge "
+                f"(residual {pair.residual:.3e})", residual=pair.residual)
+        k = pick(pair.vec, available, picks)
+        picks.append(offset + stride * k)
+        state.iter_counts.append(pair.iterations)
+        if record is not None:
+            state.steps.append((*record, k))
+        # The pick adds weight at diagonal entry k, which was 0, so the image
+        # gains weight * vec[k]; each schedule's operator adds its diagonal
+        # term last, so this equals the new operator's image bit for bit.
+        image = pair.image.copy()
+        image[k] += weight * pair.vec[k]
+        warm = pair.vec, image
+    return _from_linear(picks, m, K), state
 
 
 def greedy_disc_shift(op: ProductOperator, K: int,
                       pick: Callable[[np.ndarray, np.ndarray, List[int]], int], what: str,
                       allowed=None, opts: Optional[SolverOptions] = None,
                       warm_start: bool = True) -> Tuple[SampleSet, SamplerState]:
-    """The greedy disc-shift loop shared by GCS and A-optimal local search.
+    """The disc-shift loop on one block, the full product operator: shared
+    by GCS and A-optimal local search.
 
     Each of the K steps solves for the first eigenvector phi of the current
     operator (warm-started with the previous phi and its image unless
     warm_start is off, and preconditioned by op.preconditioner() as it
-    stands),
-    takes k = pick(phi, available, picks), available being the boolean mask
-    of unsampled allowed indices and picks the run's picks so far (both read
-    only), and sets diagonal entry k to 1.
-    what names the sampler in convergence errors. The caller's operator is
-    not mutated. Returns (SampleSet, SamplerState).
+    stands), takes k = pick(phi, available, picks), available being the
+    boolean mask of unsampled allowed indices and picks the run's picks so
+    far (both read only), and sets diagonal entry k to 1. what names the
+    sampler in convergence errors. The caller's operator is not mutated.
+    Returns (SampleSet, SamplerState).
     """
-    opts = opts or SolverOptions()
     op = op.copy()
-    size = op.size
-    available = _normalize_allowed(allowed, size) & (op.sample_diag == 0)
+    available = _normalize_allowed(allowed, op.size) & (op.sample_diag == 0)
     if K > int(available.sum()):
         raise ValueError(f"budget {K} exceeds available pool {int(available.sum())}")
 
-    rng = np.random.default_rng(opts.seed)
-    warm: Optional[EigenPair] = None
-    picks: List[int] = []
-    state = SamplerState()
-    for t in range(K):
-        pair = _solve_step(op.apply, warm, opts, op.preconditioner(), rng, size,
-                           f"{what} step {t}")
-        k_star = pick(pair.vec, available, picks)
-        op.sample_diag[k_star] = 1.0
-        available[k_star] = False
-        picks.append(k_star)
-        state.iter_counts.append(pair.iterations)
-        if warm_start:
-            warm = _sampled_at(pair, k_star, 1.0)
-    return _from_linear(picks, op.m, K), state
+    def steps():
+        for t in itertools.count():
+            k = yield (op.apply, op.preconditioner(), available, 1.0, (0, 1),
+                       t == 0 or not warm_start, f"{what} step {t}", None)
+            op.sample_diag[k] = 1.0
+            available[k] = False
+
+    return _disc_shift(steps(), K, pick, op.m, opts or SolverOptions())
 
 
 def gcs_sample(op: ProductOperator, K: int, allowed=None,
@@ -177,10 +194,7 @@ def gcs_sample(op: ProductOperator, K: int, allowed=None,
     The greedy_disc_shift loop, picking the available index with the largest
     |phi| (ties to the lowest linear index). Returns (SampleSet, SamplerState).
     """
-    def pick(phi, available, picks):
-        return argmax_abs_tied(phi, np.flatnonzero(available))
-
-    return greedy_disc_shift(op, K, pick, "GCS", allowed, opts, warm_start)
+    return greedy_disc_shift(op, K, _largest_abs, "GCS", allowed, opts, warm_start)
 
 
 def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
@@ -189,25 +203,24 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
                 opts: Optional[SolverOptions] = None) -> Tuple[SampleSet, SamplerState]:
     """Block-wise greedy sampling alternating clusters (columns) and groups (rows).
 
-    Starting from cluster j = 0, each cluster step solves the m x m block
-    q * diag(indicator_col_j) + alpha * L_r for its first eigenvector, picks
-    the best unsampled allowed row, and marks the entry in both the cluster
-    and group indicators. After zeta consecutive picks the sampler jumps to
-    the group of the last picked row (matrix (1-q) * diag(indicator_row_i) +
-    beta * L_c), and so on until K entries are chosen. Each block solve is
-    preconditioned by fast_diag_preconditioner of its block. The warm vector
-    and its image (see greedy_disc_shift) live only within one block streak;
-    each new streak starts from a seeded random vector. An exhausted block
-    advances to the next block index, wrapping; one always has an available
-    entry, since the blocks of a mode partition the grid and K is at most
-    the pool.
+    The disc-shift loop on a block schedule. Starting from cluster j = 0,
+    each cluster step solves the m x m block q * diag(indicator_col_j) +
+    alpha * L_r for its first eigenvector, picks the unsampled allowed row
+    by GCS's rule, and marks the entry in both the cluster and group
+    indicators. After zeta consecutive picks the schedule jumps to the group
+    of the last picked row (matrix (1-q) * diag(indicator_row_i) + beta *
+    L_c), and so on until K entries are chosen. Each block solve is
+    preconditioned by fast_diag_preconditioner of its block. The warm start
+    lives only within one block streak; each new streak starts from a seeded
+    random vector. An exhausted block advances to the next block index,
+    wrapping; one always has an available entry, since the blocks of a mode
+    partition the grid and K is at most the pool.
     """
     if not (0.0 < q < 1.0):
         raise ValueError("q must lie in (0, 1)")
     if zeta < 1:
         raise ValueError("zeta must be >= 1")
     m, n = row_graph.n, col_graph.n
-    opts = opts or SolverOptions()
     allowed2d = _normalize_allowed(allowed, m * n).reshape((m, n), order="F")
     pool = int(allowed2d.sum())
     if K > pool:
@@ -219,43 +232,24 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
     modes = {"cluster": (allowed2d, sampled, row_graph, q, alpha, (1, m)),
              "group": (allowed2d.T, sampled.T, col_graph, 1.0 - q, beta, (m, 1))}
     point = trivial_graph()  # a block is the Kronecker sum of its factor and a point
-    rng = np.random.default_rng(opts.seed)
 
-    mode = "cluster"
-    block = 0
-    streak = 0
-    warm: Optional[EigenPair] = None
-    picks: List[int] = []
-    state = SamplerState()
+    def steps():
+        mode, block, streak = "cluster", 0, 0
+        for t in itertools.count():
+            allow, samp, G, w_diag, w_lap, stride = modes[mode]
+            while not (avail := allow[:, block] & ~samp[:, block]).any():
+                block, streak = (block + 1) % samp.shape[1], 0
+            diag, L = w_diag * samp[:, block], G.laplacian
+            k = yield (lambda v: w_lap * (L @ v) + diag * v,  # the diagonal term last
+                       fast_diag_preconditioner(G, point, w_lap, 0.0, diag), avail,
+                       w_diag, (block * stride[1], stride[0]), streak == 0,
+                       f"IGCS {mode} {block} (pick {t})", (mode, block))
+            samp[k, block] = True
+            streak += 1
+            if streak >= zeta:
+                mode, block, streak = "group" if mode == "cluster" else "cluster", k, 0
 
-    while len(picks) < K:
-        allow, samp, G, w_diag, w_lap, stride = modes[mode]
-        dim, n_blocks = samp.shape
-        avail = allow[:, block] & ~samp[:, block]
-        if not avail.any():
-            block = (block + 1) % n_blocks
-            streak = 0
-            warm = None
-            continue
-        streak += 1
-        diag, L = w_diag * samp[:, block], G.laplacian
-        apply = lambda v: w_lap * (L @ v) + diag * v  # the diagonal term last
-        precond = fast_diag_preconditioner(G, point, w_lap, 0.0, diag)
-        pair = _solve_step(apply, warm, opts, precond, rng, dim,
-                           f"IGCS {mode} {block} (pick {len(picks)})")
-        k_star = argmax_abs_tied(pair.vec, np.flatnonzero(avail))
-        samp[k_star, block] = True
-        picks.append(k_star * stride[0] + block * stride[1])
-        state.steps.append((mode, block, k_star))
-        state.iter_counts.append(pair.iterations)
-        warm = _sampled_at(pair, k_star, w_diag)
-        if streak >= zeta:
-            mode = "group" if mode == "cluster" else "cluster"
-            block = k_star
-            streak = 0
-            warm = None
-
-    return _from_linear(picks, m, K), state
+    return _disc_shift(steps(), K, _largest_abs, m, opts or SolverOptions())
 
 
 def random_sample(m: int, n: int, K: int, seed: int = 0, allowed=None) -> SampleSet:
