@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import discshift.graphs as graphs
 import discshift.sampling as sampling
 
 from discshift.bandlimited import aopt_local_search, bandlimited_basis
@@ -417,6 +418,35 @@ def test_sampler_picks_golden_with_allowed_pool():
     basis = bandlimited_basis(d.row_graph, d.col_graph, 3, 3)
     ss = aopt_local_search(basis, op, 20, 10, opts=opts, allowed=allowed)
     assert ss.linear.tolist() == POOL_GOLDEN["aopt"]
+
+
+# IGCS on 30x20 with the preconditioner's factor cap lowered to 25: the 30-node
+# cluster blocks run unpreconditioned in x coordinates and the 20-node group
+# blocks preconditioned. Picks, the SHA-256 of the step record as JSON and the
+# LOBPCG iteration total, per zeta.
+CAP_GOLDEN = {
+    1: ([0, 300, 323, 293, 283, 313, 320, 290, 278, 308, 324, 294, 284, 314, 327, 297,
+         270, 450, 473, 113, 103, 463, 470, 110, 98, 458, 474, 114, 104, 464, 477, 117,
+         90, 390, 413, 143, 133, 403, 410, 140, 128, 398, 414, 144, 134, 404, 417, 147,
+         120, 420, 443, 53, 43, 433, 440, 50, 38, 428, 444, 54],
+        "a5ab259d90ab0974aaae163aa2961b02d84663458d0e8c29ed9e0a24e649ec0c", 1539),
+    3: ([0, 23, 11, 311, 461, 281, 293, 284, 290, 320, 470, 110, 103, 104, 113, 323, 473,
+         413, 403, 404, 410, 140, 440, 50, 43, 44, 53, 443, 503, 233, 223, 224, 230, 500,
+         200, 590, 583, 584, 593, 203, 533, 83, 73, 74, 80, 380, 260, 560, 553, 554, 563,
+         383, 173, 263, 253, 248, 254, 314, 434, 464],
+        "b0e530d45b93708fba32b08f09bfd22e8d8c2ae8971d8cea0576f31752aa28bc", 1170),
+}
+
+
+@pytest.mark.parametrize("zeta", sorted(CAP_GOLDEN))
+def test_igcs_picks_golden_across_the_factor_cap(monkeypatch, zeta):
+    monkeypatch.setattr(graphs, "FAST_DIAG_CAP", 25)
+    d = synthetic_netflix(30, 20, 2, 2, noise_sigma=0.6, seed=3)
+    ss, state = igcs_sample(d.row_graph, d.col_graph, 1.0, 0.5, q=0.4, zeta=zeta, K=60,
+                            opts=SolverOptions(seed=3))
+    assert {mode for mode, _, _ in state.steps} == {"cluster", "group"}
+    steps_hash = hashlib.sha256(json.dumps(state.steps).encode()).hexdigest()
+    assert (ss.linear.tolist(), steps_hash, sum(state.iter_counts)) == CAP_GOLDEN[zeta]
 
 
 # ------------------------------------------------------------------- random
