@@ -12,6 +12,7 @@ rule for matrix entries, and edge-list I/O.
 from __future__ import annotations
 
 import io
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -222,13 +223,13 @@ def _residual(V, AV, lam):
     """Write A x - lambda x into V[2] (x = V[1]) and return its norm."""
     np.multiply(V[1], lam, out=V[2])
     np.subtract(AV[1], V[2], out=V[2])
-    return float(np.linalg.norm(V[2]))
+    return math.sqrt(V[2] @ V[2])  # np.linalg.norm's own arithmetic
 
 
 def _restart(A, V, AV, image=None):
     """Normalize x = V[1] and set A x: apply A afresh, or divide `image`, the
     image of x as it was, by the same norm. Returns (lambda, residual)."""
-    norm = np.linalg.norm(V[1])
+    norm = math.sqrt(V[1] @ V[1])
     V[1] /= norm
     if image is None:
         AV[1] = A(V[1])
@@ -239,27 +240,62 @@ def _restart(A, V, AV, image=None):
 
 
 def _ritz(M, K):
-    """Smallest eigenpair (lambda, c) of K c = lambda M c with c'Mc = 1.
+    """Smallest eigenpair (lambda, c) of K c = lambda M c with c'Mc = 1, for
+    (k, k) arrays M and K; c is a list of k floats.
 
     Returns None when the Cholesky factor of the unit-diagonal Gram matrix
     fails or its last pivot, the sine of the angle between the last basis
     vector and the span of the others, is below RR_PIVOT_TOL.
     """
-    # LAPACK is called directly: numpy.linalg's checks cost more than the
-    # factorizations themselves at this size.
-    s = 1.0 / np.sqrt(M.diagonal())
-    S = s[:, None] * s
-    L, info = lapack.dpotrf(M * S, lower=1, clean=1)
-    if info != 0 or not L[-1, -1] >= RR_PIVOT_TOL:
+    # At k <= 3 numpy's and LAPACK's per-call costs exceed the arithmetic, so
+    # everything but the eigensolve runs on Python floats.
+    M, K = M.tolist(), K.tolist()
+    three = len(M) == 3
+    # L L' = S M S for S = diag(s), and P = L^-1 S, so that P M P' = I.
+    s0, s1 = 1.0 / math.sqrt(M[0][0]), 1.0 / math.sqrt(M[1][1])
+    l00 = math.sqrt(M[0][0] * (s0 * s0))
+    l10 = M[0][1] * (s1 * s0) / l00
+    d = M[1][1] * (s1 * s1) - l10 * l10
+    if not d > 0.0:
         return None
-    Linv, _ = lapack.dtrtri(L, lower=1)
-    evals, Y, _ = lapack.dsyevd(Linv @ (K * S) @ Linv.T)
-    return float(evals[0]), s * (Linv.T @ Y[:, 0])
+    l11 = math.sqrt(d)
+    p00, p11 = s0 / l00, s1 / l11
+    p10 = -l10 * p00 / l11
+    # B = P K P', from the rows r of P K; only its upper triangle is set,
+    # which is all the eigensolver reads.
+    r0, r1 = p10 * K[0][0] + p11 * K[0][1], p10 * K[0][1] + p11 * K[1][1]
+    B = [[p00 * p00 * K[0][0], p00 * r0], [0.0, p10 * r0 + p11 * r1]]
+    if three:
+        s2 = 1.0 / math.sqrt(M[2][2])
+        l20 = M[0][2] * (s2 * s0) / l00
+        l21 = (M[1][2] * (s2 * s1) - l20 * l10) / l11
+        d = M[2][2] * (s2 * s2) - l20 * l20 - l21 * l21
+        if not d > 0.0 or not math.sqrt(d) >= RR_PIVOT_TOL:
+            return None
+        l22 = math.sqrt(d)
+        p20, p21, p22 = -(l20 * p00 + l21 * p10) / l22, -l21 * p11 / l22, s2 / l22
+        r0, r1, r2 = (p20 * K[0][i] + p21 * K[1][i] + p22 * K[2][i] for i in range(3))
+        B[0].append(p00 * r0)
+        B[1].append(p10 * r0 + p11 * r1)
+        B.append([0.0, 0.0, p20 * r0 + p21 * r1 + p22 * r2])
+    elif not l11 >= RR_PIVOT_TOL:
+        return None
+    evals, Y, _ = lapack.dsyevd(B)
+    y = Y[:, 0].tolist()
+    c = [p00 * y[0] + p10 * y[1], p11 * y[1]]
+    if three:
+        c = [c[0] + p20 * y[2], c[1] + p21 * y[2], p22 * y[2]]
+    return float(evals[0]), c
 
 
-# Columns of the coefficient matrix for the rows of V[3 - k:], which hold
-# [p, x, w] (k = 3) or [x, w] (k = 2), on the Rayleigh-Ritz basis (x, w[, p]).
-_STORAGE_ORDER = {3: [2, 0, 1], 2: [0, 1]}
+def _carried(c, M):
+    """(c'Mc, d'Mc, d'Md) for d = c with d[0] = 0, on the 3x3 Gram matrix M
+    of a basis B given as lists: the Gram entries of x = B c and p = B d."""
+    c0, c1, c2 = c
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = M
+    d0, d1, d2 = m01 * c1 + m02 * c2, m11 * c1 + m12 * c2, m12 * c1 + m22 * c2
+    dMc = c1 * (m01 * c0 + d1) + c2 * (m02 * c0 + d2)
+    return c0 * (m00 * c0 + d0) + dMc, dMc, c1 * d1 + c2 * d2
 
 
 def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray], x0,
@@ -275,19 +311,20 @@ def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray], x0,
 
     A x and A p are carried forward as the same linear combinations that
     produce x and p (Knyazev, SIAM J. Sci. Comput. 23(2), 2001), so each
-    iteration needs only A w. Without a preconditioner, the operator is
-    applied to w. A preconditioner T promises A T r = r + shift * T r, up to
+    iteration needs only A w, and the operator is applied to w once. A
+    preconditioner T with a `shift` promises A T r = r + shift * T r, up to
     rounding, and A w is taken from that instead. The Gram matrices of the
-    3x3 (2x2 without p) Rayleigh-Ritz problem take their w entries from dot
-    products and their x and p entries from the previous step's
+    3x3 (2x2 without p) Rayleigh-Ritz problem take their w entries from one
+    matrix-vector product and their x and p entries from the previous step's
     coefficients; p is left out when it is numerically in span{x, w} (see
-    RR_PIVOT_TOL).
+    RR_PIVOT_TOL). The small problem runs on Python floats but for one
+    LAPACK eigensolve (`_ritz`).
 
     Before returning, A x is recomputed with one more operator application,
     and the reported value, residual and image are taken from it. A result
     whose fresh residual is above tol goes on iterating, and the check is
-    not counted as an iteration. So a preconditioned solve applies the
-    operator twice, at the start and to confirm, or once when
+    not counted as an iteration. So a solve preconditioned with a shift
+    applies the operator twice, at the start and to confirm, or once when
     it is given the image of x0. A wrong image or shift can cost iterations
     or leave the solve unconverged, but it is never reported as converged.
 
@@ -300,11 +337,12 @@ def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray], x0,
     opts : SolverOptions
         tol bounds the absolute residual ||A v - lambda v|| (default 1e-6);
         max_iter defaults to 500.
-    precond : callable with a `shift`, optional
-        r -> T r for an SPD T, with the `shift` of A T r = r + shift * T r
-        (`graphs.FastDiagPreconditioner`); only the search direction w = T r
-        changes. The convergence test and the reported residual stay those
-        of A itself. None searches along the residual.
+    precond : callable, optional
+        r -> T r for an SPD T; only the search direction w = T r changes.
+        With a `shift` attribute, the shift of A T r = r + shift * T r
+        (`graphs.FastDiagPreconditioner`), A w comes from it; without one,
+        A is applied to w. The convergence test and the reported residual
+        stay those of A itself. None searches along the residual.
     image : ndarray, optional
         A x0, for a warm start whose image is known (EigenPair.image, updated
         for what changed in A). A is then not applied to x0, and the start
@@ -330,16 +368,19 @@ def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray], x0,
 
     tol = LOBPCG_TOL if opts.tol is None else opts.tol
     max_iter = LOBPCG_MAX_ITER if opts.max_iter is None else opts.max_iter
+    shift = getattr(precond, "shift", None)
 
-    # Rows of V are [p, x, w] and AV holds their images. Each step writes the
-    # next [p, x] into the other pair of buffers, and the pairs swap.
-    V, AV = np.zeros((3, x0.size)), np.zeros((3, x0.size))
-    V_next, AV_next = np.empty_like(V), np.empty_like(AV)
+    # X holds the rows [p, x, w] in V and their images in AV, so that their
+    # dot products with w are one product. Each step writes the next [p, x]
+    # and images into the other buffer, and the two swap.
+    X, X_next = np.zeros((2, 3, x0.size)), np.empty((2, 3, x0.size))
+    V, AV = X
     V[1] = x0
     lam, res = _restart(apply, V, AV, image)
     fresh, has_p = image is None, False
-    # Gram matrices of the carried (x, p): B'B in G and B'AB in H.
-    G, H = np.eye(2), np.diag([lam, 0.0])
+    # Gram entries of the carried (x, p): B'B in G and B'AB in H, as
+    # (x'x, x'p, p'p).
+    G, H = (1.0, 0.0, 0.0), (lam, 0.0, 0.0)
     it = 0
     while True:
         if res <= tol:
@@ -349,48 +390,45 @@ def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray], x0,
             # the p whose image carries the same drift.
             lam, res = _restart(apply, V, AV)
             fresh, has_p = True, False
-            G[0, 0], H[0, 0] = 1.0, lam
+            G, H = (1.0,) + G[1:], (lam,) + H[1:]
             continue
         if it == max_iter:
             break
         w = V[2]
-        if precond is None:
+        if shift is None:
+            if precond is not None:
+                w[:] = precond(w)
             AV[2] = apply(w)
         else:
             Tr = precond(w)
-            np.multiply(precond.shift, Tr, out=AV[2])
+            np.multiply(shift, Tr, out=AV[2])
             # A T r = r + shift * T r, up to the rounding of T's factors;
             # the confirming application checks what that leaves.
             AV[2] += w
             w[:] = Tr
-        g = V @ w
-        h = AV @ w
+        gp, gx, gw, hp, hx, hw = (X.reshape(6, -1) @ w).tolist()
         # On the basis (x, w, p); the p row and column are unused without p.
-        M = np.array([[G[0, 0], g[1], G[0, 1]],
-                      [g[1], g[2], g[0]],
-                      [G[0, 1], g[0], G[1, 1]]])
-        K = np.array([[H[0, 0], h[1], H[0, 1]],
-                      [h[1], h[2], h[0]],
-                      [H[0, 1], h[0], H[1, 1]]])
+        M = [[G[0], gx, G[1]], [gx, gw, gp], [G[1], gp, G[2]]]
+        K = [[H[0], hx, H[1]], [hx, hw, hp], [H[1], hp, H[2]]]
+        MK = np.array([M, K])
         k = 3 if has_p else 2
-        ritz = _ritz(M[:k, :k], K[:k, :k])
+        ritz = _ritz(MK[0, :k, :k], MK[1, :k, :k])
         if ritz is None and k == 3:
             k = 2
-            ritz = _ritz(M[:2, :2], K[:2, :2])
+            ritz = _ritz(MK[0, :2, :2], MK[1, :2, :2])
         it += 1
         if ritz is None:
             break  # w adds no direction to x: nothing left to search
         lam, c = ritz
-        # x_new = B c and p_new = x_new - c[0] x, the step away from the old x.
-        C = np.array([c, c])
-        C[1, 0] = 0.0
-        G = C @ M[:k, :k] @ C.T
-        H = C @ K[:k, :k] @ C.T
-        Cs = C[::-1][:, _STORAGE_ORDER[k]]
-        np.dot(Cs, V[3 - k:], out=V_next[:2])
-        np.dot(Cs, AV[3 - k:], out=AV_next[:2])
-        V, V_next, AV, AV_next = V_next, V, AV_next, AV
-        has_p = G[1, 1] > P_DROP_TOL ** 2
+        # x_new = B c and p_new = x_new - c[0] x, the step away from the old
+        # x. Without p, c[2] = 0 leaves every sum below as it is.
+        c0, c1, c2 = c if k == 3 else (*c, 0.0)
+        G, H = _carried((c0, c1, c2), M), _carried((c0, c1, c2), K)
+        # [p_new, x_new] and their images from the rows [p, x, w].
+        np.matmul([[c2, 0.0, c1], [c2, c0, c1]], X, out=X_next[:, :2])
+        X, X_next = X_next, X
+        V, AV = X
+        has_p = G[2] > P_DROP_TOL ** 2
         res = _residual(V, AV, lam)
         fresh = False
 

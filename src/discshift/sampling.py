@@ -7,9 +7,11 @@ GCS and the A-optimal local search in `bandlimited` run the one-block
 schedule on the full product operator with their own pick rules; IGCS runs
 GCS's rule on a block schedule alternating per-column "cluster" and per-row
 "group" blocks of the split operator, so every eigensolve stays
-factor-sized. Each eigensolve runs once: one that does not converge raises
-ConvergenceError naming the sampler and step. A uniform random baseline
-rounds things out.
+factor-sized. A step may carry a basis, in which the loop maps the start and
+the eigenvector: an IGCS block whose factor has at most FAST_DIAG_CAP nodes
+is solved in the factor's eigenbasis. Each eigensolve runs once: one
+that does not converge raises ConvergenceError naming the sampler and step.
+A uniform random baseline rounds things out.
 """
 
 from __future__ import annotations
@@ -21,12 +23,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .graphs import (
-    GraphLaplacian,
-    ProductOperator,
-    fast_diag_preconditioner,
-    trivial_graph,
-)
+from . import graphs
+from .graphs import GraphLaplacian, ProductOperator
 from .linalg import (
     ConvergenceError,
     SolverOptions,
@@ -119,39 +117,52 @@ def _disc_shift(steps, K: int, pick: Callable[[np.ndarray, np.ndarray, List[int]
     and warm-starts, for K steps of the schedule `steps`.
 
     steps is a generator, sent each pick k (None first), that yields the next
-    step as (apply, precond, available, weight, (offset, stride), fresh, what,
-    record): the operator and preconditioner as they stand, the boolean mask
-    of available indices, the diagonal weight of a pick, the map k ->
-    offset + stride * k to linear indices, whether to start from a seeded
-    random vector (else from the last pair), the name for ConvergenceError,
-    and the (mode, block) to record in SamplerState.steps, or None. It shifts
-    the picked disc when sent k, so no step is built after the K-th pick.
-    Each step solves once and takes k = pick(phi, available, picks), picks
-    being the linear picks so far (read only). Returns (SampleSet, SamplerState).
+    step as (apply, precond, basis, available, weight, (offset, stride),
+    fresh, what, record): the operator and preconditioner as they stand, the
+    orthogonal matrix whose columns are the solve's coordinates (None: the
+    solve runs on the indices themselves), the boolean mask of available
+    indices, the diagonal weight of a pick, the map k -> offset + stride * k
+    to linear indices, whether to start from a seeded random vector (else
+    from the last pair), the name for ConvergenceError, and the (mode, block)
+    to record in SamplerState.steps, or None. It shifts the picked disc when
+    sent k, so no step is built after the K-th pick. Each step solves once,
+    maps the eigenvector to phi = basis @ vec, and takes k = pick(phi,
+    available, picks), picks being the linear picks so far (read only).
+    Returns (SampleSet, SamplerState).
     """
     rng = np.random.default_rng(opts.seed)
     picks: List[int] = []
     state = SamplerState()
     k = None
     for _ in range(K):
-        apply, precond, available, weight, (offset, stride), fresh, what, record = steps.send(k)
-        x0, image = (random_unit(rng, available.size), None) if fresh else warm
+        apply, precond, basis, available, weight, (offset, stride), fresh, what, record = \
+            steps.send(k)
+        if fresh:
+            x0, image = random_unit(rng, available.size), None
+            if basis is not None:
+                x0 = basis.T @ x0
+        else:
+            x0 = pair.vec
+            if basis is not None:
+                image = apply(x0)
+            else:
+                # The pick added `added` at diagonal entry k, which was 0, so
+                # the image gains added * vec[k]; each schedule's operator adds
+                # its diagonal term last, so this equals the new operator's
+                # image bit for bit.
+                image = pair.image.copy()
+                image[k] += added * x0[k]
         pair = lobpcg_smallest(apply, x0, opts, precond, image)
         if not pair.converged:
             raise ConvergenceError(
                 f"{what}: eigensolver did not converge "
                 f"(residual {pair.residual:.3e})", residual=pair.residual)
-        k = pick(pair.vec, available, picks)
+        k = pick(pair.vec if basis is None else basis @ pair.vec, available, picks)
         picks.append(offset + stride * k)
         state.iter_counts.append(pair.iterations)
         if record is not None:
             state.steps.append((*record, k))
-        # The pick adds weight at diagonal entry k, which was 0, so the image
-        # gains weight * vec[k]; each schedule's operator adds its diagonal
-        # term last, so this equals the new operator's image bit for bit.
-        image = pair.image.copy()
-        image[k] += weight * pair.vec[k]
-        warm = pair.vec, image
+        added = weight
     return _from_linear(picks, m, K), state
 
 
@@ -178,7 +189,7 @@ def greedy_disc_shift(op: ProductOperator, K: int,
 
     def steps():
         for t in itertools.count():
-            k = yield (op.apply, op.preconditioner(), available, 1.0, (0, 1),
+            k = yield (op.apply, op.preconditioner(), None, available, 1.0, (0, 1),
                        t == 0 or not warm_start, f"{what} step {t}", None)
             op.sample_diag[k] = 1.0
             available[k] = False
@@ -197,6 +208,33 @@ def gcs_sample(op: ProductOperator, K: int, allowed=None,
     return greedy_disc_shift(op, K, _largest_abs, "GCS", allowed, opts, warm_start)
 
 
+def _block(G: GraphLaplacian, w_diag: float, w_lap: float, sampled: np.ndarray):
+    """(apply, precond, basis) for the IGCS block w_diag * diag(sampled) +
+    w_lap * L of the factor graph G, as `_disc_shift` takes them.
+
+    A factor within fast_diag_preconditioner's FAST_DIAG_CAP gets its
+    spectrum L = U diag(lam) U' and the coordinates y = U'x: there the block
+    is w_lap * diag(lam) plus a term of rank r, the number of sampled
+    entries, and the preconditioner (w_lap L + cI)^-1, with c as
+    fast_diag_preconditioner sets it, is a diagonal scale. A larger factor
+    runs on x itself, unpreconditioned, with the diagonal term added last.
+    """
+    diag = w_diag * sampled
+    if G.n > graphs.FAST_DIAG_CAP:
+        L = G.laplacian
+        return (lambda x: w_lap * (L @ x) + diag * x), None, None
+    lam, U = G.spectrum
+    wlam = w_lap * lam
+    inv = 1.0 / (wlam + max(float(diag.sum()), 1.0) / diag.size)
+    if 2 * np.count_nonzero(sampled) <= sampled.size:
+        U_S = U[sampled]  # U' diag(d) U = w_diag U_S' U_S
+        apply = lambda y: wlam * y + U_S.T @ (w_diag * (U_S @ y))
+    else:  # = w_diag (I - U_C' U_C) on the unsampled rows U_C: fewer rows
+        U_C, wlam_d = U[~sampled], wlam + w_diag
+        apply = lambda y: wlam_d * y - U_C.T @ (w_diag * (U_C @ y))
+    return apply, (lambda r: inv * r), U
+
+
 def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
                 alpha: float, beta: float, q: float = 0.5, zeta: int = 1,
                 K: int = 1, allowed=None,
@@ -209,10 +247,11 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
     by GCS's rule, and marks the entry in both the cluster and group
     indicators. After zeta consecutive picks the schedule jumps to the group
     of the last picked row (matrix (1-q) * diag(indicator_row_i) + beta *
-    L_c), and so on until K entries are chosen. Each block solve is
-    preconditioned by fast_diag_preconditioner of its block. The warm start
-    lives only within one block streak; each new streak starts from a seeded
-    random vector. An exhausted block advances to the next block index,
+    L_c), and so on until K entries are chosen. A block whose factor is
+    within FAST_DIAG_CAP is solved in its factor's eigenbasis, where the
+    fast-diagonalization preconditioner is a diagonal scale (`_block`). The
+    warm start lives only within one block streak; each new streak starts
+    from a seeded random vector. An exhausted block advances to the next block index,
     wrapping; one always has an available entry, since the blocks of a mode
     partition the grid and K is at most the pool.
     """
@@ -231,7 +270,6 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
     sampled = np.zeros((m, n), dtype=bool)
     modes = {"cluster": (allowed2d, sampled, row_graph, q, alpha, (1, m)),
              "group": (allowed2d.T, sampled.T, col_graph, 1.0 - q, beta, (m, 1))}
-    point = trivial_graph()  # a block is the Kronecker sum of its factor and a point
 
     def steps():
         mode, block, streak = "cluster", 0, 0
@@ -239,11 +277,9 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
             allow, samp, G, w_diag, w_lap, stride = modes[mode]
             while not (avail := allow[:, block] & ~samp[:, block]).any():
                 block, streak = (block + 1) % samp.shape[1], 0
-            diag, L = w_diag * samp[:, block], G.laplacian
-            k = yield (lambda v: w_lap * (L @ v) + diag * v,  # the diagonal term last
-                       fast_diag_preconditioner(G, point, w_lap, 0.0, diag), avail,
-                       w_diag, (block * stride[1], stride[0]), streak == 0,
-                       f"IGCS {mode} {block} (pick {t})", (mode, block))
+            apply, precond, U = _block(G, w_diag, w_lap, samp[:, block])
+            k = yield (apply, precond, U, avail, w_diag, (block * stride[1], stride[0]),
+                       streak == 0, f"IGCS {mode} {block} (pick {t})", (mode, block))
             samp[k, block] = True
             streak += 1
             if streak >= zeta:
