@@ -114,9 +114,10 @@ def load_ratings(path) -> RatingMatrix:
     comment fixes dimensions; otherwise they are inferred from the data. An
     entry out of range or repeated raises with its line number.
     """
-    t = read_table(path, [("row", "i8"), ("col", "i8"), ("value", "f8")])
     with open(path) as f:
-        dims = _DIRECTIVE.findall(f.read())
+        text = f.read()
+    dims = _DIRECTIVE.findall(text)  # before read_table deletes the headers
+    t = read_table(path, [("row", "i8"), ("col", "i8"), ("value", "f8")], text=text)
     rows, cols = t["row"], t["col"]
     m, n = map(int, dims[-1] if dims else (rows.max(initial=-1) + 1, cols.max(initial=-1) + 1))
     try:

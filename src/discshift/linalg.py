@@ -457,12 +457,14 @@ def save_edge_list(A: SparseSym, path) -> None:
                          A.values[upper].tolist()))
 
 
-def read_table(path, dtype, delimiter: Optional[str] = ",") -> np.ndarray:
+def read_table(path, dtype, delimiter: Optional[str] = ",",
+               text: Optional[str] = None) -> np.ndarray:
     """Records of a numeric text table, one per data line, in file order.
 
     The fields of the structured `dtype` name the columns; delimiter None
     splits on whitespace. Empty lines and everything from `#` or `row` (a
-    header) to the end of a line are skipped.
+    header) to the end of a line are skipped. text, if given, is the file's
+    contents as a caller has already read them, and path only names the file.
 
     The body is read once, stripped of what `row` skips, and parsed in one
     np.loadtxt call with `#` as its only marker; only when that fails are
@@ -472,7 +474,7 @@ def read_table(path, dtype, delimiter: Optional[str] = ",") -> np.ndarray:
     """
     dtype = np.dtype(dtype)
     kw = dict(dtype=dtype, delimiter=delimiter, comments="#", ndmin=1)
-    text = _table_text(path)
+    text = _table_text(path) if text is None else _HEADER.sub("", text)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a table with no data lines
         try:

@@ -1,5 +1,6 @@
 """Tests for dataset I/O, splitting, and the experiment sweep harness."""
 
+import builtins
 import os
 import re
 from dataclasses import fields
@@ -40,6 +41,25 @@ def test_load_ratings_empty_with_directive(tmp_path):
     data = load_ratings(path)
     assert (data.m, data.n) == (2, 2)
     assert data.n_known == 0
+
+
+def test_load_ratings_opens_its_file_once(tmp_path, monkeypatch):
+    # The `# m= n=` directive comes from the text that is parsed, not from
+    # a second read; a directive after the header and data lines still counts.
+    path = tmp_path / "r.csv"
+    path.write_text("row,col,value\n0,0,1.0\n1,1,2.0\n# m=4 n=3\n")
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    data = load_ratings(path)
+    monkeypatch.undo()
+    assert opened == [path]
+    assert (data.m, data.n, data.n_known) == (4, 3, 2)
 
 
 def test_save_ratings_pins_float_bytes(tmp_path):

@@ -298,6 +298,21 @@ def test_lobpcg_converges_without_p(monkeypatch):
     assert abs(pair.value - np.linalg.eigvalsh(A)[0]) <= 1e-9
 
 
+def test_lobpcg_preconditioner_without_shift_applies_once_per_iteration():
+    # A preconditioner with no `shift` (here a diagonal scale) gives no image
+    # of T r, so A is applied to it: once per iteration, plus the start and
+    # the confirming application.
+    rng = np.random.default_rng(16)
+    for _ in range(5):
+        A = gapped_spd(30, rng)
+        inv = 1.0 / (np.diag(A) + 0.5)
+        apply = counting(A)
+        pair = lobpcg_smallest(apply, rng.standard_normal(30), precond=lambda r: inv * r)
+        assert pair.converged and pair.iterations >= 2
+        assert abs(pair.value - np.linalg.eigvalsh(A)[0]) <= 1e-9
+        assert apply.calls == pair.iterations + 2
+
+
 def sampled_products():
     """Product operators with the fast-diagonalization preconditioner, from
     no samples to a few."""

@@ -1,5 +1,6 @@
 """Tests for the greedy samplers and sample-set persistence."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -13,11 +14,19 @@ from discshift.bandlimited import aopt_local_search, bandlimited_basis
 from discshift.graphs import (
     ProductOperator,
     community_graph,
+    fast_diag_preconditioner,
     laplacian_from_weights,
     product_dense,
     synthetic_netflix,
+    trivial_graph,
 )
-from discshift.linalg import ConvergenceError, SolverOptions, SparseSym
+from discshift.linalg import (
+    ConvergenceError,
+    SolverOptions,
+    SparseSym,
+    lobpcg_smallest,
+    random_unit,
+)
 from discshift.sampling import (
     SampleSet,
     argmax_abs_tied,
@@ -193,6 +202,42 @@ def test_samplers_start_fresh_once_per_streak(monkeypatch):
         fresh.clear()
         gcs_sample(op, 15, allowed=allowed, warm_start=warm_start)
         assert len(fresh) == 15 and sum(fresh) == want
+
+
+def test_samplers_build_no_image_for_a_fresh_start(monkeypatch):
+    # A step that starts from a random vector takes no image, so the loop
+    # never reads the last pair's: GCS without warm starts, and IGCS with
+    # zeta=1, whose every step starts a streak, in x and in eigen coordinates.
+    real = sampling.lobpcg_smallest
+    monkeypatch.setattr(sampling, "lobpcg_smallest",
+                        lambda *args: dataclasses.replace(real(*args), image=None))
+    d = synthetic_netflix(12, 9, 2, 2, seed=1, p_in=0.8, p_out=0.1)
+    gcs_sample(ProductOperator(d.row_graph, d.col_graph, 1.0, 0.5), 10, warm_start=False)
+    for cap in (graphs.FAST_DIAG_CAP, 0):
+        monkeypatch.setattr(graphs, "FAST_DIAG_CAP", cap)
+        igcs_sample(d.row_graph, d.col_graph, 1.0, 0.5, zeta=1, K=12)
+
+
+@pytest.mark.parametrize("r", [0, 1, 5, 25])
+def test_igcs_block_in_eigen_coordinates_matches_x_coordinates(r):
+    # One block w_diag * diag(sampled) + w_lap * L, solved in the factor's
+    # eigenbasis and on x with the fast-diagonalization preconditioner, from
+    # the same start: the same iterations and, mapped back, the same |phi|.
+    # r = 25 of 30 applies the sampled term through the 5 unsampled rows.
+    G = synthetic_netflix(30, 20, 2, 2, seed=3).row_graph
+    rng = np.random.default_rng(r)
+    sampled = np.zeros(G.n, dtype=bool)
+    sampled[rng.choice(G.n, r, replace=False)] = True
+    w_diag, w_lap = 0.4, 1.5
+    diag = w_diag * sampled
+    x0 = random_unit(rng, G.n)
+    ref = lobpcg_smallest(lambda v: w_lap * (G.laplacian @ v) + diag * v, x0, SolverOptions(),
+                          fast_diag_preconditioner(G, trivial_graph(), w_lap, 0.0, diag))
+    apply, precond, U = sampling._block(G, w_diag, w_lap, sampled)
+    pair = lobpcg_smallest(apply, U.T @ x0, SolverOptions(), precond)
+    assert ref.converged and pair.converged
+    assert pair.iterations == ref.iterations
+    assert np.abs(np.abs(U @ pair.vec) - np.abs(ref.vec)).max() <= 1e-12
 
 
 def test_unconverged_solve_names_sampler_step_once(monkeypatch):
