@@ -24,7 +24,8 @@ PRODUCT_DENSE_CAP = 4096
 # fast_diag_preconditioner's rule (see there): no preconditioner when a factor
 # has more than FAST_DIAG_CAP nodes, the largest factor its cost was measured
 # on, or, for a product of two graphs, when the sampled fraction times the
-# fraction of low modes exceeds FAST_DIAG_SHARE.
+# fraction of low modes exceeds FAST_DIAG_SHARE. IGCS solves a block in its
+# factor's eigenbasis under the same cap (sampling._block).
 FAST_DIAG_CAP = 300
 FAST_DIAG_SHARE = 0.01
 
@@ -449,7 +450,9 @@ def fast_diag_preconditioner(row_graph: GraphLaplacian, col_graph: GraphLaplacia
     preconditioned CG iteration costs about 2.5 plain ones. So None when
     (#nonzero d / mn) * (#low modes / mn) exceeds FAST_DIAG_SHARE there, as at
     alpha = beta = 0.01 with 10% of the grid sampled. On one graph (the other
-    a point, an IGCS block) it won at every density measured. A factor above
+    a point, as in check [11]'s single-graph products) it won at every density
+    measured; IGCS solves such blocks in the factor's eigenbasis instead, where
+    the same inverse is a diagonal scale (`sampling._block`). A factor above
     FAST_DIAG_CAP nodes gives None, before any spectrum is computed: the
     dense products grow as mn(m + n) against the sparse matvec's nnz, and
     the 2.5 above was measured at 120 x 80 only. The rule still pays for CG:

@@ -3,10 +3,11 @@
 CSR storage, conjugate gradient, a single-vector LOBPCG for the smallest
 eigenpair (with warm start; one operator application per iteration plus one
 that confirms the final residual, or only the confirming one when the
-preconditioner supplies the image of each search direction and the start
-comes with its image), both optionally preconditioned, Gershgorin disc
-utilities, the one reader of the package's numeric text tables, the one
-rule for matrix entries, and edge-list I/O.
+preconditioner supplies the image of each search direction through its
+`shift` and the start comes with its image; its Rayleigh-Ritz step runs on
+Python floats around one LAPACK eigensolve), both optionally preconditioned,
+Gershgorin disc utilities, the one reader of the package's numeric text
+tables, the one rule for matrix entries, and edge-list I/O.
 """
 
 from __future__ import annotations

@@ -251,9 +251,9 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
     within FAST_DIAG_CAP is solved in its factor's eigenbasis, where the
     fast-diagonalization preconditioner is a diagonal scale (`_block`). The
     warm start lives only within one block streak; each new streak starts
-    from a seeded random vector. An exhausted block advances to the next block index,
-    wrapping; one always has an available entry, since the blocks of a mode
-    partition the grid and K is at most the pool.
+    from a seeded random vector. An exhausted block advances to the next
+    block index, wrapping; one always has an available entry, since the
+    blocks of a mode partition the grid and K is at most the pool.
     """
     if not (0.0 < q < 1.0):
         raise ValueError("q must lie in (0, 1)")
