@@ -16,7 +16,7 @@ import numpy as np
 
 from .graphs import GraphLaplacian, ProductOperator
 from .linalg import SolverOptions, checked_linear
-from .sampling import TIE_TOL, SampleSet, argmax_abs_tied, greedy_disc_shift
+from .sampling import SampleSet, argmax_abs_tied, greedy_disc_shift, tied
 
 AOPT_EPS = 1e-8
 GRAM_RANK_TOL = 1e-10
@@ -113,19 +113,44 @@ def aopt_pool(phi: np.ndarray, available: np.ndarray, L_pool: int) -> List[int]:
     """The min(L_pool, #available) indices that as many successive
     argmax_abs_tied picks over the available ones take, in pick order.
 
-    Only candidates within TIE_TOL of the L_pool-th largest |phi| can be
-    picked: every pick's tie band lies inside that set, so the picks run
-    over it alone.
+    Only candidates tied (`sampling.tied`) with the L_pool-th largest |phi|
+    can be picked: every pick's tie band lies inside that set, the band, so
+    the picks run over it alone. The first pick is argmax_abs_tied's; the
+    rest are taken a tie window at a time. While the largest remaining
+    |phi|, the top, stays, the picks walk the entries tied with it in index
+    order, so the window is taken whole, up to its last entry at the top.
+
+    Sorted by |phi|, the band splits into runs where an entry is not tied
+    with the one above it. top - TIE_TOL rounds monotonically in top, so no
+    entry of a later run ties with the top of an earlier one: every window
+    lies in one run, and a run of one entry is one pick, with no tie test.
     """
     cand = np.flatnonzero(available)
     count = min(L_pool, cand.size)
     mags = np.abs(phi[cand])
     kth = np.partition(mags, cand.size - count)[cand.size - count]
-    band = cand[mags >= kth - TIE_TOL]
-    pool = []
-    for _ in range(count):
-        pool.append(argmax_abs_tied(phi, band))
-        band = band[band != pool[-1]]
+    band = cand[tied(mags, kth)]
+    pool = [argmax_abs_tied(phi, band)]
+    band = band[band != pool[0]]
+    mags = np.abs(phi[band])  # -inf once taken
+    order = np.argsort(mags)[::-1]
+    ranked = mags[order]
+    starts = (np.flatnonzero(~tied(ranked[1:], ranked[:-1])) + 1).tolist()
+    for lo, hi in zip([0, *starts], [*starts, ranked.size]):
+        if len(pool) == count:
+            break
+        if hi - lo == 1:
+            pool.append(int(band[order[lo]]))
+            mags[order[lo]] = -np.inf
+            continue
+        left = hi - lo  # the run's entries not yet taken
+        while left and len(pool) < count:
+            top = mags.max()
+            last = mags.size - 1 - np.argmax(mags[::-1])  # the last entry at the top
+            take = np.flatnonzero(tied(mags[:last + 1], top))[:count - len(pool)]
+            pool += band[take].tolist()
+            mags[take] = -np.inf
+            left -= take.size
     return pool
 
 
@@ -159,8 +184,12 @@ def aopt_local_search(basis: BandlimitedBasis, op: ProductOperator, K: int,
                       allowed=None) -> SampleSet:
     """A-optimal greedy sampling restricted to a local candidate pool: the
     greedy_disc_shift loop with aopt_pick. L_pool = 1 reduces to gcs_sample's
-    picks; L_pool = mn is plain greedy A-optimal.
+    picks; L_pool = mn is plain greedy A-optimal. The basis must be built
+    for op's grid.
     """
+    if (basis.m, basis.n) != (op.m, op.n):
+        raise ValueError(f"basis is for a {basis.m}x{basis.n} grid, "
+                         f"the operator for {op.m}x{op.n}")
     return greedy_disc_shift(op, K, aopt_pick(basis, L_pool), "A-opt", allowed, opts)[0]
 
 

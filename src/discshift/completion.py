@@ -17,9 +17,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .graphs import ProductOperator, RatingMatrix, GraphLaplacian
-from .linalg import (ConvergenceError, SolverOptions, cg_solve, entry_pairs,
-                     lobpcg_smallest, random_unit)
-from .sampling import SampleSet
+from .linalg import ConvergenceError, SolverOptions, cg_solve, lobpcg_smallest, random_unit
+from .sampling import SampleSet, grid_pairs
 
 _log = logging.getLogger(__name__)
 
@@ -28,6 +27,7 @@ _log = logging.getLogger(__name__)
 class CompletionProblem:
     """Observed values on a sample set plus the dual graphs and weights.
 
+    omega keeps the entry rule on the graphs' grid (`sampling.grid_pairs`).
     `sampled` is the boolean m x n mask of omega, built once here; the
     operator, right-hand side, objective and PD check all read it.
     """
@@ -44,7 +44,7 @@ class CompletionProblem:
         m, n = self.row_graph.n, self.col_graph.n
         if (self.observations.m, self.observations.n) != (m, n):
             raise ValueError("observation dims must match the graphs")
-        rows, cols = entry_pairs(self.omega.ij, m, n).T
+        rows, cols = grid_pairs(self.omega, m, n).T
         known = self.observations.mask_bool()[rows, cols]
         if not known.all():
             i, j = self.omega.ij[np.argmin(known)]
@@ -192,11 +192,11 @@ def mse_upper_bound(x_star, ground_truth, noise, p: CompletionProblem,
 def rmse_eval(x_star, ground_truth, eval_set) -> float:
     """Root mean squared error over (row, col) pairs: a SampleSet, a sequence
     of pairs or a (k, 2) array, which must keep the entry rule
-    (`linalg.entry_pairs`) on x_star's grid.
+    (`linalg.entry_pairs`) on x_star's grid (`sampling.grid_pairs`).
     """
     Xs = np.asarray(x_star, dtype=np.float64)
     G = np.asarray(ground_truth, dtype=np.float64)
-    rows, cols = entry_pairs(getattr(eval_set, "ij", eval_set), *Xs.shape).T
+    rows, cols = grid_pairs(eval_set, *Xs.shape).T
     if rows.size == 0:
         raise ValueError("empty evaluation set")
     diff = Xs[rows, cols] - G[rows, cols]

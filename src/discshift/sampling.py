@@ -45,16 +45,17 @@ TIE_TOL = 1e-4
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     """Ordered entry selections as one read-only (k, 2) int64 array `ij` of
-    (row, col) pairs on m rows (`linalg.entry_pairs`), built from a sequence
-    of pairs or a (k, 2) array; `pairs` and `linear` derive from it.
-    Compares by identity."""
+    (row, col) pairs on m rows and, when n is given, n columns
+    (`linalg.entry_pairs`), built from a sequence of pairs or a (k, 2)
+    array; `pairs` and `linear` derive from it. Compares by identity."""
 
     ij: np.ndarray
     m: int
     budget: int
+    n: Optional[int] = None
 
     def __post_init__(self):
-        ij = entry_pairs(self.ij, self.m)
+        ij = entry_pairs(self.ij, self.m, self.n)
         ij.flags.writeable = False
         object.__setattr__(self, "ij", ij)
         if len(ij) > self.budget:
@@ -73,6 +74,15 @@ class SampleSet:
         return self.ij[:, 0] + self.m * self.ij[:, 1]
 
 
+def grid_pairs(pairs, m: int, n: int) -> np.ndarray:
+    """pairs (a SampleSet, a sequence of pairs or a (k, 2) array) as a (k, 2)
+    int64 array under the entry rule on the m x n grid. A SampleSet built on
+    that grid already holds the rule, so its `ij` is returned unchecked."""
+    if isinstance(pairs, SampleSet) and (pairs.m, pairs.n) == (m, n):
+        return pairs.ij
+    return entry_pairs(getattr(pairs, "ij", pairs), m, n)
+
+
 def _from_linear(lin, m: int, budget: int) -> SampleSet:
     """The SampleSet of column-major linear indices, in their order."""
     j, i = divmod(np.asarray(lin, dtype=np.int64), m)
@@ -88,12 +98,17 @@ class SamplerState:
     steps: List[Tuple[str, int, int]] = field(default_factory=list)
 
 
+def tied(mags, top, tie_tol: float = TIE_TOL):
+    """The tie test: which of mags count as tied with top, by lying within
+    tie_tol below it. argmax_abs_tied's top is its candidates' largest."""
+    return mags >= top - tie_tol
+
+
 def argmax_abs_tied(vec: np.ndarray, candidates: np.ndarray, tie_tol: float = TIE_TOL) -> int:
     """Index of the largest |vec| entry among candidates, lowest index on ties."""
     cand = np.asarray(candidates)
     mags = np.abs(vec[cand])
-    top = mags.max()
-    return int(cand[np.flatnonzero(mags >= top - tie_tol)[0]])
+    return int(cand[np.flatnonzero(tied(mags, mags.max(), tie_tol))[0]])
 
 
 def _normalize_allowed(allowed, size: int) -> np.ndarray:
@@ -336,8 +351,7 @@ def load_sample_set(csv_path, m: int, n: int):
         pass
     k = max(len(t), int(meta.get("K") or 0))
     try:
-        return SampleSet(entry_pairs(np.column_stack((t["row"], t["col"])), m, n),
-                         m=m, budget=k), meta
+        return SampleSet(np.column_stack((t["row"], t["col"])), m=m, budget=k, n=n), meta
     except ValueError as e:
         raise ValueError(f"{csv_path}: {e}") from None
 

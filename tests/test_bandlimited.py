@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import discshift.bandlimited as bandlimited
 from discshift.bandlimited import (
     AOPT_EPS,
     aopt_local_search,
@@ -266,6 +267,86 @@ def test_aopt_pool_equals_slot_by_slot_argmax():
     assert aopt_pool(phi, available, 5) == slot_by_slot_pool(phi, available, 5) == [0, 1, 2, 3, 4]
 
 
+def test_aopt_pool_untied_magnitudes_in_magnitude_order():
+    # Magnitudes at least 1e-3 apart: every window holds one entry, so the
+    # pool is the top L_pool available indices by |phi|, largest first.
+    rng = np.random.default_rng(41)
+    phi = rng.permutation(np.arange(1, 301) * 1e-3) * rng.choice([-1.0, 1.0], 300)
+    available = rng.random(300) < 0.7
+    order = np.argsort(-np.abs(phi))
+    expected = order[available[order]][:40].tolist()
+    assert aopt_pool(phi, available, 40) == slot_by_slot_pool(phi, available, 40) == expected
+
+
+def test_aopt_pool_takes_a_window_whole(monkeypatch):
+    # Indices 0-9 are tied, and the top is index 9, the last of the window:
+    # the picks walk all ten in index order before the top moves. Indices 10
+    # and 11 are not tied with that top; the next window is the two of them,
+    # up to the new top at 11. argmax_abs_tied names the first pick only.
+    phi = np.full(14, 0.05)
+    phi[:10] = 0.1 - TIE_TOL * np.linspace(0.9, 0.1, 10)
+    phi[9] = 0.1
+    phi[10:12] = [0.1 - 1.5 * TIE_TOL, 0.1 - 1.2 * TIE_TOL]
+    available = np.ones(14, dtype=bool)
+    expected = list(range(12))
+    assert slot_by_slot_pool(phi, available, 12) == expected
+    calls = []
+    monkeypatch.setattr(bandlimited, "argmax_abs_tied",
+                        lambda *args: calls.append(args) or argmax_abs_tied(*args))
+    assert aopt_pool(phi, available, 12) == expected
+    assert aopt_pool(phi, available, 6) == expected[:6]
+    assert len(calls) == 2
+
+
+def test_aopt_pool_all_tied_band_larger_than_pool():
+    # A-opt step 0: phi is the constant vector up to rounding, so every
+    # available index is tied with every other and the pool is the lowest
+    # L_pool of them, in index order, wherever the top lies.
+    rng = np.random.default_rng(42)
+    phi = np.full(600, 1 / np.sqrt(600)) + 1e-12 * rng.standard_normal(600)
+    available = rng.random(600) < 0.5
+    for L_pool in (1, 7, 50):
+        pool = aopt_pool(phi, available, L_pool)
+        assert pool == np.flatnonzero(available)[:L_pool].tolist()
+        assert pool == slot_by_slot_pool(phi, available, L_pool)
+
+
+def test_aopt_pool_l_pool_at_least_the_band():
+    # L_pool at or beyond the available count takes every available index,
+    # in pick order.
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        size = int(rng.integers(1, 60))
+        phi = rng.choice([-1.0, 1.0], size) * (0.01 + TIE_TOL / 2 * rng.integers(0, 6, size))
+        available = rng.random(size) < 0.6
+        available[rng.integers(size)] = True
+        for L_pool in (int(available.sum()), size + 5):
+            pool = aopt_pool(phi, available, L_pool)
+            assert pool == slot_by_slot_pool(phi, available, L_pool)
+            assert sorted(pool) == np.flatnonzero(available).tolist()
+
+
+def test_aopt_pool_calls_argmax_abs_tied_once_per_fill_at_most_once_per_slot(monkeypatch):
+    calls = []
+
+    def spy(vec, candidates, tie_tol=TIE_TOL):
+        calls.append(len(candidates))
+        return argmax_abs_tied(vec, candidates, tie_tol)
+
+    monkeypatch.setattr(bandlimited, "argmax_abs_tied", spy)
+    rng = np.random.default_rng(44)
+    for _ in range(200):
+        size = int(rng.integers(1, 200))
+        phi = rng.choice([-1.0, 1.0], size) * (0.01 + TIE_TOL / 3 * rng.integers(0, 12, size))
+        available = rng.random(size) < 0.8
+        available[rng.integers(size)] = True
+        L_pool = int(rng.integers(1, size + 1))
+        calls.clear()
+        pool = aopt_pool(phi, available, L_pool)
+        assert 1 <= len(calls) <= len(pool)
+        assert pool == slot_by_slot_pool(phi, available, L_pool)
+
+
 # ------------------------------------------------------------- local search
 
 
@@ -284,6 +365,16 @@ def test_local_search_pool_one_is_gcs():
     ss = aopt_local_search(basis, op, K=3, L_pool=1)
     gcs, _ = gcs_sample(op, 3)
     assert ss.pairs == gcs.pairs
+
+
+def test_local_search_rejects_a_basis_of_another_grid():
+    # A 3x2 operator and a basis of the 2x3 grid have the same mn; scoring
+    # would decode the linear indices with the wrong m.
+    rg, cg = path_graph(3), path_graph(2)
+    op = ProductOperator(rg, cg, 0.1, 0.1)
+    basis = bandlimited_basis(cg, rg, k1=2, k2=2)
+    with pytest.raises(ValueError, match="basis is for a 2x3 grid, the operator for 3x2"):
+        aopt_local_search(basis, op, K=2, L_pool=3)
 
 
 def test_local_search_mid_pool_matches_reference():

@@ -8,6 +8,12 @@ import sys
 import numpy as np
 import pytest
 
+import discshift.cli as cli
+import discshift.completion as completion
+import discshift.experiments as experiments
+import discshift.graphs as graphs
+import discshift.linalg as linalg
+import discshift.sampling as sampling
 from discshift.cli import build_parser, main
 from discshift.experiments import (
     GENERATOR_DEFAULTS,
@@ -240,6 +246,28 @@ def test_sample_rejects_fractional_budget(tmp_path):
     with pytest.raises(SystemExit, match="--budget: budget 2.7 is not a whole number"):
         main(["sample", "--method", "random", "--budget", "2.7", "--m", "4",
               "--n", "3", "--out", str(tmp_path / "s.csv")])
+
+
+def test_eval_checks_its_set_once(dataset, tmp_path, monkeypatch):
+    # The eval set passes the entry rule once, as it is read: its SampleSet
+    # records the grid, and rmse_eval does not check it again.
+    X = tmp_path / "x.csv"
+    np.savetxt(X, np.ones((12, 9)), delimiter=",")
+    eval_csv = tmp_path / "eval.csv"
+    eval_csv.write_text("row,col\n0,0\n3,2\n11,8\n")
+    seen = []
+    real = linalg.entry_pairs
+
+    def spy(pairs, *args):
+        seen.append(np.asarray(pairs).tolist())
+        return real(pairs, *args)
+
+    for mod in (linalg, graphs, sampling, completion, experiments, cli):
+        if hasattr(mod, "entry_pairs"):
+            monkeypatch.setattr(mod, "entry_pairs", spy)
+    assert main(["eval", "--completed", str(X), "--truth", str(dataset / "ratings.csv"),
+                 "--eval-set", str(eval_csv)]) == 0
+    assert seen.count([[0, 0], [3, 2], [11, 8]]) == 1
 
 
 def test_eval_rejects_duplicate_pairs(dataset, tmp_path):

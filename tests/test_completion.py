@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from scipy.sparse.csgraph import connected_components
 
 import discshift.completion as completion
+import discshift.sampling as sampling
 
 from discshift.completion import (
     CompletionProblem,
@@ -395,6 +396,32 @@ def test_rmse_accepts_sample_set():
     truth = np.zeros((2, 2))
     ss = SampleSet(((0, 0),), m=2, budget=1)
     assert rmse_eval(truth + 1.0, truth, ss) == pytest.approx(1.0)
+
+
+def test_sample_set_of_the_grid_skips_the_entry_rule(monkeypatch):
+    # A SampleSet built on the problem's grid (m and n) already holds the
+    # entry rule, so CompletionProblem and rmse_eval do not run it again.
+    calls = []
+    real = sampling.entry_pairs
+    monkeypatch.setattr(sampling, "entry_pairs", lambda *a: calls.append(a) or real(*a))
+    obs, est = RatingMatrix.from_dense(np.ones((2, 3))), np.ones((2, 3))
+    on_grid = SampleSet(((0, 0), (1, 2)), m=2, budget=2, n=3)
+    calls.clear()
+    CompletionProblem(obs, on_grid, path_graph(2), path_graph(3), 0.1, 0.1)
+    assert rmse_eval(est, est - 1.0, on_grid) == 1.0
+    assert calls == []
+    # A set without n, and plain pairs, are checked.
+    no_n = SampleSet(((0, 0), (1, 2)), m=2, budget=2)
+    calls.clear()
+    CompletionProblem(obs, no_n, path_graph(2), path_graph(3), 0.1, 0.1)
+    rmse_eval(est, est, no_n)
+    rmse_eval(est, est, [(0, 0), (1, 2)])
+    assert len(calls) == 3
+    other = SampleSet(((0, 0), (1, 4)), m=2, budget=2, n=5)  # another grid's n
+    with pytest.raises(ValueError, match=re.escape("pair (1, 4) outside the 2x3 grid")):
+        CompletionProblem(obs, other, path_graph(2), path_graph(3), 0.1, 0.1)
+    with pytest.raises(ValueError, match=re.escape("pair (1, 4) outside the 2x3 grid")):
+        rmse_eval(est, est, other)
 
 
 # -------------------------------------------------------------- report I/O

@@ -133,6 +133,13 @@ def test_sample_set_rejects_overflow():
         SampleSet(((0, 0), (1, 0)), m=2, budget=1)
 
 
+def test_sample_set_checks_columns_when_given_n():
+    assert SampleSet(((0, 0), (1, 3)), m=2, budget=2).n is None
+    assert SampleSet(((0, 0), (1, 2)), m=2, budget=2, n=3).n == 3
+    with pytest.raises(ValueError, match=r"pair \(1, 3\) outside the 2x3 grid"):
+        SampleSet(((0, 0), (1, 3)), m=2, budget=2, n=3)
+
+
 def test_argmax_abs_tied_prefers_lowest():
     v = np.array([0.5, -0.50004, 0.49999])
     # indices 0..2 are all within 1e-4 of the max magnitude
