@@ -309,7 +309,7 @@ def run_experiment(cfg: ExperimentConfig) -> List[MetricsRow]:
                     problem = CompletionProblem(
                         observations=data,
                         omega=SampleSet(np.concatenate((ij[gamma], ss.ij)), m=m,
-                                        budget=gamma.size + K),
+                                        budget=gamma.size + K, n=n),
                         row_graph=row_graph, col_graph=col_graph,
                         alpha=cfg.alpha, beta=cfg.beta)
                     report = dglr_solve(problem, SolverOptions(tol=cfg.tol, seed=seed))
@@ -348,21 +348,6 @@ def export_metrics(rows: Sequence[MetricsRow], path) -> None:
         for r in rows:
             f.write(f"{r.method},{r.seed},{r.K},{r.rmse!r},{r.lambda_min_est!r},"
                     f"{r.wall_time_seconds!r},{r.lobpcg_total_iters}\n")
-
-
-def load_metrics(path) -> List[MetricsRow]:
-    rows = []
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != METRICS_HEADER:
-            raise ValueError(f"unexpected metrics header {header!r}")
-        for line in f:
-            if not line.strip():
-                continue
-            method, seed, K, rmse, lam, wall, iters = line.strip().split(",")
-            rows.append(MetricsRow(method, int(seed), int(K), float(rmse),
-                                   float(lam), float(wall), int(iters)))
-    return rows
 
 
 def parse_config(path) -> ExperimentConfig:

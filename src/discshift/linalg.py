@@ -240,9 +240,10 @@ def _restart(A, V, AV, image=None):
     return lam, _residual(V, AV, lam)
 
 
-def _ritz(M, K):
-    """Smallest eigenpair (lambda, c) of K c = lambda M c with c'Mc = 1, for
-    (k, k) arrays M and K; c is a list of k floats.
+def _ritz(M, K, three):
+    """Smallest eigenpair (lambda, c) of K c = lambda M c with c'Mc = 1, on
+    the leading 3x3 block of M and K (2x2 unless three), given as lists of
+    rows of floats; c is a list of 3 floats, c[2] = 0 unless three.
 
     Returns None when the Cholesky factor of the unit-diagonal Gram matrix
     fails or its last pivot, the sine of the angle between the last basis
@@ -250,8 +251,6 @@ def _ritz(M, K):
     """
     # At k <= 3 numpy's and LAPACK's per-call costs exceed the arithmetic, so
     # everything but the eigensolve runs on Python floats.
-    M, K = M.tolist(), K.tolist()
-    three = len(M) == 3
     # L L' = S M S for S = diag(s), and P = L^-1 S, so that P M P' = I.
     s0, s1 = 1.0 / math.sqrt(M[0][0]), 1.0 / math.sqrt(M[1][1])
     l00 = math.sqrt(M[0][0] * (s0 * s0))
@@ -283,7 +282,7 @@ def _ritz(M, K):
         return None
     evals, Y, _ = lapack.dsyevd(B)
     y = Y[:, 0].tolist()
-    c = [p00 * y[0] + p10 * y[1], p11 * y[1]]
+    c = [p00 * y[0] + p10 * y[1], p11 * y[1], 0.0]
     if three:
         c = [c[0] + p20 * y[2], c[1] + p21 * y[2], p22 * y[2]]
     return float(evals[0]), c
@@ -411,19 +410,15 @@ def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray], x0,
         # On the basis (x, w, p); the p row and column are unused without p.
         M = [[G[0], gx, G[1]], [gx, gw, gp], [G[1], gp, G[2]]]
         K = [[H[0], hx, H[1]], [hx, hw, hp], [H[1], hp, H[2]]]
-        MK = np.array([M, K])
-        k = 3 if has_p else 2
-        ritz = _ritz(MK[0, :k, :k], MK[1, :k, :k])
-        if ritz is None and k == 3:
-            k = 2
-            ritz = _ritz(MK[0, :2, :2], MK[1, :2, :2])
+        ritz = _ritz(M, K, has_p)
+        if ritz is None and has_p:
+            ritz = _ritz(M, K, False)
         it += 1
         if ritz is None:
             break  # w adds no direction to x: nothing left to search
-        lam, c = ritz
+        lam, (c0, c1, c2) = ritz
         # x_new = B c and p_new = x_new - c[0] x, the step away from the old
         # x. Without p, c[2] = 0 leaves every sum below as it is.
-        c0, c1, c2 = c if k == 3 else (*c, 0.0)
         G, H = _carried((c0, c1, c2), M), _carried((c0, c1, c2), K)
         # [p_new, x_new] and their images from the rows [p, x, w].
         np.matmul([[c2, 0.0, c1], [c2, c0, c1]], X, out=X_next[:, :2])

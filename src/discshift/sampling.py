@@ -83,10 +83,11 @@ def grid_pairs(pairs, m: int, n: int) -> np.ndarray:
     return entry_pairs(getattr(pairs, "ij", pairs), m, n)
 
 
-def _from_linear(lin, m: int, budget: int) -> SampleSet:
-    """The SampleSet of column-major linear indices, in their order."""
+def _from_linear(lin, m: int, n: int, budget: int) -> SampleSet:
+    """The SampleSet on the m x n grid of column-major linear indices, in
+    their order. It records n, so it passes the entry rule once, here."""
     j, i = divmod(np.asarray(lin, dtype=np.int64), m)
-    return SampleSet(np.column_stack((i, j)), m, budget)
+    return SampleSet(np.column_stack((i, j)), m, budget, n)
 
 
 @dataclass
@@ -111,12 +112,18 @@ def argmax_abs_tied(vec: np.ndarray, candidates: np.ndarray, tie_tol: float = TI
     return int(cand[np.flatnonzero(tied(mags, mags.max(), tie_tol))[0]])
 
 
-def _normalize_allowed(allowed, size: int) -> np.ndarray:
-    """Boolean mask over [0, size) of the allowed linear indices (all when
-    None); an empty sequence is an empty pool."""
+def _pool(allowed, size: int, K: int, taken=None) -> np.ndarray:
+    """Every sampler's pool: the boolean mask over [0, size) of the allowed
+    linear indices (all when None; an empty sequence allows none) less those
+    marked in the boolean mask taken. Raises `budget K exceeds available
+    pool P` when the pool holds fewer than K indices."""
     mask = np.full(size, allowed is None)
     if allowed is not None:
         mask[checked_linear(allowed, size, "allowed")] = True
+    if taken is not None:
+        mask[taken] = False
+    if K > (P := int(np.count_nonzero(mask))):
+        raise ValueError(f"budget {K} exceeds available pool {P}")
     return mask
 
 
@@ -127,7 +134,7 @@ def _largest_abs(phi, available, picks):
 
 
 def _disc_shift(steps, K: int, pick: Callable[[np.ndarray, np.ndarray, List[int]], int],
-                m: int, opts: SolverOptions) -> Tuple[SampleSet, SamplerState]:
+                m: int, n: int, opts: SolverOptions) -> Tuple[SampleSet, SamplerState]:
     """The greedy disc-shift loop: the one place that solves, picks, records
     and warm-starts, for K steps of the schedule `steps`.
 
@@ -143,7 +150,7 @@ def _disc_shift(steps, K: int, pick: Callable[[np.ndarray, np.ndarray, List[int]
     sent k, so no step is built after the K-th pick. Each step solves once,
     maps the eigenvector to phi = basis @ vec, and takes k = pick(phi,
     available, picks), picks being the linear picks so far (read only).
-    Returns (SampleSet, SamplerState).
+    Returns (SampleSet on the m x n grid, SamplerState).
     """
     rng = np.random.default_rng(opts.seed)
     picks: List[int] = []
@@ -178,7 +185,7 @@ def _disc_shift(steps, K: int, pick: Callable[[np.ndarray, np.ndarray, List[int]
         if record is not None:
             state.steps.append((*record, k))
         added = weight
-    return _from_linear(picks, m, K), state
+    return _from_linear(picks, m, n, K), state
 
 
 def greedy_disc_shift(op: ProductOperator, K: int,
@@ -198,9 +205,7 @@ def greedy_disc_shift(op: ProductOperator, K: int,
     Returns (SampleSet, SamplerState).
     """
     op = op.copy()
-    available = _normalize_allowed(allowed, op.size) & (op.sample_diag == 0)
-    if K > int(available.sum()):
-        raise ValueError(f"budget {K} exceeds available pool {int(available.sum())}")
+    available = _pool(allowed, op.size, K, taken=op.sample_diag != 0)
 
     def steps():
         for t in itertools.count():
@@ -209,7 +214,7 @@ def greedy_disc_shift(op: ProductOperator, K: int,
             op.sample_diag[k] = 1.0
             available[k] = False
 
-    return _disc_shift(steps(), K, pick, op.m, opts or SolverOptions())
+    return _disc_shift(steps(), K, pick, op.m, op.n, opts or SolverOptions())
 
 
 def gcs_sample(op: ProductOperator, K: int, allowed=None,
@@ -275,10 +280,7 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
     if zeta < 1:
         raise ValueError("zeta must be >= 1")
     m, n = row_graph.n, col_graph.n
-    allowed2d = _normalize_allowed(allowed, m * n).reshape((m, n), order="F")
-    pool = int(allowed2d.sum())
-    if K > pool:
-        raise ValueError(f"budget {K} exceeds available pool {pool}")
+    allowed2d = _pool(allowed, m * n, K).reshape((m, n), order="F")
 
     # Per mode: (index in block, block) views of the allowed and sampled grids,
     # factor graph, diagonal and Laplacian weights, linear-index strides.
@@ -300,17 +302,14 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
             if streak >= zeta:
                 mode, block, streak = "group" if mode == "cluster" else "cluster", k, 0
 
-    return _disc_shift(steps(), K, _largest_abs, m, opts or SolverOptions())
+    return _disc_shift(steps(), K, _largest_abs, m, n, opts or SolverOptions())
 
 
 def random_sample(m: int, n: int, K: int, seed: int = 0, allowed=None) -> SampleSet:
     """Uniform sampling without replacement from the allowed pool."""
-    mask = _normalize_allowed(allowed, m * n)
-    pool = np.flatnonzero(mask)
-    if K > pool.size:
-        raise ValueError(f"budget {K} exceeds available pool {pool.size}")
+    pool = np.flatnonzero(_pool(allowed, m * n, K))
     rng = np.random.default_rng(seed)
-    return _from_linear(rng.choice(pool, size=K, replace=False), m, K)
+    return _from_linear(rng.choice(pool, size=K, replace=False), m, n, K)
 
 
 def lambda_max_bound(row_graph: GraphLaplacian, col_graph: GraphLaplacian,

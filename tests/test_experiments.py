@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from discshift import experiments
+from discshift import completion, experiments, graphs, linalg, sampling
 from discshift.experiments import (
     METRICS_HEADER,
     ExperimentConfig,
     MetricsRow,
     export_metrics,
-    load_metrics,
     load_ratings,
     parse_config,
     resolve_budget,
@@ -305,6 +304,35 @@ def test_run_experiment_sidecar_records_iterations(tmp_path):
         assert sum(meta["iter_counts"]) == r.lobpcg_total_iters > 0
 
 
+def test_run_experiment_checks_each_omega_once(tmp_path, monkeypatch):
+    # Each cell's omega (the initial entries and the picks) passes the entry
+    # rule once, as its SampleSet is built on the grid; CompletionProblem
+    # does not check it again.
+    seen, omegas = [], []
+    rule, problem = linalg.entry_pairs, experiments.CompletionProblem
+
+    def rule_spy(pairs, *args):
+        seen.append(np.asarray(pairs).tolist())
+        return rule(pairs, *args)
+
+    def problem_spy(**kw):
+        omegas.append(kw["omega"].ij.tolist())
+        return problem(**kw)
+
+    for mod in (linalg, graphs, sampling, completion, experiments):
+        if hasattr(mod, "entry_pairs"):
+            monkeypatch.setattr(mod, "entry_pairs", rule_spy)
+    monkeypatch.setattr(experiments, "CompletionProblem", problem_spy)
+    cfg = ExperimentConfig(dataset=TINY_SYNTH, initial_fraction=0.2, sample_budget_fraction=0.5,
+                           methods=["gcs", "igcs", "random", "aopt"], budgets=[6],
+                           seeds=[0], output_dir=str(tmp_path / "out"))
+    assert len(run_experiment(cfg)) == 4
+    assert not (tmp_path / "out" / "failures.log").exists()
+    assert len(omegas) == 4 and all(len(o) > 6 for o in omegas)
+    # A-opt with l_pool = 1 picks as GCS does, so two cells may share an omega.
+    assert [seen.count(o) for o in omegas] == [omegas.count(o) for o in omegas]
+
+
 def test_run_experiment_grid_and_order(tmp_path):
     cfg = ExperimentConfig(dataset=TINY_SYNTH, methods=["random", "gcs"],
                            sample_budget_fraction=0.5, budgets=[6, 12],
@@ -423,19 +451,16 @@ def test_metrics_roundtrip(tmp_path):
     ]
     path = tmp_path / "m.csv"
     export_metrics(rows, path)
-    text = path.read_text().splitlines()
-    assert text[0] == METRICS_HEADER
-    assert len(text) == 3
-    assert all(len(line.split(",")) == 7 for line in text)
-    back = load_metrics(path)
+    text = path.read_text()
+    assert text == (f"{METRICS_HEADER}\n"
+                    "gcs,0,120,0.8421,0.0312,1.25,4310\n"
+                    "random,1,120,1.0112,0.0101,0.002,0\n")
+    # Every field reads back as it was written.
+    back = [MetricsRow(method, int(seed), int(K), float(rmse), float(lam), float(wall),
+                       int(iters))
+            for method, seed, K, rmse, lam, wall, iters in
+            (line.split(",") for line in text.splitlines()[1:])]
     assert back == rows
-
-
-def test_metrics_header_enforced(tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text("method,seed\n")
-    with pytest.raises(ValueError, match="header"):
-        load_metrics(path)
 
 
 def test_metrics_row_rejects_nonfinite():

@@ -286,9 +286,9 @@ def test_lobpcg_converges_without_p(monkeypatch):
     ritz = linalg._ritz
     sizes = []
 
-    def spy(M, K):
-        out = ritz(M, K)
-        sizes.append((M.shape[0], out is None))
+    def spy(M, K, three):
+        out = ritz(M, K, three)
+        sizes.append((3 if three else 2, out is None))
         return out
 
     monkeypatch.setattr(linalg, "_ritz", spy)

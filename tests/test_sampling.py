@@ -543,6 +543,40 @@ def test_random_over_budget():
         random_sample(2, 2, 5, seed=0)
 
 
+def sampler_set(method, K, allowed=None, initial=None):
+    """The SampleSet of one sampler on 6x4 path graphs; initial, the 0/1
+    diagonal of entries already observed, is for GCS and A-opt."""
+    Gr, Gc = path_graph(6), path_graph(4)
+    op = ProductOperator(Gr, Gc, 1.0, 1.0, initial)
+    if method == "gcs":
+        return gcs_sample(op, K, allowed=allowed)[0]
+    if method == "aopt":
+        return aopt_local_search(bandlimited_basis(Gr, Gc, 2, 2), op, K, 3, allowed=allowed)
+    if method == "igcs":
+        return igcs_sample(Gr, Gc, 1.0, 1.0, K=K, allowed=allowed)[0]
+    return random_sample(6, 4, K, allowed=allowed)
+
+
+@pytest.mark.parametrize("method", ["gcs", "aopt", "igcs", "random"])
+def test_sampler_sets_record_their_grid(method):
+    ss = sampler_set(method, 5)
+    assert (ss.m, ss.n, len(ss)) == (6, 4, 5)
+
+
+@pytest.mark.parametrize("method", ["gcs", "aopt", "igcs", "random"])
+def test_every_sampler_raises_the_same_budget_error(method):
+    # A pool of 2: two allowed entries, or, where the sampler takes observed
+    # entries, four allowed of which two are already observed.
+    if method in ("gcs", "aopt"):
+        initial = np.zeros(24)
+        initial[[0, 1]] = 1.0
+        args = dict(allowed=[0, 1, 2, 3], initial=initial)
+    else:
+        args = dict(allowed=[0, 1])
+    with pytest.raises(ValueError, match=r"^budget 3 exceeds available pool 2$"):
+        sampler_set(method, 3, **args)
+
+
 def test_random_roughly_uniform():
     # 10,000 single draws from 4 cells; each count near 2500 within 3 sigma
     counts = np.zeros(4)
