@@ -111,47 +111,38 @@ def aopt_objective(basis: BandlimitedBasis, S):
 
 def aopt_pool(phi: np.ndarray, available: np.ndarray, L_pool: int) -> List[int]:
     """The min(L_pool, #available) indices that as many successive
-    argmax_abs_tied picks over the available ones take, in pick order.
+    argmax_abs_tied picks over the available ones take, as an ascending
+    list: the pool is a set, and the picks' order is not kept.
 
     Only candidates tied (`sampling.tied`) with the L_pool-th largest |phi|
     can be picked: every pick's tie band lies inside that set, the band, so
-    the picks run over it alone. The first pick is argmax_abs_tied's; the
-    rest are taken a tie window at a time. While the largest remaining
-    |phi|, the top, stays, the picks walk the entries tied with it in index
-    order, so the window is taken whole, up to its last entry at the top.
-
-    Sorted by |phi|, the band splits into runs where an entry is not tied
-    with the one above it. top - TIE_TOL rounds monotonically in top, so no
-    entry of a later run ties with the top of an earlier one: every window
-    lies in one run, and a run of one entry is one pick, with no tie test.
+    the picks run over it alone. Sorted by |phi|, the band splits into runs
+    where an entry is not tied with the one above it. top - TIE_TOL rounds
+    monotonically in top, so no entry of a later run ties with the top of an
+    earlier one: the picks take each run whole before the next, and every
+    run above the one that holds the last slot comes in at once. The first
+    pick is argmax_abs_tied's; the rest of the last run is walked a tie
+    window at a time. While the largest remaining |phi|, the top, stays, the
+    picks walk the entries tied with it in index order, so a window is taken
+    whole, up to its last entry at the top.
     """
     cand = np.flatnonzero(available)
     count = min(L_pool, cand.size)
     mags = np.abs(phi[cand])
     kth = np.partition(mags, cand.size - count)[cand.size - count]
     band = cand[tied(mags, kth)]
-    pool = [argmax_abs_tied(phi, band)]
-    band = band[band != pool[0]]
     mags = np.abs(phi[band])  # -inf once taken
-    order = np.argsort(mags)[::-1]
-    ranked = mags[order]
-    starts = (np.flatnonzero(~tied(ranked[1:], ranked[:-1])) + 1).tolist()
-    for lo, hi in zip([0, *starts], [*starts, ranked.size]):
-        if len(pool) == count:
-            break
-        if hi - lo == 1:
-            pool.append(int(band[order[lo]]))
-            mags[order[lo]] = -np.inf
-            continue
-        left = hi - lo  # the run's entries not yet taken
-        while left and len(pool) < count:
-            top = mags.max()
-            last = mags.size - 1 - np.argmax(mags[::-1])  # the last entry at the top
-            take = np.flatnonzero(tied(mags[:last + 1], top))[:count - len(pool)]
-            pool += band[take].tolist()
-            mags[take] = -np.inf
-            left -= take.size
-    return pool
+    ranked = np.sort(mags)[::-1][:count]
+    lo = np.flatnonzero(np.append(True, ~tied(ranked[1:], ranked[:-1])))[-1]  # the last run
+    taken = (mags > ranked[lo]) | (band == argmax_abs_tied(phi, band))
+    mags[taken] = -np.inf
+    while left := count - np.count_nonzero(taken):
+        top = mags.max()
+        last = mags.size - 1 - np.argmax(mags[::-1])  # the last entry at the top
+        take = np.flatnonzero(tied(mags[:last + 1], top))[:left]
+        taken[take] = True
+        mags[take] = -np.inf
+    return band[taken].tolist()
 
 
 def aopt_pick(basis: BandlimitedBasis, L_pool: int):
@@ -160,13 +151,15 @@ def aopt_pick(basis: BandlimitedBasis, L_pool: int):
     The pool is aopt_pool, the top L_pool available indices by |phi| under
     GCS's tie rule, so that it does not depend on eigensolver noise; the
     pick is the pool member that minimizes aopt_objective of the run's
-    picks so far plus it. The whole pool is scored in one batch.
+    picks so far plus it. The whole pool is scored in one batch, in
+    aopt_pool's ascending order, so a score within 1e-12 of the best goes
+    to the lowest index.
     """
     if not (1 <= L_pool <= basis.m * basis.n):
         raise ValueError(f"L_pool={L_pool} out of range")
 
     def pick(phi, available, picks):
-        pool = sorted(aopt_pool(phi, available, L_pool))
+        pool = aopt_pool(phi, available, L_pool)
         S = np.empty((len(pool), len(picks) + 1), dtype=np.int64)
         S[:, :-1] = picks
         S[:, -1] = pool

@@ -115,8 +115,11 @@ def argmax_abs_tied(vec: np.ndarray, candidates: np.ndarray, tie_tol: float = TI
 def _pool(allowed, size: int, K: int, taken=None) -> np.ndarray:
     """Every sampler's pool: the boolean mask over [0, size) of the allowed
     linear indices (all when None; an empty sequence allows none) less those
-    marked in the boolean mask taken. Raises `budget K exceeds available
-    pool P` when the pool holds fewer than K indices."""
+    marked in the boolean mask taken. Raises `budget K is negative` when K < 0
+    and `budget K exceeds available pool P` when the pool holds fewer than K
+    indices."""
+    if K < 0:
+        raise ValueError(f"budget {K} is negative")
     mask = np.full(size, allowed is None)
     if allowed is not None:
         mask[checked_linear(allowed, size, "allowed")] = True

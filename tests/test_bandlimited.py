@@ -258,7 +258,7 @@ def test_aopt_pool_equals_slot_by_slot_argmax():
         available = rng.random(size) < 0.8
         available[rng.integers(size)] = True
         L_pool = int(rng.integers(1, size + 1))
-        assert aopt_pool(phi, available, L_pool) == slot_by_slot_pool(phi, available, L_pool)
+        assert aopt_pool(phi, available, L_pool) == sorted(slot_by_slot_pool(phi, available, L_pool))
     # Every candidate is tied with the top one, so each slot's band (100
     # candidates) is wider than the pool (5 slots): the lowest indices win.
     phi = np.full(100, 0.1)
@@ -267,15 +267,15 @@ def test_aopt_pool_equals_slot_by_slot_argmax():
     assert aopt_pool(phi, available, 5) == slot_by_slot_pool(phi, available, 5) == [0, 1, 2, 3, 4]
 
 
-def test_aopt_pool_untied_magnitudes_in_magnitude_order():
+def test_aopt_pool_untied_magnitudes_are_the_top_l_pool():
     # Magnitudes at least 1e-3 apart: every window holds one entry, so the
-    # pool is the top L_pool available indices by |phi|, largest first.
+    # pool is the set of the top L_pool available indices by |phi|.
     rng = np.random.default_rng(41)
     phi = rng.permutation(np.arange(1, 301) * 1e-3) * rng.choice([-1.0, 1.0], 300)
     available = rng.random(300) < 0.7
     order = np.argsort(-np.abs(phi))
-    expected = order[available[order]][:40].tolist()
-    assert aopt_pool(phi, available, 40) == slot_by_slot_pool(phi, available, 40) == expected
+    expected = sorted(order[available[order]][:40].tolist())
+    assert aopt_pool(phi, available, 40) == sorted(slot_by_slot_pool(phi, available, 40)) == expected
 
 
 def test_aopt_pool_takes_a_window_whole(monkeypatch):
@@ -308,12 +308,11 @@ def test_aopt_pool_all_tied_band_larger_than_pool():
     for L_pool in (1, 7, 50):
         pool = aopt_pool(phi, available, L_pool)
         assert pool == np.flatnonzero(available)[:L_pool].tolist()
-        assert pool == slot_by_slot_pool(phi, available, L_pool)
+        assert pool == sorted(slot_by_slot_pool(phi, available, L_pool))
 
 
 def test_aopt_pool_l_pool_at_least_the_band():
-    # L_pool at or beyond the available count takes every available index,
-    # in pick order.
+    # L_pool at or beyond the available count takes every available index.
     rng = np.random.default_rng(43)
     for _ in range(50):
         size = int(rng.integers(1, 60))
@@ -322,8 +321,8 @@ def test_aopt_pool_l_pool_at_least_the_band():
         available[rng.integers(size)] = True
         for L_pool in (int(available.sum()), size + 5):
             pool = aopt_pool(phi, available, L_pool)
-            assert pool == slot_by_slot_pool(phi, available, L_pool)
-            assert sorted(pool) == np.flatnonzero(available).tolist()
+            assert pool == sorted(slot_by_slot_pool(phi, available, L_pool))
+            assert pool == np.flatnonzero(available).tolist()
 
 
 def test_aopt_pool_calls_argmax_abs_tied_once_per_fill_at_most_once_per_slot(monkeypatch):
@@ -344,7 +343,7 @@ def test_aopt_pool_calls_argmax_abs_tied_once_per_fill_at_most_once_per_slot(mon
         calls.clear()
         pool = aopt_pool(phi, available, L_pool)
         assert 1 <= len(calls) <= len(pool)
-        assert pool == slot_by_slot_pool(phi, available, L_pool)
+        assert pool == sorted(slot_by_slot_pool(phi, available, L_pool))
 
 
 # ------------------------------------------------------------- local search

@@ -31,7 +31,7 @@ from discshift.graphs import (
     laplacian_from_weights,
     product_dense,
 )
-from discshift.linalg import SolverOptions, SparseSym
+from discshift.linalg import ConvergenceError, SolverOptions, SparseSym
 from discshift.sampling import SampleSet, random_sample
 
 
@@ -98,6 +98,30 @@ def test_problem_rejects_zero_weights_partial():
     omega = SampleSet(((0, 0),), m=2, budget=1)
     with pytest.raises(ValueError):
         CompletionProblem(obs, omega, path_graph(2), path_graph(2), 0.0, 0.1)
+
+
+def test_problem_rejects_negative_weights():
+    obs = RatingMatrix.from_dense(np.ones((2, 2)))
+    for alpha, beta in [(-0.1, 0.1), (0.1, -0.1)]:
+        with pytest.raises(ValueError, match="^alpha and beta must be nonnegative$"):
+            CompletionProblem(obs, full_sample_set(2, 2), path_graph(2), path_graph(2),
+                              alpha, beta)
+
+
+def test_solve_names_an_unconverged_cg():
+    p, _ = make_problem(6, 5, seed=3)
+    with pytest.raises(ConvergenceError,
+                       match=r"^completion CG did not converge \(CG did not converge in 1 "
+                             r"iterations \(relative residual .*\)\); operator may be nearly "
+                             r"singular \(check sampling of weakly connected components\)$"):
+        dglr_solve(p, SolverOptions(max_iter=1))
+
+
+@pytest.mark.parametrize("f", [dglr_objective, dglr_gradient])
+def test_objective_and_gradient_check_the_shape(f):
+    p, _ = make_problem(4, 3, seed=0)
+    with pytest.raises(ValueError, match="^shape mismatch$"):
+        f(np.zeros((3, 4)), p)
 
 
 def test_problem_rejects_dim_mismatch():

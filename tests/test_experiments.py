@@ -264,6 +264,11 @@ def test_resolve_dataset_rejects_unknown_params():
         resolve_dataset("synthetic:m=4,n=4,bogus=1", seed=0)
 
 
+def test_resolve_dataset_rejects_a_parameter_without_value():
+    with pytest.raises(ValueError, match="^bad generator parameter 'm4'$"):
+        resolve_dataset("synthetic:m4,n=4", seed=0)
+
+
 def test_resolve_dataset_file(tmp_path):
     path = tmp_path / "d.csv"
     save_ratings(RatingMatrix(2, 2, [0, 1], [0, 1], [1.0, 2.0]), path)
@@ -403,6 +408,25 @@ def test_run_experiment_g2_graphs(tmp_path):
                            output_dir=str(tmp_path / "out"))
     rows = run_experiment(cfg)
     assert len(rows) == 1 and np.isfinite(rows[0].rmse)
+
+
+@pytest.mark.parametrize("graphs, message", [
+    (dict(graph_source="provided"), "graph_source=provided needs row_graph/col_graph paths"),
+    (dict(graph_source="g2_content"), "g2_content needs a nonempty initial split"),
+    (dict(graph_source="g3"), "unknown graph_source 'g3'"),
+])
+def test_run_experiment_names_a_graph_source_it_cannot_build(tmp_path, graphs, message):
+    path = tmp_path / "d.csv"
+    save_ratings(RatingMatrix.from_dense(np.ones((4, 3))), path)
+    cfg = ExperimentConfig(dataset=str(path), sample_budget_fraction=0.5, methods=["random"],
+                           output_dir=str(tmp_path / "out"), **graphs)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_experiment(cfg)
+
+
+def test_run_sampler_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match="^unknown method 'bogus'$"):
+        experiments.run_sampler(ExperimentConfig(dataset=TINY_SYNTH), "bogus", 1, 0, 2, 2)
 
 
 def test_run_experiment_provided_graph_files(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for graph construction, rating containers, and the product operator."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -200,6 +202,34 @@ def test_rating_matrix_rejects_duplicates():
 def test_rating_matrix_rejects_out_of_range():
     with pytest.raises(ValueError):
         RatingMatrix(2, 2, [2], [0], [1.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: laplacian_from_weights(SparseSym.from_dense(np.eye(2))),
+     "adjacency diagonal must be zero"),
+    (lambda: knn_feature_graph([[np.nan], [1.0], [2.0]], k=1), "features contain NaN/Inf"),
+    (lambda: RatingMatrix(2, 2, [0, 1], [0], [1.0, 2.0]), "triplet arrays must align"),
+    (lambda: RatingMatrix(2, 2, [[0, 1]], [[0, 1]], [[1.0, 2.0]]),
+     "sample pairs must be (row, col) integer pairs"),
+    (lambda: content_graph(RatingMatrix.from_dense(np.ones((3, 3))), axis="diag"),
+     "axis must be 'rows' or 'cols'"),
+    (lambda: content_graph(RatingMatrix.from_dense(np.ones((1, 3))), axis="rows"),
+     "need at least 2 nodes to build a graph"),
+    (lambda: community_graph(3, 0, 0.9, 0.1), "need 1 <= n_communities <= n_nodes"),
+    (lambda: community_graph(3, 4, 0.9, 0.1), "need 1 <= n_communities <= n_nodes"),
+    (lambda: synthetic_netflix(1, 4), "need m, n >= 2"),
+    (lambda: synthetic_netflix(4, 4, n_row_comm=5), "community counts cannot exceed dimensions"),
+    (lambda: ProductOperator(path_graph(2), path_graph(2), -1.0, 0.0),
+     "alpha and beta must be nonnegative"),
+    (lambda: product_apply(ProductOperator(path_graph(2), path_graph(2), 1.0, 1.0), np.ones(3)),
+     "dimension mismatch: operator is 4, vector is (3,)"),
+], ids=["adjacency-diagonal", "knn-nan-features", "ratings-misaligned", "ratings-2d",
+        "content-axis", "content-one-node", "communities-zero", "communities-too-many",
+        "netflix-size", "netflix-communities", "operator-negative-weight",
+        "apply-wrong-length"])
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_rating_matrix_subset_takes_integer_positions():

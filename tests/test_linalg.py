@@ -222,6 +222,28 @@ def test_lobpcg_rejects_zero_start():
         lobpcg_smallest(np.eye(3).__matmul__, np.zeros(3))
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SparseSym(sp.coo_matrix(np.eye(2))),
+     TypeError, "SparseSym needs a float64 scipy CSR matrix"),
+    (lambda: SparseSym(sp.csr_matrix(np.zeros((2, 3)))), ValueError, "matrix must be square"),
+    (lambda: SolverOptions(tol=0.0), ValueError, "tol must be positive"),
+    (lambda: SolverOptions(max_iter=0), ValueError, "max_iter must be at least 1"),
+    # p'Ap is NaN on the first step.
+    (lambda: cg_solve(lambda p: np.array([np.nan, 0.0]), np.ones(2)),
+     ConvergenceError, "NaN/Inf encountered in CG"),
+    # p'Ap = 2e-200 is finite and positive, but the step of 5e199 sends the
+    # residual's square norm past the float range.
+    (lambda: cg_solve(lambda p: np.array([1e-200, 1.0]), np.array([1.0, 1e-200])),
+     ConvergenceError, "NaN/Inf encountered in CG"),
+    (lambda: lobpcg_smallest(np.eye(3).__matmul__, np.ones(3), image=np.ones(2)),
+     ValueError, "image must have the shape of the initial vector"),
+], ids=["sparsesym-not-csr", "sparsesym-not-square", "opts-tol", "opts-max-iter",
+        "cg-nan-curvature", "cg-inf-residual", "lobpcg-image-shape"])
+def test_input_checks_name_the_fault(call, error, message):
+    with np.errstate(over="ignore"), pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def counting(A):
     """Dense operator that counts its applications in .calls."""
     def apply(x):

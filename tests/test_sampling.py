@@ -575,6 +575,8 @@ def test_every_sampler_raises_the_same_budget_error(method):
         args = dict(allowed=[0, 1])
     with pytest.raises(ValueError, match=r"^budget 3 exceeds available pool 2$"):
         sampler_set(method, 3, **args)
+    with pytest.raises(ValueError, match=r"^budget -1 is negative$"):
+        sampler_set(method, -1, **args)
 
 
 def test_random_roughly_uniform():
