@@ -9,14 +9,14 @@ GCS's rule on a block schedule alternating per-column "cluster" and per-row
 "group" blocks of the split operator, so every eigensolve stays
 factor-sized. A step may carry a basis, in which the loop maps the start and
 the eigenvector: an IGCS block whose factor has at most FAST_DIAG_CAP nodes
-is solved in the factor's eigenbasis. Each eigensolve runs once: one
-that does not converge raises ConvergenceError naming the sampler and step.
+is solved in the factor's eigenbasis. The loop alone warm-starts, names
+and records each step; each eigensolve runs once, and one that does not
+converge raises ConvergenceError.
 A uniform random baseline rounds things out.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
@@ -38,7 +38,7 @@ from .linalg import (
 # Magnitudes within this absolute band of the candidate max count as tied; the
 # lowest linear index wins. The band does not scale with |phi| (entries about
 # 1/sqrt(size)): at 120x80 it ties about half the candidates. ROADMAP item 1
-# proposes a relative band.
+# proposes exact argmax in its place.
 TIE_TOL = 1e-4
 
 
@@ -92,11 +92,14 @@ def _from_linear(lin, m: int, n: int, budget: int) -> SampleSet:
 
 @dataclass
 class SamplerState:
-    """What a greedy sampler reports per pick: its LOBPCG iterations and,
-    for IGCS, the (mode, block, index) of the pick."""
+    """What a greedy sampler reports: one (mode, block, index, iterations)
+    record per pick, the last being its solve's LOBPCG iterations."""
 
-    iter_counts: List[int] = field(default_factory=list)
-    steps: List[Tuple[str, int, int]] = field(default_factory=list)
+    steps: List[Tuple[str, int, int, int]] = field(default_factory=list)
+
+    @property
+    def iter_counts(self) -> List[int]:
+        return [step[3] for step in self.steps]
 
 
 def tied(mags, top, tie_tol: float = TIE_TOL):
@@ -137,57 +140,53 @@ def _largest_abs(phi, available, picks):
 
 
 def _disc_shift(steps, K: int, pick: Callable[[np.ndarray, np.ndarray, List[int]], int],
-                m: int, n: int, opts: SolverOptions) -> Tuple[SampleSet, SamplerState]:
+                m: int, n: int, opts: SolverOptions, name: str,
+                warm_start: bool = True) -> Tuple[SampleSet, SamplerState]:
     """The greedy disc-shift loop: the one place that solves, picks, records
     and warm-starts, for K steps of the schedule `steps`.
 
     steps is a generator, sent each pick k (None first), that yields the next
     step as (apply, precond, basis, available, weight, (offset, stride),
-    fresh, what, record): the operator and preconditioner as they stand, the
-    orthogonal matrix whose columns are the solve's coordinates (None: the
-    solve runs on the indices themselves), the boolean mask of available
-    indices, the diagonal weight of a pick, the map k -> offset + stride * k
-    to linear indices, whether to start from a seeded random vector (else
-    from the last pair), the name for ConvergenceError, and the (mode, block)
-    to record in SamplerState.steps, or None. It shifts the picked disc when
-    sent k, so no step is built after the K-th pick. Each step solves once,
-    maps the eigenvector to phi = basis @ vec, and takes k = pick(phi,
-    available, picks), picks being the linear picks so far (read only).
+    block): the operator and preconditioner as they stand, the orthogonal
+    matrix whose columns are the solve's coordinates (None: the solve runs
+    on the indices themselves), the boolean mask of available indices, the
+    diagonal weight of a pick, the map k -> offset + stride * k to linear
+    indices, and the block's (mode, index). It shifts the picked disc when
+    sent k. A step starts from the last pair if warm_start is on and the
+    last step solved the same block, else from a seeded random vector. It
+    solves once (failing as `<name> <mode> <index> (pick <t>)`), takes k =
+    pick(basis @ vec, available, picks), picks being the linear picks so far
+    (read only), and records (mode, index, k, iterations).
     Returns (SampleSet on the m x n grid, SamplerState).
     """
     rng = np.random.default_rng(opts.seed)
     picks: List[int] = []
     state = SamplerState()
-    k = None
-    for _ in range(K):
-        apply, precond, basis, available, weight, (offset, stride), fresh, what, record = \
-            steps.send(k)
-        if fresh:
+    k = last = None
+    for t in range(K):
+        apply, precond, basis, available, weight, (offset, stride), block = steps.send(k)
+        if block != last or not warm_start:
             x0, image = random_unit(rng, available.size), None
             if basis is not None:
                 x0 = basis.T @ x0
+        elif basis is not None:
+            x0, image = pair.vec, apply(pair.vec)
         else:
-            x0 = pair.vec
-            if basis is not None:
-                image = apply(x0)
-            else:
-                # The pick added `added` at diagonal entry k, which was 0, so
-                # the image gains added * vec[k]; each schedule's operator adds
-                # its diagonal term last, so this equals the new operator's
-                # image bit for bit.
-                image = pair.image.copy()
-                image[k] += added * x0[k]
+            # The last pick, in this block, added `weight` at diagonal entry k,
+            # which was 0, so the image gains weight * vec[k]; each schedule's
+            # operator adds its diagonal term last, so this equals the new
+            # operator's image bit for bit.
+            x0, image = pair.vec, pair.image.copy()
+            image[k] += weight * x0[k]
         pair = lobpcg_smallest(apply, x0, opts, precond, image)
         if not pair.converged:
             raise ConvergenceError(
-                f"{what}: eigensolver did not converge "
+                f"{name} {block[0]} {block[1]} (pick {t}): eigensolver did not converge "
                 f"(residual {pair.residual:.3e})", residual=pair.residual)
         k = pick(pair.vec if basis is None else basis @ pair.vec, available, picks)
         picks.append(offset + stride * k)
-        state.iter_counts.append(pair.iterations)
-        if record is not None:
-            state.steps.append((*record, k))
-        added = weight
+        state.steps.append((*block, k, pair.iterations))
+        last = block
     return _from_linear(picks, m, n, K), state
 
 
@@ -203,21 +202,21 @@ def greedy_disc_shift(op: ProductOperator, K: int,
     warm_start is off, and preconditioned by op.preconditioner() as it
     stands), takes k = pick(phi, available, picks), available being the
     boolean mask of unsampled allowed indices and picks the run's picks so
-    far (both read only), and sets diagonal entry k to 1. what names the
-    sampler in convergence errors. The caller's operator is not mutated.
+    far (both read only), and sets diagonal entry k to 1. Its one block is
+    ("product", 0); what names the sampler. op is not mutated.
     Returns (SampleSet, SamplerState).
     """
     op = op.copy()
     available = _pool(allowed, op.size, K, taken=op.sample_diag != 0)
 
     def steps():
-        for t in itertools.count():
+        while True:
             k = yield (op.apply, op.preconditioner(), None, available, 1.0, (0, 1),
-                       t == 0 or not warm_start, f"{what} step {t}", None)
+                       ("product", 0))
             op.sample_diag[k] = 1.0
             available[k] = False
 
-    return _disc_shift(steps(), K, pick, op.m, op.n, opts or SolverOptions())
+    return _disc_shift(steps(), K, pick, op.m, op.n, opts or SolverOptions(), what, warm_start)
 
 
 def gcs_sample(op: ProductOperator, K: int, allowed=None,
@@ -272,11 +271,11 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
     of the last picked row (matrix (1-q) * diag(indicator_row_i) + beta *
     L_c), and so on until K entries are chosen. A block whose factor is
     within FAST_DIAG_CAP is solved in its factor's eigenbasis, where the
-    fast-diagonalization preconditioner is a diagonal scale (`_block`). The
-    warm start lives only within one block streak; each new streak starts
-    from a seeded random vector. An exhausted block advances to the next
-    block index, wrapping; one always has an available entry, since the
-    blocks of a mode partition the grid and K is at most the pool.
+    fast-diagonalization preconditioner is a diagonal scale (`_block`). Each
+    new streak starts from a seeded random vector, since the loop warm-starts
+    only within a block. An exhausted block advances to the next block index,
+    wrapping; one always has an available entry, since the blocks of a mode
+    partition the grid and K is at most the pool.
     """
     if not (0.0 < q < 1.0):
         raise ValueError("q must lie in (0, 1)")
@@ -293,19 +292,19 @@ def igcs_sample(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
 
     def steps():
         mode, block, streak = "cluster", 0, 0
-        for t in itertools.count():
+        while True:
             allow, samp, G, w_diag, w_lap, stride = modes[mode]
             while not (avail := allow[:, block] & ~samp[:, block]).any():
                 block, streak = (block + 1) % samp.shape[1], 0
             apply, precond, U = _block(G, w_diag, w_lap, samp[:, block])
             k = yield (apply, precond, U, avail, w_diag, (block * stride[1], stride[0]),
-                       streak == 0, f"IGCS {mode} {block} (pick {t})", (mode, block))
+                       (mode, block))
             samp[k, block] = True
             streak += 1
             if streak >= zeta:
                 mode, block, streak = "group" if mode == "cluster" else "cluster", k, 0
 
-    return _disc_shift(steps(), K, _largest_abs, m, n, opts or SolverOptions())
+    return _disc_shift(steps(), K, _largest_abs, m, n, opts or SolverOptions(), "IGCS")
 
 
 def random_sample(m: int, n: int, K: int, seed: int = 0, allowed=None) -> SampleSet:

@@ -10,7 +10,7 @@ import pytest
 import discshift.graphs as graphs
 import discshift.sampling as sampling
 
-from discshift.bandlimited import aopt_local_search, bandlimited_basis
+from discshift.bandlimited import aopt_local_search, aopt_pick, bandlimited_basis
 from discshift.graphs import (
     ProductOperator,
     community_graph,
@@ -31,6 +31,7 @@ from discshift.sampling import (
     SampleSet,
     argmax_abs_tied,
     gcs_sample,
+    greedy_disc_shift,
     igcs_sample,
     lambda_max_bound,
     load_sample_set,
@@ -262,9 +263,10 @@ def test_unconverged_solve_names_sampler_step_once(monkeypatch):
     op = ProductOperator(d.row_graph, d.col_graph, 1.0, 1.0)
     opts = SolverOptions(max_iter=1)
     basis = bandlimited_basis(d.row_graph, d.col_graph, 2, 2)
-    runs = [(lambda: gcs_sample(op, 3, opts=opts), "GCS step 0", ["step"]),
-            (lambda: aopt_local_search(basis, op, 3, 2, opts=opts), "A-opt step 0",
-             ["step"]),
+    runs = [(lambda: gcs_sample(op, 3, opts=opts), "GCS product 0 (pick 0)",
+             ["product", "pick"]),
+            (lambda: aopt_local_search(basis, op, 3, 2, opts=opts), "A-opt product 0 (pick 0)",
+             ["product", "pick"]),
             (lambda: igcs_sample(d.row_graph, d.col_graph, 1.0, 1.0, K=3, opts=opts),
              "IGCS cluster 0 (pick 0)", ["cluster", "pick"])]
     for run, what, words in runs:
@@ -407,12 +409,12 @@ def test_igcs_trace_matches_hand_simulation():
 
     ss, state = igcs_sample(rg, cg, alpha, beta, q=q, zeta=zeta, K=K)
     assert list(ss.pairs) == pairs
-    assert state.steps == steps
+    assert [step[:3] for step in state.steps] == steps
 
 
 def test_igcs_strict_alternation_zeta_one():
     ss, state = igcs_sample(path_graph(4), path_graph(4), 0.1, 0.1, zeta=1, K=6)
-    modes = [mode for mode, _, _ in state.steps]
+    modes = [mode for mode, *_ in state.steps]
     assert modes == ["cluster", "group", "cluster", "group", "cluster", "group"]
     # each switch lands on the block of the previous pick
     for prev, cur in zip(state.steps, state.steps[1:]):
@@ -432,9 +434,10 @@ def test_igcs_deterministic():
     assert a.pairs == b.pairs
 
 
-# The picks, the IGCS step record (sha256 of its JSON) and the LOBPCG iteration
-# total on a 60x40 instance with a seeded 300-entry allowed pool. IGCS runs out
-# of blocks four times there, wrapping once from the last cluster to cluster 0.
+# The picks, the sha256 of the JSON of the IGCS step records' (mode, block,
+# index) and the LOBPCG iteration total on a 60x40 instance with a seeded
+# 300-entry allowed pool. IGCS runs out of blocks four times there, wrapping
+# once from the last cluster to cluster 0.
 POOL_GOLDEN = {
     "igcs": ([2, 47, 38, 998, 518, 698, 661, 705, 680, 1280, 2360, 1520, 1545, 1526,
               1529, 809, 1409, 690, 930, 2130, 2111, 2154, 2132, 1592, 92, 2372,
@@ -462,20 +465,30 @@ def test_sampler_picks_golden_with_allowed_pool():
     opts = SolverOptions(seed=5)
     ss, state = igcs_sample(d.row_graph, d.col_graph, 1.0, 0.5, q=0.3, zeta=3, K=120,
                             allowed=allowed, opts=opts)
-    steps_hash = hashlib.sha256(json.dumps(state.steps).encode()).hexdigest()
+    steps_hash = hashlib.sha256(json.dumps([s[:3] for s in state.steps]).encode()).hexdigest()
     assert (ss.linear.tolist(), steps_hash, sum(state.iter_counts)) == POOL_GOLDEN["igcs"]
+    runs = [(ss, state)]
     op = ProductOperator(d.row_graph, d.col_graph, 1.0, 0.5)
     ss, state = gcs_sample(op, 40, allowed=allowed, opts=opts, warm_start=False)
     assert (ss.linear.tolist(), sum(state.iter_counts)) == POOL_GOLDEN["gcs"]
+    runs.append((ss, state))
     basis = bandlimited_basis(d.row_graph, d.col_graph, 3, 3)
-    ss = aopt_local_search(basis, op, 20, 10, opts=opts, allowed=allowed)
+    ss, state = greedy_disc_shift(op, 20, aopt_pick(basis, 10), "A-opt", allowed, opts)
     assert ss.linear.tolist() == POOL_GOLDEN["aopt"]
+    runs.append((ss, state))
+    # Every greedy sampler keeps one (mode, block, index, iterations) record
+    # per pick, and iter_counts is its iteration column; GCS and A-opt solve
+    # the one block ("product", 0), where the index is the linear pick.
+    for ss, state in runs:
+        assert len(state.steps) == len(ss) and state.iter_counts == [s[3] for s in state.steps]
+    for ss, state in runs[1:]:
+        assert [s[:3] for s in state.steps] == [("product", 0, k) for k in ss.linear.tolist()]
 
 
 # IGCS on 30x20 with the preconditioner's factor cap lowered to 25: the 30-node
 # cluster blocks run unpreconditioned in x coordinates and the 20-node group
-# blocks preconditioned. Picks, the SHA-256 of the step record as JSON and the
-# LOBPCG iteration total, per zeta.
+# blocks preconditioned. Picks, the SHA-256 of the step records' (mode, block,
+# index) as JSON and the LOBPCG iteration total, per zeta.
 CAP_GOLDEN = {
     1: ([0, 300, 323, 293, 283, 313, 320, 290, 278, 308, 324, 294, 284, 314, 327, 297,
          270, 450, 473, 113, 103, 463, 470, 110, 98, 458, 474, 114, 104, 464, 477, 117,
@@ -496,8 +509,8 @@ def test_igcs_picks_golden_across_the_factor_cap(monkeypatch, zeta):
     d = synthetic_netflix(30, 20, 2, 2, noise_sigma=0.6, seed=3)
     ss, state = igcs_sample(d.row_graph, d.col_graph, 1.0, 0.5, q=0.4, zeta=zeta, K=60,
                             opts=SolverOptions(seed=3))
-    assert {mode for mode, _, _ in state.steps} == {"cluster", "group"}
-    steps_hash = hashlib.sha256(json.dumps(state.steps).encode()).hexdigest()
+    assert {mode for mode, *_ in state.steps} == {"cluster", "group"}
+    steps_hash = hashlib.sha256(json.dumps([s[:3] for s in state.steps]).encode()).hexdigest()
     assert (ss.linear.tolist(), steps_hash, sum(state.iter_counts)) == CAP_GOLDEN[zeta]
 
 
