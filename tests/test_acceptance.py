@@ -437,17 +437,28 @@ def test_12_warm_start_efficiency():
         warm_wins += sum(sw.iter_counts) <= sum(sc.iter_counts)
         iters.append((sum(sw.iter_counts), sum(sc.iter_counts)))
 
+    # Block reuse: IGCS with zeta=7 warm-starts every solve but the first of
+    # each 7-pick streak, zeta=1 none. The gate compares their LOBPCG
+    # iteration totals, which are deterministic for the seed (16,351 against
+    # 21,126), not wall times: a solve in the factor eigenbasis is cheap, so
+    # the per-pick work both runs share dominates their times, and the gap
+    # between them falls within machine noise. The wall times are printed
+    # only. Under a per-pick iteration cap that every solve reaches, both
+    # totals equal cap * K and the check fails: it measures iterations saved,
+    # and such a cap leaves none to save.
     big = synthetic_netflix(200, 100, 4, 4, seed=0)
-    walls = {}
+    totals, walls = {}, {}
     for zeta in (7, 1):
         t0 = time.perf_counter()
-        igcs_sample(big.row_graph, big.col_graph, 0.1, 0.1, q=0.5,
-                    zeta=zeta, K=2000, opts=SolverOptions(seed=0))
+        _, state = igcs_sample(big.row_graph, big.col_graph, 0.1, 0.1, q=0.5,
+                               zeta=zeta, K=2000, opts=SolverOptions(seed=0))
         walls[zeta] = time.perf_counter() - t0
-    ok = warm_wins >= 4 and walls[7] < walls[1]
+        totals[zeta] = sum(state.iter_counts)
+    ok = warm_wins >= 4 and totals[7] < totals[1]
     assert _report(12, "warm starts cut solver work", ok,
                    f"warm<=cold on {warm_wins}/5 seeds {iters}; "
-                   f"block reuse {walls[7]:.1f}s < fresh {walls[1]:.1f}s")
+                   f"block reuse {totals[7]} < fresh {totals[1]} iterations "
+                   f"({walls[7]:.1f}s, {walls[1]:.1f}s)")
 
 
 def test_13_greedy_tracks_exact_oracle():
