@@ -131,8 +131,8 @@ def _kernel_graph(keep: np.ndarray, sq: np.ndarray, width: float) -> GraphLaplac
 
 @dataclass(frozen=True)
 class RatingMatrix:
-    """Partially observed m x n rating matrix stored as triplets, whose
-    (row, col) pairs keep the entry rule (`linalg.entry_pairs`)."""
+    """Partially observed m x n rating matrix stored as aligned 1-D triplet
+    arrays, whose (row, col) pairs keep the entry rule (`linalg.entry_pairs`)."""
 
     m: int
     n: int
@@ -147,6 +147,8 @@ class RatingMatrix:
             raise ValueError("rating indices must be integers")
         if not (rows.shape == cols.shape == vals.shape):
             raise ValueError("triplet arrays must align")
+        if rows.ndim != 1:
+            raise ValueError("rating triplets must be 1-D arrays")
         try:
             entry_pairs(np.column_stack((rows, cols)), self.m, self.n)
         except EntryError as e:

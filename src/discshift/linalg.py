@@ -45,6 +45,8 @@ SYMMETRY_TOL = 1e-12
 # a second comment marker through a per-line Python pass instead of its C
 # tokenizer.
 _HEADER = re.compile("row[^\n]*")
+# An edge list's node count, as save_edge_list writes it.
+_NODES = re.compile(r"#[ \t]*n[ \t]*=[ \t]*(\d+)")
 
 
 class ConvergenceError(RuntimeError):
@@ -188,30 +190,33 @@ def cg_solve(apply: Callable[[np.ndarray], np.ndarray], b,
     r = b.copy()
     z = r if precond is None else precond(r)
     p = z.copy()
-    rz = float(r @ z)
     r_norm = b_norm
     if r_norm / b_norm <= tol:
         return x
 
-    for _ in range(max_iter):
-        Ap = apply(p)
-        pAp = float(p @ Ap)
-        if not np.isfinite(pAp):
-            raise ConvergenceError("NaN/Inf encountered in CG")
-        if pAp <= 0.0:
-            raise ConvergenceError("operator is not positive definite (p'Ap <= 0)")
-        gamma = rz / pAp
-        x = x + gamma * p
-        r = r - gamma * Ap
-        r_norm = np.sqrt(float(r @ r))
-        if not np.isfinite(r_norm):
-            raise ConvergenceError("NaN/Inf encountered in CG")
-        if r_norm / b_norm <= tol:
-            return x
-        z = r if precond is None else precond(r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+    # An overflow or invalid value is left to the finiteness checks, which
+    # raise ConvergenceError, rather than to numpy's warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rz = float(r @ z)
+        for _ in range(max_iter):
+            Ap = apply(p)
+            pAp = float(p @ Ap)
+            if not np.isfinite(pAp):
+                raise ConvergenceError("NaN/Inf encountered in CG")
+            if pAp <= 0.0:
+                raise ConvergenceError("operator is not positive definite (p'Ap <= 0)")
+            gamma = rz / pAp
+            x = x + gamma * p
+            r = r - gamma * Ap
+            r_norm = np.sqrt(float(r @ r))
+            if not np.isfinite(r_norm):
+                raise ConvergenceError("NaN/Inf encountered in CG")
+            if r_norm / b_norm <= tol:
+                return x
+            z = r if precond is None else precond(r)
+            rz_new = float(r @ z)
+            p = z + (rz_new / rz) * p
+            rz = rz_new
 
     raise ConvergenceError(
         f"CG did not converge in {max_iter} iterations "
@@ -444,10 +449,12 @@ def gershgorin_bounds(A: SparseSym) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def save_edge_list(A: SparseSym, path) -> None:
-    """Write the upper triangle (incl. diagonal) as `i j value` lines, 0-based."""
+    """Write a `# n=<nodes>` line, then the upper triangle (incl. diagonal)
+    as `i j value` lines, 0-based."""
     rows = np.repeat(np.arange(A.n), np.diff(A.row_offsets))
     upper = A.col_indices >= rows
     with open(path, "w") as f:
+        f.write(f"# n={A.n}\n")
         f.writelines(f"{i} {c} {v!r}\n" for i, c, v in
                      zip(rows[upper].tolist(), A.col_indices[upper].tolist(),
                          A.values[upper].tolist()))
@@ -579,11 +586,21 @@ def entry_pairs(pairs, m: int, n: Optional[int] = None) -> np.ndarray:
 
 
 def load_edge_list(path, n: Optional[int] = None) -> SparseSym:
-    """Read an `i j value` upper-triangle edge list and mirror it. The first
-    line that breaks the entry rule (`entry_pairs`, on the n x n grid) or
-    holds a lower-triangle entry raises with its line number."""
-    t = read_table(path, [("i", "i8"), ("j", "i8"), ("value", "f8")], delimiter=None)
+    """Read an `i j value` upper-triangle edge list and mirror it. A `# n=<N>`
+    comment fixes the node count, and a given n that differs from it raises
+    naming both; without one the count is n, or else the largest index plus
+    one. The first line that breaks the entry rule (`entry_pairs`, on the
+    n x n grid) or holds a lower-triangle entry raises with its line number."""
+    with open(path) as f:
+        text = f.read()
+    nodes = _NODES.findall(text)
+    t = read_table(path, [("i", "i8"), ("j", "i8"), ("value", "f8")], delimiter=None,
+                   text=text)
     i, j, v = t["i"], t["j"], t["value"]
+    if nodes:
+        if n is not None and int(nodes[-1]) != n:
+            raise ValueError(f"{path}: {nodes[-1]} nodes in the file, expected {n}")
+        n = int(nodes[-1])
     size = int(j.max(initial=-1)) + 1 if n is None else n
     lower = np.flatnonzero(j < i)
     k, first = (lower[0] if lower.size else i.size), None

@@ -66,6 +66,30 @@ def test_graph_content(dataset, tmp_path):
     assert load_edge_list(out).n == 12
 
 
+def test_content_graph_with_an_isolated_last_row_round_trips(tmp_path):
+    # Row 3's ratings lie farther than --d-s from every other row's, so the
+    # row graph's last node has no edge and no edge-list line. The graph file
+    # still carries 4 nodes, so sample and complete run on the 4x4 grid.
+    ratings, pool = tmp_path / "r.csv", tmp_path / "pool.csv"
+    entries = {(0, 0): 4.0, (0, 1): 4.5, (0, 2): 4.0, (1, 0): 4.5, (1, 1): 4.0,
+               (1, 3): 4.5, (2, 1): 4.5, (2, 2): 4.0, (2, 3): 4.0, (3, 0): 1.0,
+               (3, 2): 1.5, (3, 3): 1.0}
+    ratings.write_text("# m=4 n=4\n" + "".join(f"{i},{j},{v}\n" for (i, j), v in entries.items()))
+    pool.write_text("".join(f"{i},{j}\n" for i, j in entries))
+    rg, cg, picks = (str(tmp_path / name) for name in ("rg.txt", "cg.txt", "s.csv"))
+    with pytest.warns(UserWarning, match="disconnected"):
+        assert main(["graph", "--ratings", str(ratings), "--axis", "rows", "--d-s", "1",
+                     "--out", rg]) == 0
+    assert main(["graph", "--ratings", str(ratings), "--axis", "cols", "--out", cg]) == 0
+    assert load_edge_list(rg).n == 4
+    assert main(["sample", "--method", "gcs", "--budget", "6", "--pool", str(pool),
+                 "--row-graph", rg, "--col-graph", cg, "--out", picks]) == 0
+    assert any(i == 3 for i, _ in load_sample_set(picks, m=4, n=4)[0].pairs)
+    assert main(["complete", "--ratings", str(ratings), "--omega", picks, "--row-graph", rg,
+                 "--col-graph", cg, "--out", str(tmp_path / "rep.json")]) == 0
+    assert json.loads((tmp_path / "rep.json").read_text())["shape"] == [4, 4]
+
+
 def test_graph_requires_one_source(tmp_path):
     with pytest.raises(SystemExit, match="exactly one"):
         main(["graph", "--out", str(tmp_path / "g.txt")])

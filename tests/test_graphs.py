@@ -210,7 +210,7 @@ def test_rating_matrix_rejects_out_of_range():
     (lambda: knn_feature_graph([[np.nan], [1.0], [2.0]], k=1), "features contain NaN/Inf"),
     (lambda: RatingMatrix(2, 2, [0, 1], [0], [1.0, 2.0]), "triplet arrays must align"),
     (lambda: RatingMatrix(2, 2, [[0, 1]], [[0, 1]], [[1.0, 2.0]]),
-     "sample pairs must be (row, col) integer pairs"),
+     "rating triplets must be 1-D arrays"),
     (lambda: content_graph(RatingMatrix.from_dense(np.ones((3, 3))), axis="diag"),
      "axis must be 'rows' or 'cols'"),
     (lambda: content_graph(RatingMatrix.from_dense(np.ones((1, 3))), axis="rows"),

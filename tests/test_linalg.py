@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -240,7 +241,9 @@ def test_lobpcg_rejects_zero_start():
 ], ids=["sparsesym-not-csr", "sparsesym-not-square", "opts-tol", "opts-max-iter",
         "cg-nan-curvature", "cg-inf-residual", "lobpcg-image-shape"])
 def test_input_checks_name_the_fault(call, error, message):
-    with np.errstate(over="ignore"), pytest.raises(error, match=f"^{re.escape(message)}$"):
+    # With numpy's warnings as errors, each fault still raises its own error.
+    with warnings.catch_warnings(), pytest.raises(error, match=f"^{re.escape(message)}$"):
+        warnings.simplefilter("error", RuntimeWarning)
         call()
 
 
@@ -510,6 +513,21 @@ def test_edge_list_roundtrip(tmp_path):
     assert_allclose(A.csr.toarray(), B.csr.toarray(), atol=1e-15)
 
 
+def test_edge_list_keeps_a_trailing_node_without_edges(tmp_path):
+    # Node 2 has no edge, so no `i j value` line names it; the `# n=` line
+    # keeps the node count. A file without that line infers max index + 1.
+    A = SparseSym.from_dense(np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    path = tmp_path / "g.txt"
+    save_edge_list(A, path)
+    B = load_edge_list(path)
+    assert B.n == 3 and load_edge_list(path, n=3).n == 3
+    assert_allclose(A.csr.toarray(), B.csr.toarray(), atol=0)
+    with pytest.raises(ValueError, match=re.escape("g.txt: 3 nodes in the file, expected 4")):
+        load_edge_list(path, n=4)
+    path.write_text("0 1 0.5\n")
+    assert load_edge_list(path).n == 2 and load_edge_list(path, n=3).n == 3
+
+
 def test_edge_list_plain_floats(tmp_path):
     A = SparseSym.from_dense(np.array([[0.0, 0.5], [0.5, 0.0]]))
     path = tmp_path / "g.txt"
@@ -530,7 +548,7 @@ def test_edge_list_pins_float_bytes(tmp_path):
     A = SparseSym(sp.csr_matrix((vals, (ij[:, 0], ij[:, 1])), shape=(4, 4)))
     path = tmp_path / "g.txt"
     save_edge_list(A, path)
-    assert path.read_bytes() == (b"0 1 5e-324\n0 2 1.7976931348623157e+308\n1 1 -0.0\n1 3 -2.5\n"
+    assert path.read_bytes() == (b"# n=4\n0 1 5e-324\n0 2 1.7976931348623157e+308\n1 1 -0.0\n1 3 -2.5\n"
                                  b"2 2 0.1\n2 3 1e-300\n3 3 0.3333333333333333\n")
 
 
