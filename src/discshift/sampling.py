@@ -172,10 +172,10 @@ def _disc_shift(steps, K: int, pick: Callable[[np.ndarray, np.ndarray, List[int]
         elif basis is not None:
             x0, image = pair.vec, apply(pair.vec)
         else:
-            # The last pick, in this block, added `weight` at diagonal entry k,
-            # which was 0, so the image gains weight * vec[k]; each schedule's
-            # operator adds its diagonal term last, so this equals the new
-            # operator's image bit for bit.
+            # The last step solved this block, and its pick added `weight` at
+            # diagonal entry k, which was 0, so the image gains weight * vec[k];
+            # each schedule's operator adds its diagonal term last, so this
+            # equals the new operator's image bit for bit.
             x0, image = pair.vec, pair.image.copy()
             image[k] += weight * x0[k]
         pair = lobpcg_smallest(apply, x0, opts, precond, image)
