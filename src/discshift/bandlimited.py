@@ -20,6 +20,8 @@ from .sampling import SampleSet, argmax_abs_tied, greedy_disc_shift, tied
 
 AOPT_EPS = 1e-8
 GRAM_RANK_TOL = 1e-10
+AOPT_MARGIN = 1e-12  # a pool score replaces the pick only when more than this below it
+SCREEN_REL = 1e-6  # the rank-one screen's width relative to its least score
 
 
 @dataclass(frozen=True)
@@ -145,27 +147,95 @@ def aopt_pool(phi: np.ndarray, available: np.ndarray, L_pool: int) -> List[int]:
     return band[taken].tolist()
 
 
+def _rank_one_screen(basis: BandlimitedBasis, picks, pool) -> Optional[tuple]:
+    """(a, DELTA) for aopt_pick's screen: a the pool's rank-one scores and
+    DELTA the screen's width; None when the picks' Gram cannot screen.
+
+    With G0 the Gram of the picks' rows and r a pool member's row, the
+    score is tr[(G0 + r r')^-1] = tr(G0^-1) - |G0^-1 r|^2 / (1 + r' G0^-1 r)
+    (Sherman-Morrison). G0 is built afresh from the picks and inverted
+    through its eigendecomposition Q diag(w) Q'. T has orthonormal columns,
+    so every Gram of its rows lies below the identity (w <= 1) and every
+    score above k. A backward-stable eigh perturbs G0 by about k eps in
+    norm, which moves a score by about k eps tr(G0^-1) / w_min at most, and
+    evaluating the formula adds about k eps tr(G0^-1); eta = 4 k eps
+    tr(G0^-1) / w_min bounds both, for every member alike. DELTA is
+    SCREEN_REL |a*| + 2 (L + 1) AOPT_MARGIN, a* the least score and L the
+    pool's size. None while G0 has fewer than k rows or w_min <=
+    GRAM_RANK_TOL (aopt_objective then scores with AOPT_EPS and its rank
+    clamp, which no rank-one update reproduces), or when eta > DELTA / 4.
+    """
+    if len(picks) < basis.rank:
+        return None
+    R0 = basis.rows(picks)
+    w, Q = np.linalg.eigh(R0.T @ R0)
+    if w[0] <= GRAM_RANK_TOL:
+        return None
+    P = basis.rows(pool)
+    Y = P @ ((Q / w) @ Q.T)
+    trace = float(np.sum(1.0 / w))
+    a = trace - np.einsum("ij,ij->i", Y, Y) / (1.0 + np.einsum("ij,ij->i", Y, P))
+    delta = SCREEN_REL * abs(a.min()) + 2 * (len(pool) + 1) * AOPT_MARGIN
+    eta = 4 * basis.rank * np.finfo(float).eps * trace / w[0]
+    return (a, delta) if eta <= delta / 4 else None
+
+
 def aopt_pick(basis: BandlimitedBasis, L_pool: int):
     """A-optimal pick rule for greedy_disc_shift.
 
     The pool is aopt_pool, the top L_pool available indices by |phi| under
-    GCS's tie rule, so that it does not depend on eigensolver noise; the
-    pick is the pool member that minimizes aopt_objective of the run's
-    picks so far plus it. The whole pool is scored in one batch, in
-    aopt_pool's ascending order, so a score within 1e-12 of the best goes
-    to the lowest index.
+    GCS's tie rule, so that it does not depend on eigensolver noise. A
+    member's score is aopt_objective of the run's picks so far plus it. The
+    rule scans the pool in aopt_pool's ascending order: the first member is
+    the pick so far, and a later one replaces it exactly when its score lies
+    more than AOPT_MARGIN below the pick's. So a near-tie need not go to
+    the lowest index: scores 5, 5 - 0.9e-12 and 5 - 1.8e-12 pick the third,
+    which lies more than the margin below the first (the second does not).
+
+    A rank-one screen (_rank_one_screen) decides which members need an
+    exact score. The exact scores alone decide the pick, and it is the
+    whole pool's pick bit for bit:
+    - Let s be the exact scores, s* the least, L the pool's size and N the
+      members with s <= s* + (L + 1) AOPT_MARGIN. A scan over any part of
+      the pool that holds N picks as the whole scan does. The two scans
+      part when one takes a member the other lacks, which lies outside N.
+      While they are apart, the lower of their two picks falls by at most
+      the margin per member scanned, fewer than L in all, so it stays above
+      s* plus the margin: both scans take the least member when it comes.
+      Once they share a pick within the margin of s*, no member outside N
+      can replace it.
+    - The screen keeps, in pool order, the members whose rank-one score a
+      lies within DELTA of the least, a*. If every |a - s| <= eta, each
+      member of N has a - a* <= (L + 1) AOPT_MARGIN + 2 eta, which is at
+      most DELTA when eta <= DELTA / 4, since DELTA >= 2 (L + 1)
+      AOPT_MARGIN. The screen runs only when its a priori eta meets that.
+    - A kept member whose exact score lies more than DELTA / 4 from its
+      rank-one score sends the pick back to the whole pool: the same
+      scoring, with every member kept.
+    Every pick before the picks' Gram G0 has rank k, and every pick whose
+    G0 is too ill-conditioned for eta, scores the whole pool. The rule
+    keeps no state: G0 is built from the picks on each call.
     """
     if not (1 <= L_pool <= basis.m * basis.n):
         raise ValueError(f"L_pool={L_pool} out of range")
 
     def pick(phi, available, picks):
-        pool = aopt_pool(phi, available, L_pool)
-        S = np.empty((len(pool), len(picks) + 1), dtype=np.int64)
+        pool = np.asarray(aopt_pool(phi, available, L_pool))
+        S = np.empty((pool.size, len(picks) + 1), dtype=np.int64)
         S[:, :-1] = picks
         S[:, -1] = pool
+        keep = np.ones(pool.size, dtype=bool)
+        screen = _rank_one_screen(basis, picks, pool)
+        if screen is not None:
+            approx, delta = screen
+            keep = approx <= approx.min() + delta
+        scores = aopt_objective(basis, S[keep])
+        if screen is not None and np.any(np.abs(scores - approx[keep]) > delta / 4):
+            keep[:] = True
+            scores = aopt_objective(basis, S)
         best_idx, best_val = None, None
-        for c, val in zip(pool, aopt_objective(basis, S).tolist()):
-            if best_val is None or val < best_val - 1e-12:
+        for c, val in zip(pool[keep].tolist(), scores.tolist()):
+            if best_val is None or val < best_val - AOPT_MARGIN:
                 best_idx, best_val = c, val
         return best_idx
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -90,7 +91,11 @@ def _cmd_graph(args):
         raise SystemExit("pass exactly one of --ratings (G2) or --features (G1)")
     if args.ratings:
         data = _read(load_ratings, args.ratings)
-        g = content_graph(data, axis=args.axis, d_s=args.d_s, gamma=args.gamma)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            g = content_graph(data, axis=args.axis, d_s=args.d_s, gamma=args.gamma)
+        for w in caught:  # a disconnected graph: one line, not Python's warning
+            print(f"warning: {w.message}", file=sys.stderr)
     else:
         feats = _read(np.loadtxt, args.features, delimiter=",", ndmin=2)
         g = knn_feature_graph(feats, k=args.k)
@@ -137,6 +142,10 @@ def _cmd_complete(args):
             col_graph=col_graph, alpha=args.alpha, beta=args.beta)
         report = dglr_solve(problem, SolverOptions(tol=args.tol, seed=args.seed))
     except (ValueError, ConvergenceError) as e:
+        if str(e).startswith("omega contains unobserved entries"):
+            raise SystemExit(f"{args.omega}: {e}; sample rated entries only, passing "
+                             f"`sample --pool` their row,col pairs "
+                             f"(`cut -d, -f1,2 {args.ratings}`)")
         raise SystemExit(str(e))
     save_report(report, args.out, x_csv_path=args.x_out)
     print(f"wrote {args.out} (residual {report.residual:.3e}, "

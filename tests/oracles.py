@@ -8,6 +8,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from discshift.bandlimited import aopt_objective, aopt_pool
 from discshift.graphs import ProductOperator, product_dense
 from discshift.sampling import SampleSet
 
@@ -48,3 +49,21 @@ def exact_greedy_oracle(op: ProductOperator, K: int) -> Tuple[SampleSet, List[fl
         trace.append(lam_star)
     j, i = divmod(np.array(picks, dtype=np.int64), op.m)
     return SampleSet(np.column_stack((i, j)), op.m, K), trace
+
+
+def aopt_pick_reference(basis, L_pool: int):
+    """A-opt's pick rule without a screen: every member of aopt_pool, in its
+    ascending order, is scored exactly by aopt_objective, and a score
+    replaces the best so far only when it lies more than 1e-12 below it."""
+    def pick(phi, available, picks):
+        pool = aopt_pool(phi, available, L_pool)
+        S = np.empty((len(pool), len(picks) + 1), dtype=np.int64)
+        S[:, :-1] = picks
+        S[:, -1] = pool
+        best_idx, best_val = None, None
+        for c, val in zip(pool, aopt_objective(basis, S).tolist()):
+            if best_val is None or val < best_val - 1e-12:
+                best_idx, best_val = c, val
+        return best_idx
+
+    return pick

@@ -25,6 +25,7 @@ from discshift.sampling import (
     gcs_sample,
     greedy_disc_shift,
 )
+from oracles import aopt_pick_reference
 
 
 def path_graph(n):
@@ -483,3 +484,86 @@ def test_aopt_picks_golden_on_tied_inputs(seed):
     basis = bandlimited_basis(d.row_graph, d.col_graph, 4, 4)
     ss = aopt_local_search(basis, op, 40, 50, SolverOptions(seed=seed))
     assert ss.linear.tolist() == GOLDEN_60x40[seed]
+
+
+# (m, n, p_in, k1 = k2, L_pool, K, alpha = beta, seeds) on 4x4 communities:
+# the golden inputs, weak smoothing, a 2x2 basis, and plain greedy
+# (L_pool = mn) on a smaller grid.
+SCREEN_CELLS = {
+    "golden": (60, 40, 0.3, 4, 50, 40, 1.0, sorted(GOLDEN_60x40)),
+    "weak": (60, 40, 0.3, 4, 50, 40, 0.01, [1301, 1302]),
+    "basis-2x2": (60, 40, 0.3, 2, 50, 40, 1.0, [1401, 1402]),
+    "plain-greedy": (32, 20, 0.6, 4, 640, 30, 1.0, [1501]),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(SCREEN_CELLS))
+def test_aopt_screened_picks_equal_the_whole_pool_rule(cell):
+    m, n, p_in, k, L_pool, K, ab, seeds = SCREEN_CELLS[cell]
+    for seed in seeds:
+        d = synthetic_netflix(m, n, 4, 4, noise_sigma=0.6, seed=seed, p_in=p_in)
+        op = ProductOperator(d.row_graph, d.col_graph, ab, ab)
+        basis = bandlimited_basis(d.row_graph, d.col_graph, k, k)
+        opts = SolverOptions(seed=seed)
+        ref, _ = greedy_disc_shift(op, K, aopt_pick_reference(basis, L_pool), "A-opt", opts=opts)
+        ss = aopt_local_search(basis, op, K, L_pool, opts)
+        assert ss.linear.tolist() == ref.linear.tolist(), seed
+
+
+def scored_rows(monkeypatch):
+    """Patch aopt_objective to record (picks so far, rows scored) per call."""
+    calls, score = [], bandlimited.aopt_objective
+
+    def counted(basis, S):
+        calls.append((np.shape(S)[1] - 1, np.shape(S)[0]))
+        return score(basis, S)
+
+    monkeypatch.setattr(bandlimited, "aopt_objective", counted)
+    return calls
+
+
+def golden_run(seed):
+    d = synthetic_netflix(60, 40, 4, 4, noise_sigma=0.6, seed=seed)
+    op = ProductOperator(d.row_graph, d.col_graph, 1.0, 1.0)
+    basis = bandlimited_basis(d.row_graph, d.col_graph, 4, 4)
+    return aopt_local_search(basis, op, 40, 50, SolverOptions(seed=seed)).linear.tolist()
+
+
+def test_aopt_full_rank_picks_score_only_the_screened_rows(monkeypatch):
+    # On input 1108 every pick from the 16th on has a well-conditioned Gram
+    # of its picks, so the screen keeps one or two of the 50 pool members;
+    # the first 16 picks score the whole pool.
+    calls = scored_rows(monkeypatch)
+    assert golden_run(1108) == GOLDEN_60x40[1108]
+    assert [rows for t, rows in calls if t < 16] == [50] * 16
+    full_rank = [rows for t, rows in calls if t >= 16]
+    assert len(full_rank) == 24
+    assert max(full_rank) <= 2 and sum(full_rank) <= 30
+
+
+def test_aopt_rank_one_scores_off_by_a_quarter_delta_score_the_whole_pool(monkeypatch):
+    # Rank-one scores shifted by the screen's width keep the same members,
+    # but each differs from its exact score by more than DELTA / 4: every
+    # screened pick then scores the whole pool, and picks as before.
+    screen = bandlimited._rank_one_screen
+
+    def shifted(basis, picks, pool):
+        got = screen(basis, picks, pool)
+        return got and (got[0] + got[1], got[1])
+
+    monkeypatch.setattr(bandlimited, "_rank_one_screen", shifted)
+    calls = scored_rows(monkeypatch)
+    assert golden_run(1108) == GOLDEN_60x40[1108]
+    full_rank = [rows for t, rows in calls if t >= 16]
+    assert len(full_rank) == 48
+    assert full_rank[1::2] == [50] * 24 and max(full_rank[::2]) <= 2
+
+
+@pytest.mark.parametrize("w, screens", [(1e-9, False), (1e-2, True)])
+def test_aopt_screen_declines_an_ill_conditioned_gram(w, screens):
+    # Picks 0 and 1 give the Gram G0 = diag(1, w), above GRAM_RANK_TOL
+    # either way. At w = 1e-9 the rank-one error bound exceeds a quarter of
+    # the screen's width, so the pick scores the whole pool.
+    V = np.array([[1.0, 0.0], [0.0, np.sqrt(w)], [0.6, 0.8]])
+    basis = bandlimited.BandlimitedBasis(U=np.ones((1, 1)), V=V)
+    assert (bandlimited._rank_one_screen(basis, [0, 1], np.array([2])) is not None) == screens

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ def test_graph_content(dataset, tmp_path):
     assert load_edge_list(out).n == 12
 
 
-def test_content_graph_with_an_isolated_last_row_round_trips(tmp_path):
+def test_content_graph_with_an_isolated_last_row_round_trips(tmp_path, capsys):
     # Row 3's ratings lie farther than --d-s from every other row's, so the
     # row graph's last node has no edge and no edge-list line. The graph file
     # still carries 4 nodes, so sample and complete run on the 4x4 grid.
@@ -77,9 +78,11 @@ def test_content_graph_with_an_isolated_last_row_round_trips(tmp_path):
     ratings.write_text("# m=4 n=4\n" + "".join(f"{i},{j},{v}\n" for (i, j), v in entries.items()))
     pool.write_text("".join(f"{i},{j}\n" for i, j in entries))
     rg, cg, picks = (str(tmp_path / name) for name in ("rg.txt", "cg.txt", "s.csv"))
-    with pytest.warns(UserWarning, match="disconnected"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the CLI reports it as one line, not a warning
         assert main(["graph", "--ratings", str(ratings), "--axis", "rows", "--d-s", "1",
                      "--out", rg]) == 0
+    assert capsys.readouterr().err == "warning: content graph is disconnected (2 components)\n"
     assert main(["graph", "--ratings", str(ratings), "--axis", "cols", "--out", cg]) == 0
     assert load_edge_list(rg).n == 4
     assert main(["sample", "--method", "gcs", "--budget", "6", "--pool", str(pool),
@@ -240,10 +243,14 @@ def test_complete_rejects_unknown_omega(tmp_path):
     save_edge_list(path2, g)
     omega = tmp_path / "omega.csv"
     omega.write_text("0,1\n")  # in range but never rated
-    with pytest.raises(SystemExit, match="missing from the ratings"):
+    with pytest.raises(SystemExit) as exit_:
         main(["complete", "--ratings", str(ratings), "--omega", str(omega),
               "--row-graph", str(g), "--col-graph", str(g),
               "--out", str(tmp_path / "r.json")])
+    assert str(exit_.value) == (
+        f"{omega}: omega contains unobserved entries (missing from the ratings), e.g. "
+        f"(0, 1); sample rated entries only, passing `sample --pool` their row,col "
+        f"pairs (`cut -d, -f1,2 {ratings}`)")
     omega.write_text("0,0\n2,0\n")
     with pytest.raises(SystemExit, match=r"omega.csv: pair \(2, 0\) outside the 2x2 grid"):
         main(["complete", "--ratings", str(ratings), "--omega", str(omega),
