@@ -47,7 +47,8 @@ class CompletionProblem:
         rows, cols = grid_pairs(self.omega, m, n).T
         known = self.observations.mask_bool()[rows, cols]
         if not known.all():
-            i, j = self.omega.ij[np.argmin(known)]
+            k = np.argmin(known)
+            i, j = rows[k], cols[k]
             raise ValueError("omega contains unobserved entries (missing from the "
                              f"ratings), e.g. ({i}, {j})")
         if self.alpha < 0 or self.beta < 0:

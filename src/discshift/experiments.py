@@ -8,7 +8,6 @@ entries the solver never saw. Wall time is measured around sampling only.
 from __future__ import annotations
 
 import os
-import re
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
@@ -26,7 +25,7 @@ from .graphs import (
     laplacian_from_weights,
     synthetic_netflix,
 )
-from .linalg import EntryError, SolverOptions, load_edge_list, read_table, table_lines
+from .linalg import SolverOptions, load_edge_list, read_table
 from .sampling import (
     SampleSet,
     gcs_sample,
@@ -106,28 +105,18 @@ class MetricsRow:
                 raise ValueError(f"{name} must be finite")
 
 
-_DIRECTIVE = re.compile(r"#[ \t]*m[ \t]*=[ \t]*(\d+)[ \t]+n[ \t]*=[ \t]*(\d+)")
-
-
 def load_ratings(path) -> RatingMatrix:
     """Read a `row,col,value` table (see `read_table`). A `# m=<M> n=<N>`
     comment fixes dimensions; otherwise they are inferred from the data. An
     entry out of range or repeated raises with its line number.
     """
-    with open(path) as f:
-        text = f.read()
-    dims = _DIRECTIVE.findall(text)  # before read_table deletes the headers
-    t = read_table(path, [("row", "i8"), ("col", "i8"), ("value", "f8")], text=text)
-    rows, cols = t["row"], t["col"]
-    m, n = map(int, dims[-1] if dims else (rows.max(initial=-1) + 1, cols.max(initial=-1) + 1))
-    try:
+    def ratings(t, dims):
+        rows, cols = t["row"], t["col"]
+        m, n = dims or (int(rows.max(initial=-1)) + 1, int(cols.max(initial=-1)) + 1)
         return RatingMatrix(m, n, rows, cols, t["value"])
-    except EntryError as e:  # the table's indices are int64, so e.k is set
-        lines = table_lines(path)
-        where = "" if e.first is None else f", first at line {lines[e.first]}"
-        raise ValueError(f"{path}:{lines[e.k]}: {e}{where}") from None
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+
+    return read_table(path, [("row", "i8"), ("col", "i8"), ("value", "f8")], ratings,
+                      keys=("m", "n"))
 
 
 def save_ratings(data: RatingMatrix, path) -> None:

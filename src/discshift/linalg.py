@@ -7,7 +7,8 @@ preconditioner supplies the image of each search direction through its
 `shift` and the start comes with its image; its Rayleigh-Ritz step runs on
 Python floats around one LAPACK eigensolve), both optionally preconditioned,
 Gershgorin disc utilities, the one reader of the package's numeric text
-tables, the one rule for matrix entries, and edge-list I/O.
+tables (it parses their `# k=<int>` directive and names the line of each
+entry fault), the one rule for matrix entries, and edge-list I/O.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,13 +41,11 @@ P_DROP_TOL = 1e-14
 SYMMETRY_TOL = 1e-12
 
 # Text tables (ratings, sample sets, edge lists) skip everything from `#` (a
-# comment) or `row` (a header) to the end of a line. The readers delete what
+# comment) or `row` (a header) to the end of a line. read_table deletes what
 # `row` skips before parsing, keeping every newline, because np.loadtxt takes
 # a second comment marker through a per-line Python pass instead of its C
 # tokenizer.
 _HEADER = re.compile("row[^\n]*")
-# An edge list's node count, as save_edge_list writes it.
-_NODES = re.compile(r"#[ \t]*n[ \t]*=[ \t]*(\d+)")
 
 
 class ConvergenceError(RuntimeError):
@@ -460,28 +459,36 @@ def save_edge_list(A: SparseSym, path) -> None:
                          A.values[upper].tolist()))
 
 
-def read_table(path, dtype, delimiter: Optional[str] = ",",
-               text: Optional[str] = None) -> np.ndarray:
-    """Records of a numeric text table, one per data line, in file order.
+def read_table(path, dtype, build, delimiter: Optional[str] = ",", keys=()):
+    """Parse a numeric text table and return build(records, directive), the
+    records being one per data line, in file order.
 
     The fields of the structured `dtype` name the columns; delimiter None
     splits on whitespace. Empty lines and everything from `#` or `row` (a
-    header) to the end of a line are skipped. text, if given, is the file's
-    contents as a caller has already read them, and path only names the file.
+    header) to the end of a line are skipped. The directive is the integers
+    of the last `# k1=<int> k2=<int>` comment for the names in `keys`, in
+    their order, or None without such a comment or without keys.
 
-    The body is read once, stripped of what `row` skips, and parsed in one
+    The file is read once, stripped of what `row` skips, and parsed in one
     np.loadtxt call with `#` as its only marker; only when that fails are
     the lines scanned, to raise `<path>:<line>: expected '<columns>'` for the
     first one numpy rejects, or `index (...) out of range` when an integer
-    column overflows int64.
+    column overflows int64. A ValueError that build raises is re-raised as
+    `<path>: <message>`, or as `<path>:<line>: <message>` when it is an
+    EntryError on record k, the line being k's; a repeat adds
+    `, first at line <L>`, the line of the record it repeats.
     """
     dtype = np.dtype(dtype)
     kw = dict(dtype=dtype, delimiter=delimiter, comments="#", ndmin=1)
-    text = _table_text(path) if text is None else _HEADER.sub("", text)
+    with open(path) as f:
+        text = f.read()
+    directive = "#[ \t]*" + "[ \t]+".join(rf"{k}[ \t]*=[ \t]*(\d+)" for k in keys)
+    found = [d.groups() for d in re.finditer(directive, text)] if keys else []
+    text = _HEADER.sub("", text)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a table with no data lines
         try:
-            return np.loadtxt(io.StringIO(text), **kw)
+            records = np.loadtxt(io.StringIO(text), **kw)
         except ValueError as err:
             for lineno, line in enumerate(text.split("\n"), start=1):
                 try:
@@ -497,18 +504,15 @@ def read_table(path, dtype, delimiter: Optional[str] = ",",
                             f"expected '{(delimiter or ' ').join(dtype.names)}'")
                     raise ValueError(f"{path}:{lineno}: {what}") from None
             raise ValueError(f"{path}: {err}") from None
-
-
-def _table_text(path) -> str:
-    """The text of a table with its headers deleted, line for line."""
-    with open(path) as f:
-        return _HEADER.sub("", f.read())
-
-
-def table_lines(path) -> List[int]:
-    """1-based line numbers of the records `read_table` returns, in order."""
-    return [lineno for lineno, line in enumerate(_table_text(path).split("\n"), start=1)
-            if line.split("#", 1)[0].strip()]
+    try:
+        return build(records, tuple(map(int, found[-1])) if found else None)
+    except ValueError as e:
+        if not (isinstance(e, EntryError) and e.k is not None):
+            raise ValueError(f"{path}: {e}") from None
+        lines = [lineno for lineno, line in enumerate(text.split("\n"), start=1)
+                 if line.split("#", 1)[0].strip()]
+        first = "" if e.first is None else f", first at line {lines[e.first]}"
+        raise ValueError(f"{path}:{lines[e.k]}: {e}{first}") from None
 
 
 def as_int64(a, what: str) -> Optional[np.ndarray]:
@@ -586,35 +590,32 @@ def entry_pairs(pairs, m: int, n: Optional[int] = None) -> np.ndarray:
 
 
 def load_edge_list(path, n: Optional[int] = None) -> SparseSym:
-    """Read an `i j value` upper-triangle edge list and mirror it. A `# n=<N>`
-    comment fixes the node count, and a given n that differs from it raises
-    naming both; without one the count is n, or else the largest index plus
-    one. The first line that breaks the entry rule (`entry_pairs`, on the
-    n x n grid) or holds a lower-triangle entry raises with its line number."""
-    with open(path) as f:
-        text = f.read()
-    nodes = _NODES.findall(text)
-    t = read_table(path, [("i", "i8"), ("j", "i8"), ("value", "f8")], delimiter=None,
-                   text=text)
-    i, j, v = t["i"], t["j"], t["value"]
-    if nodes:
-        if n is not None and int(nodes[-1]) != n:
-            raise ValueError(f"{path}: {nodes[-1]} nodes in the file, expected {n}")
-        n = int(nodes[-1])
-    size = int(j.max(initial=-1)) + 1 if n is None else n
-    lower = np.flatnonzero(j < i)
-    k, first = (lower[0] if lower.size else i.size), None
-    try:  # the lines before the first lower-triangle one
-        entry_pairs(np.column_stack((i[:k], j[:k])), size, size)
-    except EntryError as e:
-        k, first = e.k, e.first
-    if k < i.size:
-        lines = table_lines(path)
-        what = ("negative index" if min(i[k], j[k]) < 0
-                else "lower-triangle entry in upper-triangle file" if j[k] < i[k]
-                else f"index ({i[k]},{j[k]}) out of range for n={n}" if first is None
-                else f"duplicate edge ({i[k]},{j[k]}), first at line {lines[first]}")
-        raise ValueError(f"{path}:{lines[k]}: {what}")
+    """Read an `i j value` upper-triangle edge list (see `read_table`) and
+    mirror it. A `# n=<N>` comment fixes the node count, and a given n that
+    differs from it raises naming both; without one the count is n, or else
+    the largest index plus one. The first line that breaks the entry rule
+    (`entry_pairs`, on the n x n grid) or holds a lower-triangle entry raises
+    with its line number."""
+    def upper(t, nodes):
+        i, j = t["i"], t["j"]
+        if nodes and n is not None and nodes[0] != n:
+            raise ValueError(f"{nodes[0]} nodes in the file, expected {n}")
+        size = nodes[0] if nodes else int(j.max(initial=-1)) + 1 if n is None else n
+        lower = np.flatnonzero(j < i)
+        k, first = (lower[0] if lower.size else i.size), None
+        try:  # the lines before the first lower-triangle one
+            entry_pairs(np.column_stack((i[:k], j[:k])), size, size)
+        except EntryError as e:
+            k, first = e.k, e.first
+        if k < i.size:
+            raise EntryError("negative index" if min(i[k], j[k]) < 0
+                             else "lower-triangle entry in upper-triangle file" if j[k] < i[k]
+                             else f"index ({i[k]},{j[k]}) out of range for n={size}"
+                             if first is None else f"duplicate edge ({i[k]},{j[k]})", k, first)
+        return i, j, t["value"], size
+
+    i, j, v, size = read_table(path, [("i", "i8"), ("j", "i8"), ("value", "f8")], upper,
+                               delimiter=None, keys=("n",))
     off = i != j
     m = sp.csr_matrix((np.concatenate([v, v[off]]),
                        (np.concatenate([i, j[off]]), np.concatenate([j, i[off]]))),

@@ -341,20 +341,22 @@ def load_sample_set(csv_path, m: int, n: int):
     """Load a `row,col` table (see `read_table`) of m x n grid entries
     (`entry_pairs`) and its sidecar if present; returns (SampleSet, meta).
     The budget is the sidecar's K, or the pair count if that is larger or
-    there is no sidecar."""
+    there is no sidecar. A pair out of the grid or repeated raises with its
+    line number."""
     csv_path = str(csv_path)
-    t = read_table(csv_path, [("row", "i8"), ("col", "i8")])
     meta = {}
     try:
         with open(_sidecar_path(csv_path)) as f:
             meta = json.load(f)
     except FileNotFoundError:
         pass
-    k = max(len(t), int(meta.get("K") or 0))
-    try:
-        return SampleSet(np.column_stack((t["row"], t["col"])), m=m, budget=k, n=n), meta
-    except ValueError as e:
-        raise ValueError(f"{csv_path}: {e}") from None
+    budget = int(meta.get("K") or 0)
+
+    def sample_set(t, _):
+        return SampleSet(np.column_stack((t["row"], t["col"])), m=m,
+                         budget=max(len(t), budget), n=n)
+
+    return read_table(csv_path, [("row", "i8"), ("col", "i8")], sample_set), meta
 
 
 def _sidecar_path(csv_path: str) -> str:

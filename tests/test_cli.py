@@ -252,7 +252,7 @@ def test_complete_rejects_unknown_omega(tmp_path):
         f"(0, 1); sample rated entries only, passing `sample --pool` their row,col "
         f"pairs (`cut -d, -f1,2 {ratings}`)")
     omega.write_text("0,0\n2,0\n")
-    with pytest.raises(SystemExit, match=r"omega.csv: pair \(2, 0\) outside the 2x2 grid"):
+    with pytest.raises(SystemExit, match=r"omega.csv:2: pair \(2, 0\) outside the 2x2 grid$"):
         main(["complete", "--ratings", str(ratings), "--omega", str(omega),
               "--row-graph", str(g), "--col-graph", str(g),
               "--out", str(tmp_path / "r.json")])
@@ -305,7 +305,8 @@ def test_eval_rejects_duplicate_pairs(dataset, tmp_path):
     np.savetxt(X, np.ones((12, 9)), delimiter=",")
     eval_csv = tmp_path / "eval.csv"
     eval_csv.write_text("0,0\n1,2\n0,0\n")
-    with pytest.raises(SystemExit, match="eval.csv: sample pairs must be distinct"):
+    with pytest.raises(SystemExit, match=re.escape(
+            "eval.csv:3: sample pairs must be distinct: (0, 0) repeats, first at line 1") + "$"):
         main(["eval", "--completed", str(X), "--truth", str(dataset / "ratings.csv"),
               "--eval-set", str(eval_csv)])
 
@@ -327,7 +328,7 @@ def test_eval_rejects_negative_pair(dataset, tmp_path):
     eval_csv = tmp_path / "eval.csv"
     eval_csv.write_text("0,0\n-1,0\n")
     with pytest.raises(SystemExit,
-                       match=r"eval.csv: pair \(-1, 0\) outside the 12x9 grid"):
+                       match=r"eval.csv:2: pair \(-1, 0\) outside the 12x9 grid$"):
         main(["eval", "--completed", str(X), "--truth", str(dataset / "ratings.csv"),
               "--eval-set", str(eval_csv)])
 
@@ -338,7 +339,7 @@ def test_eval_rejects_pair_beyond_grid(dataset, tmp_path):
     eval_csv = tmp_path / "eval.csv"
     eval_csv.write_text("40,0\n0,0\n")
     with pytest.raises(SystemExit,
-                       match=r"eval.csv: pair \(40, 0\) outside the 12x9 grid"):
+                       match=r"eval.csv:1: pair \(40, 0\) outside the 12x9 grid$"):
         main(["eval", "--completed", str(X), "--truth", str(dataset / "ratings.csv"),
               "--eval-set", str(eval_csv)])
 
@@ -377,8 +378,8 @@ def test_sample_rejects_pool_pair_outside_grid(dataset, tmp_path):
     for bad in ("-1,0", "0,9", "12,0"):
         pool.write_text(f"0,0\n{bad}\n")
         with pytest.raises(SystemExit,
-                           match=rf"pool.csv: pair \({bad.replace(',', ', ')}\) "
-                                 r"outside the 12x9 grid"):
+                           match=rf"pool.csv:2: pair \({bad.replace(',', ', ')}\) "
+                                 r"outside the 12x9 grid$"):
             main(["sample", "--method", "random", "--budget", "1",
                   "--pool", str(pool), "--m", "12", "--n", "9",
                   "--out", str(tmp_path / "s.csv")])

@@ -72,10 +72,14 @@ def make_problem(m, n, seed, alpha=0.1, beta=0.1, frac=0.5, noise=0.0):
 
 
 def test_problem_rejects_unobserved_omega():
-    obs = RatingMatrix(2, 2, [0], [0], [3.0])
-    omega = SampleSet(((1, 1),), m=2, budget=1)
-    with pytest.raises(ValueError, match="unobserved"):
-        CompletionProblem(obs, omega, path_graph(2), path_graph(2), 0.1, 0.1)
+    obs = RatingMatrix(2, 2, [0, 1], [0, 0], [3.0, 2.0])
+    # omega as a SampleSet, a list of pairs and a (k, 2) array: each names
+    # its first unobserved pair.
+    for omega in (SampleSet(((0, 0), (1, 1)), m=2, budget=2), [(0, 0), (1, 1)],
+                  np.array([[0, 0], [1, 1]])):
+        with pytest.raises(ValueError, match=re.escape(
+                "omega contains unobserved entries (missing from the ratings), e.g. (1, 1)")):
+            CompletionProblem(obs, omega, path_graph(2), path_graph(2), 0.1, 0.1)
 
 
 def test_problem_rejects_out_of_range_omega():

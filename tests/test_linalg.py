@@ -1,6 +1,7 @@
 """Tests for the sparse-symmetric container and the iterative solvers."""
 
 import dataclasses
+import os
 import re
 import warnings
 
@@ -663,6 +664,30 @@ def test_readers_report_index_beyond_int64(tmp_path, kind):
     path.write_text("\n".join(["# c", table_line(kind, 0, 1), table_line(kind, 1, 2**64)]))
     with pytest.raises(ValueError, match=re.escape(f"t.txt:3: index (1,{2**64}) out of range")):
         READERS[kind][0](path)
+
+
+@pytest.mark.parametrize("source", ["file", "pipe"])
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_readers_name_a_repeated_entry_and_its_first_line(tmp_path, kind, source):
+    # A pipe, as a shell's process substitution passes it, reads empty the
+    # second time: the lines are named from the one read.
+    text = "\n".join(["# c", "row,col,value", table_line(kind, 0, 1), "",
+                      table_line(kind, 1, 2), table_line(kind, 0, 1)]) + "\n"
+    if source == "file":
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+    else:
+        r, w = os.pipe()
+        os.write(w, text.encode())
+        os.close(w)
+        path = f"/dev/fd/{r}"
+    try:
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:6: ")
+                           + r".*\(0, ?1\).*, first at line 3$"):
+            READERS[kind][0](path)
+    finally:
+        if source == "pipe":
+            os.close(r)
 
 
 # --------------------------------------------------------------- entry rule
