@@ -348,6 +348,43 @@ def test_gcs_resumes_from_preloaded_diag():
     assert 0 not in ss.linear
 
 
+# GCS where fast_diag_preconditioner's rule turns the preconditioner off
+# mid-run, so the warm start crosses from preconditioned to plain solves:
+# check [12]'s seed-0 input, and `gen --seed 1`'s 60x40 input at
+# alpha = beta = 0.01. Per case: the first pick solved without the
+# preconditioner, the SHA-256 of the picks and of the step records as JSON,
+# the LOBPCG iteration total, and the iterations of the picks just before,
+# at and after the switch. Recorded with the solves preconditioned on x.
+SWITCH_GOLDEN = {
+    "check-12": (12, "ce5ba3e65f5e79702ff5b431a16680879e595a74c2b564f619376988a5fc0653",
+                 "94a3aefb3dced1d910876933198d3ca2b4037f1982012240909c9a8345cd634a",
+                 3049, [10, 34, 32]),
+    "gen-60x40": (25, "9ee755efacb96e78d786509be5d8d1345ad69b9420c8512ace3bc312e2e0244f",
+                  "3fdc4a6fc1ed28b2486bf0911838b137bd54bf41b2b520c3df7e50d8de61ad2f",
+                  11491, [28, 50, 50]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWITCH_GOLDEN))
+def test_gcs_picks_golden_across_the_preconditioner_switch(case):
+    d, alpha, K = {
+        "check-12": (synthetic_netflix(30, 20, 3, 3, seed=0, p_in=0.6, p_out=0.05), 0.1, 100),
+        "gen-60x40": (synthetic_netflix(60, 40, 4, 4, seed=1, p_in=0.3, p_out=0.01), 0.01, 240),
+    }[case]
+    op = ProductOperator(d.row_graph, d.col_graph, alpha, alpha)
+    ss, state = gcs_sample(op, K, opts=SolverOptions(seed=0))
+    on = [True]
+    for k in ss.linear.tolist():
+        op.sample_diag[k] = 1.0
+        on.append(op.preconditioner() is not None)
+    switch = on.index(False)
+    assert not any(on[switch:])
+    sha = [hashlib.sha256(json.dumps(v).encode()).hexdigest() for v in
+           (ss.linear.tolist(), state.steps)]
+    total, iters = sum(state.iter_counts), state.iter_counts[switch - 1:switch + 2]
+    assert (switch, *sha, total, iters) == SWITCH_GOLDEN[case]
+
+
 # --------------------------------------------------------------------- IGCS
 
 
