@@ -110,7 +110,9 @@ def dglr_solve(p: CompletionProblem, opts: Optional[SolverOptions] = None,
                estimate_lambda_min: bool = True) -> CompletionReport:
     """Solve the completion system; returns X*, the final relative residual,
     and (optionally) a LOBPCG estimate of the operator's smallest eigenvalue.
-    Both solves take the operator's preconditioner().
+    CG takes the operator's preconditioner(); where there is one, the
+    estimate solves in the eigenbasis of the smooth part, where it is a
+    diagonal scale (ProductOperator.eigenbasis).
 
     Raises on a singular operator (unsampled product-graph component) and on
     CG non-convergence, which reports the final residual.
@@ -133,8 +135,12 @@ def dglr_solve(p: CompletionProblem, opts: Optional[SolverOptions] = None,
     lam = np.nan
     if estimate_lambda_min:
         eig_opts = SolverOptions(seed=opts.seed)
-        rng = np.random.default_rng(eig_opts.seed)
-        pair = lobpcg_smallest(op.apply, random_unit(rng, op.size), eig_opts, precond)
+        x0 = random_unit(np.random.default_rng(eig_opts.seed), op.size)
+        eig = op.eigenbasis() if precond is not None else None
+        if eig is None:
+            pair = lobpcg_smallest(op.apply, x0, eig_opts)
+        else:
+            pair = lobpcg_smallest(eig.apply, eig.basis.T @ x0, eig_opts, eig.precond)
         if not pair.converged:
             _log.warning("lambda_min estimate did not converge (residual %.3e "
                          "after %d iterations)", pair.residual, pair.iterations)

@@ -3,7 +3,8 @@
 Feature kNN graphs, content (co-rating) graphs, planted-partition community
 graphs, a synthetic block-smooth ratings generator, and the never-materialized
 operator  Q = diag(s) + alpha * I (x) L_r + beta * L_c (x) I  acting on
-column-major vectorized m x n matrices.
+column-major vectorized m x n matrices, with its fast-diagonalization
+preconditioner and its form in the eigenbasis of the smooth part.
 """
 
 from __future__ import annotations
@@ -396,6 +397,14 @@ class ProductOperator:
         return fast_diag_preconditioner(self.row_graph, self.col_graph, self.alpha,
                                         self.beta, self.sample_diag)
 
+    def eigenbasis(self) -> Optional[EigenbasisOperator]:
+        """Q as it stands in the eigenbasis of its smooth part, or None where
+        a factor has more than FAST_DIAG_CAP nodes (EigenbasisOperator)."""
+        spectra = _smooth_spectrum(self.row_graph, self.col_graph, self.alpha, self.beta)
+        if spectra is None:
+            return None
+        return EigenbasisOperator(*spectra, np.flatnonzero(self.sample_diag))
+
 
 def product_apply(op: ProductOperator, x) -> np.ndarray:
     """Apply Q to a column-major vectorized m x n matrix."""
@@ -413,25 +422,57 @@ def product_apply(op: ProductOperator, x) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class FastDiagPreconditioner:
-    """x -> (S + cI)^-1 x, built by fast_diag_preconditioner (see there).
-
-    `shift` is d - c for the operator A = S + diag(d) it was built for, so
-    that A T r = r + shift * T r holds for any r, up to the rounding of the
-    factor eigenvectors U and V: a solver gets the image of a preconditioned
-    vector without applying A (`linalg.lobpcg_smallest`).
-    The arrays are shared, not copied; do not modify them.
-    """
+class KronBasis:
+    """The matrix V (x) U on column-major vectors with U's columns for rows
+    and V's for columns, applied through reshapes; `T` is its transpose,
+    V' (x) U'. For orthogonal factor eigenvectors U and V, x = basis @ y
+    sums the modes V[:, j] (x) U[:, i] with weights y, whose n x m C-order
+    view is indexed (j, i). The arrays are shared, not copied; do not
+    modify them."""
 
     U: np.ndarray
     V: np.ndarray
+
+    @property
+    def T(self) -> "KronBasis":
+        return KronBasis(self.U.T, self.V.T)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return (self.V @ x.reshape((self.V.shape[1], self.U.shape[1])) @ self.U.T).ravel()
+
+
+@dataclass(frozen=True, eq=False)
+class FastDiagPreconditioner:
+    """x -> (S + cI)^-1 x = B (inv * B'x), B the KronBasis of S's
+    eigenvectors, built by fast_diag_preconditioner (see there). The arrays
+    are shared, not copied; do not modify them."""
+
+    basis: KronBasis
     inv: np.ndarray
-    shift: np.ndarray
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        n, m = self.inv.shape
-        V, U = self.V, self.U
-        return (V @ ((V.T @ x.reshape((n, m)) @ U) * self.inv) @ U.T).ravel()
+        return self.basis @ (self.inv * (self.basis.T @ x))
+
+
+def _smooth_spectrum(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
+                     alpha: float, beta: float):
+    """(U, V, smooth) for S = alpha I (x) L_r + beta L_c (x) I: the factor
+    eigenvectors (GraphLaplacian.spectrum) and S's eigenvalues as an n x m
+    array, smooth[j, i] being that of the mode V[:, j] (x) U[:, i]. None
+    when a factor has more than FAST_DIAG_CAP nodes, before any spectrum is
+    computed."""
+    if max(row_graph.n, col_graph.n) > FAST_DIAG_CAP:
+        return None
+    lam, U = row_graph.spectrum
+    mu, V = col_graph.spectrum
+    return U, V, beta * mu[:, None] + alpha * lam
+
+
+def _fast_diag_pays(smooth: np.ndarray, nonzero: int, top: float) -> bool:
+    """fast_diag_preconditioner's rule on S's eigenvalues `smooth`, for a
+    diagonal term with `nonzero` nonzero entries, the largest being `top`."""
+    low = np.count_nonzero(smooth < top)
+    return min(smooth.shape) <= 1 or nonzero * low <= FAST_DIAG_SHARE * smooth.size ** 2
 
 
 def fast_diag_preconditioner(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
@@ -444,8 +485,7 @@ def fast_diag_preconditioner(row_graph: GraphLaplacian, col_graph: GraphLaplacia
     S is diagonal in V (x) U, so the inverse is four dense products of factor
     size (fast diagonalization; Lynch, Rice & Thomas, Numer. Math. 6, 1964).
     c = max(sum(d), 1) / mn, the mean of the diagonal term, floored so the
-    inverse stays bounded on S's null space. The result also carries the
-    shift d - c (FastDiagPreconditioner).
+    inverse stays bounded on S's null space.
 
     The rule: samples on the low modes, those where S is below max(d), cost
     the preconditioned solvers iterations, and on a product of two graphs a
@@ -453,29 +493,82 @@ def fast_diag_preconditioner(row_graph: GraphLaplacian, col_graph: GraphLaplacia
     (#nonzero d / mn) * (#low modes / mn) exceeds FAST_DIAG_SHARE there, as at
     alpha = beta = 0.01 with 10% of the grid sampled. On one graph (the other
     a point, as in check [11]'s single-graph products) it won at every density
-    measured; IGCS solves such blocks in the factor's eigenbasis instead, where
-    the same inverse is a diagonal scale (`sampling._block`). A factor above
-    FAST_DIAG_CAP nodes gives None, before any spectrum is computed: the
-    dense products grow as mn(m + n) against the sparse matvec's nnz, and
-    the 2.5 above was measured at 120 x 80 only. The rule still pays for CG:
-    at 120 x 80, alpha = beta = 0.01 and 10% sampled, preconditioned CG took
-    13.5 ms against 8.3 ms plain; at 300 x 200 and 20% sampled, 130 ms
-    against 64 ms. It costs GCS, whose preconditioned LOBPCG iteration takes
-    the image of its search direction from the shift instead of a matvec: at
-    120 x 80, alpha = beta = 0.01, GCS sampling with the rule removed ran in
-    0.73-0.80x the time.
+    measured. A factor above FAST_DIAG_CAP nodes gives None, before any
+    spectrum is computed: the dense products grow as mn(m + n) against the
+    sparse matvec's nnz, and the 2.5 above was measured at 120 x 80 only.
+    The rule still pays for CG: at 120 x 80, alpha = beta = 0.01 and 10%
+    sampled, preconditioned CG took 13.5 ms against 8.3 ms plain; at 300 x
+    200 and 20% sampled, 130 ms against 64 ms. The eigensolvers never pay
+    for the four products: wherever the rule gives a preconditioner, GCS,
+    A-opt and the lambda_min estimate solve in the coordinates y = (V (x)
+    U)'x (EigenbasisOperator), and IGCS its blocks in the factor's
+    eigenbasis (`sampling._block`), where the same inverse is a diagonal
+    scale. There the rule's cost model no longer fits: on check [12]'s
+    seed-0 GCS run (30 x 20, alpha = beta = 0.1, K = 100), solving every
+    pick preconditioned took 1,438 LOBPCG iterations against the rule's
+    3,049.
     """
-    m, n = row_graph.n, col_graph.n
-    if max(m, n) > FAST_DIAG_CAP:
+    spectra = _smooth_spectrum(row_graph, col_graph, alpha, beta)
+    if spectra is None or not _fast_diag_pays(spectra[2], np.count_nonzero(diag),
+                                              diag.max(initial=0.0)):
         return None
-    lam, U = row_graph.spectrum
-    mu, V = col_graph.spectrum
-    smooth = beta * mu[:, None] + alpha * lam  # (j, i): the mode V[:, j] (x) U[:, i]
-    low = np.count_nonzero(smooth < diag.max(initial=0.0))
-    if min(m, n) > 1 and np.count_nonzero(diag) * low > FAST_DIAG_SHARE * diag.size ** 2:
-        return None
+    U, V, smooth = spectra
     c = max(float(diag.sum()), 1.0) / diag.size
-    return FastDiagPreconditioner(U, V, 1.0 / (smooth + c), diag - c)
+    return FastDiagPreconditioner(KronBasis(U, V), (1.0 / (smooth + c)).ravel())
+
+
+class EigenbasisOperator:
+    """Q = S + diag(d) of a ProductOperator (d is 0/1), in the coordinates
+    y = B'x of S's eigenbasis B = V (x) U, the KronBasis `basis`.
+
+    There Q = diag(smooth) + B'diag(d)B and fast_diag_preconditioner's
+    (S + cI)^-1 is the diagonal scale `precond`. The sampled term is applied
+    through reshapes on the g sampled columns of x alone, or on its sampled
+    rows where that costs less: x's g columns, masked by d and mapped back,
+    cost 4gm(n + m) flops, at most the four products' 4mn(m + n).
+    `preconditioned` is fast_diag_preconditioner's rule for Q as it stands.
+    Built once per run by ProductOperator.eigenbasis(); add(k) changes only
+    c and d.
+    """
+
+    def __init__(self, U: np.ndarray, V: np.ndarray, smooth: np.ndarray, sampled):
+        self.basis = KronBasis(U, V)
+        self.smooth = smooth
+        self._d = np.zeros(smooth.shape)  # d in the n x m layout of y
+        self._d.ravel()[sampled] = 1.0
+        self._set()
+
+    def add(self, k: int) -> None:
+        """Set d at the linear index k to 1."""
+        self._d.ravel()[k] = 1.0
+        self._set()
+
+    def _set(self) -> None:
+        d, (n, m) = self._d, self._d.shape
+        self._count = np.count_nonzero(d)
+        self._inv = (1.0 / (self.smooth + max(self._count, 1) / d.size)).ravel()
+        cols, rows = np.flatnonzero(d.any(axis=1)), np.flatnonzero(d.any(axis=0))
+        U, V = self.basis.U, self.basis.V
+        # (by rows, G, mask, F): x's sampled columns are G Y F', masked by d.
+        self._rank = (None if not self._count else
+                      (False, V[cols], d[cols], U) if cols.size * m <= rows.size * n
+                      else (True, U[rows], d[:, rows].T, V))
+
+    @property
+    def preconditioned(self) -> bool:
+        return _fast_diag_pays(self.smooth, self._count, 1.0 if self._count else 0.0)
+
+    def precond(self, r: np.ndarray) -> np.ndarray:
+        return self._inv * r
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        Y = y.reshape(self.smooth.shape)
+        out = self.smooth * Y
+        if self._rank is not None:
+            by_rows, G, mask, F = self._rank
+            R = G.T @ ((mask * ((G @ (Y.T if by_rows else Y)) @ F.T)) @ F)
+            out += R.T if by_rows else R
+        return out.ravel()
 
 
 def product_dense(op: ProductOperator) -> np.ndarray:

@@ -2,10 +2,8 @@
 
 CSR storage, conjugate gradient, a single-vector LOBPCG for the smallest
 eigenpair (with warm start; one operator application per iteration plus one
-that confirms the final residual, or only the confirming one when the
-preconditioner supplies the image of each search direction through its
-`shift` and the start comes with its image; its Rayleigh-Ritz step runs on
-Python floats around one LAPACK eigensolve), both optionally preconditioned,
+that confirms the final residual; its Rayleigh-Ritz step runs on Python
+floats around one LAPACK eigensolve), both optionally preconditioned,
 Gershgorin disc utilities, the one reader of the package's numeric text
 tables (it parses their `# k=<int>` directive and names the line of each
 entry fault), the one rule for matrix entries, and edge-list I/O.
@@ -315,22 +313,20 @@ def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray], x0,
 
     A x and A p are carried forward as the same linear combinations that
     produce x and p (Knyazev, SIAM J. Sci. Comput. 23(2), 2001), so each
-    iteration needs only A w, and the operator is applied to w once. A
-    preconditioner T with a `shift` promises A T r = r + shift * T r, up to
-    rounding, and A w is taken from that instead. The Gram matrices of the
-    3x3 (2x2 without p) Rayleigh-Ritz problem take their w entries from one
-    matrix-vector product and their x and p entries from the previous step's
-    coefficients; p is left out when it is numerically in span{x, w} (see
-    RR_PIVOT_TOL). The small problem runs on Python floats but for one
-    LAPACK eigensolve (`_ritz`).
+    iteration needs only A w, and the operator is applied to w once. The
+    Gram matrices of the 3x3 (2x2 without p) Rayleigh-Ritz problem take
+    their w entries from one matrix-vector product and their x and p entries
+    from the previous step's coefficients; p is left out when it is
+    numerically in span{x, w} (see RR_PIVOT_TOL). The small problem runs on
+    Python floats but for one LAPACK eigensolve (`_ritz`).
 
     Before returning, A x is recomputed with one more operator application,
     and the reported value, residual and image are taken from it. A result
     whose fresh residual is above tol goes on iterating, and the check is
-    not counted as an iteration. So a solve preconditioned with a shift
-    applies the operator twice, at the start and to confirm, or once when
-    it is given the image of x0. A wrong image or shift can cost iterations
-    or leave the solve unconverged, but it is never reported as converged.
+    not counted as an iteration. So a solve applies the operator once per
+    iteration, once to confirm, and once at the start unless it is given
+    the image of x0. A wrong image can cost iterations or leave the solve
+    unconverged, but it is never reported as converged.
 
     Parameters
     ----------
@@ -343,10 +339,8 @@ def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray], x0,
         max_iter defaults to 500.
     precond : callable, optional
         r -> T r for an SPD T; only the search direction w = T r changes.
-        With a `shift` attribute, the shift of A T r = r + shift * T r
-        (`graphs.FastDiagPreconditioner`), A w comes from it; without one,
-        A is applied to w. The convergence test and the reported residual
-        stay those of A itself. None searches along the residual.
+        The convergence test and the reported residual stay those of A
+        itself. None searches along the residual.
     image : ndarray, optional
         A x0, for a warm start whose image is known (EigenPair.image, updated
         for what changed in A). A is then not applied to x0, and the start
@@ -372,7 +366,6 @@ def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray], x0,
 
     tol = LOBPCG_TOL if opts.tol is None else opts.tol
     max_iter = LOBPCG_MAX_ITER if opts.max_iter is None else opts.max_iter
-    shift = getattr(precond, "shift", None)
 
     # X holds the rows [p, x, w] in V and their images in AV, so that their
     # dot products with w are one product. Each step writes the next [p, x]
@@ -399,17 +392,9 @@ def lobpcg_smallest(apply: Callable[[np.ndarray], np.ndarray], x0,
         if it == max_iter:
             break
         w = V[2]
-        if shift is None:
-            if precond is not None:
-                w[:] = precond(w)
-            AV[2] = apply(w)
-        else:
-            Tr = precond(w)
-            np.multiply(shift, Tr, out=AV[2])
-            # A T r = r + shift * T r, up to the rounding of T's factors;
-            # the confirming application checks what that leaves.
-            AV[2] += w
-            w[:] = Tr
+        if precond is not None:
+            w[:] = precond(w)
+        AV[2] = apply(w)
         gp, gx, gw, hp, hx, hw = (X.reshape(6, -1) @ w).tolist()
         # On the basis (x, w, p); the p row and column are unused without p.
         M = [[G[0], gx, G[1]], [gx, gw, gp], [G[1], gp, G[2]]]

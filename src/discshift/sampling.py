@@ -8,10 +8,13 @@ schedule on the full product operator with their own pick rules; IGCS runs
 GCS's rule on a block schedule alternating per-column "cluster" and per-row
 "group" blocks of the split operator, so every eigensolve stays
 factor-sized. A step may carry a basis, in which the loop maps the start and
-the eigenvector: an IGCS block whose factor has at most FAST_DIAG_CAP nodes
-is solved in the factor's eigenbasis. The loop alone warm-starts, names
-and records each step; each eigensolve runs once, and one that does not
-converge raises ConvergenceError.
+the eigenvector: wherever fast_diag_preconditioner gives a preconditioner,
+the product operator is solved in the eigenbasis of its smooth part, and an
+IGCS block whose factor has at most FAST_DIAG_CAP nodes in the factor's
+eigenbasis; there the preconditioner is a diagonal scale. The loop alone
+warm-starts, names and records each step, mapping a warm start across a
+change of basis; each eigensolve runs once, and one that does not converge
+raises ConvergenceError.
 A uniform random baseline rounds things out.
 """
 
@@ -148,29 +151,34 @@ def _disc_shift(steps, K: int, pick: Callable[[np.ndarray, np.ndarray, List[int]
     steps is a generator, sent each pick k (None first), that yields the next
     step as (apply, precond, basis, available, weight, (offset, stride),
     block): the operator and preconditioner as they stand, the orthogonal
-    matrix whose columns are the solve's coordinates (None: the solve runs
-    on the indices themselves), the boolean mask of available indices, the
-    diagonal weight of a pick, the map k -> offset + stride * k to linear
-    indices, and the block's (mode, index). It shifts the picked disc when
-    sent k. A step starts from the last pair if warm_start is on and the
-    last step solved the same block, else from a seeded random vector. It
-    solves once (failing as `<name> <mode> <index> (pick <t>)`), takes k =
-    pick(basis @ vec, available, picks), picks being the linear picks so far
-    (read only), and records (mode, index, k, iterations).
+    matrix whose columns are the solve's coordinates (an array or a
+    graphs.KronBasis; None: the solve runs on the indices themselves), the
+    boolean mask of available indices, the diagonal weight of a pick, the
+    map k -> offset + stride * k to linear indices, and the block's (mode,
+    index). It shifts the picked disc when sent k. A step starts from the
+    last pair if warm_start is on and the last step solved the same block,
+    mapped into the step's basis if that changed, else from a seeded random
+    vector. It solves once (failing as `<name> <mode> <index> (pick <t>)`),
+    takes k = pick(basis @ vec, available, picks), picks being the linear
+    picks so far (read only), and records (mode, index, k, iterations).
     Returns (SampleSet on the m x n grid, SamplerState).
     """
     rng = np.random.default_rng(opts.seed)
     picks: List[int] = []
     state = SamplerState()
-    k = last = None
+    k = last = last_basis = None
     for t in range(K):
         apply, precond, basis, available, weight, (offset, stride), block = steps.send(k)
         if block != last or not warm_start:
             x0, image = random_unit(rng, available.size), None
             if basis is not None:
                 x0 = basis.T @ x0
-        elif basis is not None:
-            x0, image = pair.vec, apply(pair.vec)
+        elif basis is not None or last_basis is not None:
+            x0 = pair.vec
+            if basis is not last_basis:  # the same block in new coordinates
+                x0 = x0 if last_basis is None else last_basis @ x0
+                x0 = x0 if basis is None else basis.T @ x0
+            image = apply(x0)
         else:
             # The last step solved this block, and its pick added `weight` at
             # diagonal entry k, which was 0, so the image gains weight * vec[k];
@@ -186,7 +194,7 @@ def _disc_shift(steps, K: int, pick: Callable[[np.ndarray, np.ndarray, List[int]
         k = pick(pair.vec if basis is None else basis @ pair.vec, available, picks)
         picks.append(offset + stride * k)
         state.steps.append((*block, k, pair.iterations))
-        last = block
+        last, last_basis = block, basis
     return _from_linear(picks, m, n, K), state
 
 
@@ -198,23 +206,31 @@ def greedy_disc_shift(op: ProductOperator, K: int,
     by GCS and A-optimal local search.
 
     Each of the K steps solves for the first eigenvector phi of the current
-    operator (warm-started with the previous phi and its image unless
-    warm_start is off, and preconditioned by op.preconditioner() as it
-    stands), takes k = pick(phi, available, picks), available being the
-    boolean mask of unsampled allowed indices and picks the run's picks so
-    far (both read only), and sets diagonal entry k to 1. Its one block is
-    ("product", 0); what names the sampler. op is not mutated.
+    operator, warm-started with the previous phi unless warm_start is off.
+    Where op.preconditioner() would give Q as it stands a preconditioner,
+    the step solves in op.eigenbasis(), built once per run, where it is a
+    diagonal scale; elsewhere on x, unpreconditioned. It takes k =
+    pick(phi, available, picks), available being the boolean mask of
+    unsampled allowed indices and picks the run's picks so far (both read
+    only), and sets diagonal entry k to 1. Its one block is ("product", 0);
+    what names the sampler. op is not mutated.
     Returns (SampleSet, SamplerState).
     """
     op = op.copy()
     available = _pool(allowed, op.size, K, taken=op.sample_diag != 0)
+    eig = op.eigenbasis()
 
     def steps():
         while True:
-            k = yield (op.apply, op.preconditioner(), None, available, 1.0, (0, 1),
-                       ("product", 0))
+            if eig is not None and eig.preconditioned:
+                step = eig.apply, eig.precond, eig.basis
+            else:
+                step = op.apply, None, None
+            k = yield (*step, available, 1.0, (0, 1), ("product", 0))
             op.sample_diag[k] = 1.0
             available[k] = False
+            if eig is not None:
+                eig.add(k)
 
     return _disc_shift(steps(), K, pick, op.m, op.n, opts or SolverOptions(), what, warm_start)
 

@@ -497,6 +497,54 @@ def test_preconditioner_rule_drops_it_on_dense_samples_at_weak_smoothing():
     assert ProductOperator(d.row_graph, d.col_graph, 1.0, 1.0, sampled).preconditioner() is not None
 
 
+EIGENBASIS_SAMPLES = {  # (rows, cols) of the sampled entries on a 12 x 9 grid
+    "none": ([], []),
+    "one column": ([0, 3, 4, 8, 11], [6] * 5),
+    "three columns": ([0, 1, 2, 3, 4, 6, 9, 11], [2, 2, 2, 5, 5, 7, 7, 7]),
+    "spread": ([1] * 9 + [5] * 7 + [10] * 4 + [7] * 3,
+               list(range(9)) + list(range(7)) + [2, 4, 6, 8] + [1, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EIGENBASIS_SAMPLES))
+def test_eigenbasis_operator_matches_the_dense_product(case):
+    # Q in the coordinates y = B'x of its smooth part's eigenbasis B, against
+    # B formed column by column: B'B = I, B'QB, and B'TB for the
+    # preconditioner T, with the rule read the same way. The sampled term
+    # runs on x's sampled columns in "one column" and "three columns", and
+    # on its 4 sampled rows in "spread", 23 > m + n entries over all 9
+    # columns. Two samples are set before the build and the rest added
+    # after, as GCS adds its picks.
+    d = synthetic_netflix(12, 9, 2, 2, seed=4, p_in=0.8, p_out=0.1)
+    op = ProductOperator(d.row_graph, d.col_graph, 0.7, 1.3)
+    rows, cols = EIGENBASIS_SAMPLES[case]
+    lin = [i + 12 * j for i, j in zip(rows, cols)]
+    op.sample_diag[lin[:2]] = 1.0
+    eig = op.eigenbasis()
+    for k in lin[2:]:
+        eig.add(k)
+        op.sample_diag[k] = 1.0
+    B = np.column_stack([eig.basis @ e for e in np.eye(op.size)])
+    assert np.max(np.abs(B.T @ B - np.eye(op.size))) <= 1e-12
+    QB = B.T @ product_dense(op) @ B
+    T = op.preconditioner()
+    assert eig.preconditioned == (T is not None)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        y = rng.standard_normal(op.size)
+        assert np.max(np.abs(eig.basis.T @ (eig.basis @ y) - y)) <= 1e-12
+        assert np.max(np.abs(eig.basis.T @ y - B.T @ y)) <= 1e-12
+        assert np.max(np.abs(eig.apply(y) - QB @ y)) <= 1e-12 * np.abs(QB @ y).max()
+        if T is not None:
+            assert np.max(np.abs(eig.precond(y) - B.T @ T(B @ y))) <= 1e-12 * np.abs(y).max()
+
+
+def test_eigenbasis_operator_none_above_factor_cap():
+    rg = path_graph(301)
+    op = ProductOperator(rg, trivial_graph(), 1.0, 1.0)
+    assert op.eigenbasis() is None and "spectrum" not in vars(rg)
+
+
 @pytest.mark.parametrize("shape", [(301, 1), (2, 301)])
 def test_preconditioner_none_above_factor_cap(shape):
     # 300 nodes is the largest factor the preconditioner's cost was measured

@@ -352,16 +352,19 @@ def test_gcs_resumes_from_preloaded_diag():
 # mid-run, so the warm start crosses from preconditioned to plain solves:
 # check [12]'s seed-0 input, and `gen --seed 1`'s 60x40 input at
 # alpha = beta = 0.01. Per case: the first pick solved without the
-# preconditioner, the SHA-256 of the picks and of the step records as JSON,
-# the LOBPCG iteration total, and the iterations of the picks just before,
-# at and after the switch. Recorded with the solves preconditioned on x.
+# preconditioner, the SHA-256 of the picks as JSON, the LOBPCG iterations of
+# every pick up to one past that switch, and the SHA-256 of all step records
+# with the iteration total. Recorded with the solves preconditioned on x.
+# The 60x40 input's counts past pick 50 follow rounding: there, scaling the
+# switching pick's start by 1 + 1e-15 noise changes them from pick 51 on,
+# and the total from 11,491 to 11,495, so they are not pinned.
 SWITCH_GOLDEN = {
     "check-12": (12, "ce5ba3e65f5e79702ff5b431a16680879e595a74c2b564f619376988a5fc0653",
-                 "94a3aefb3dced1d910876933198d3ca2b4037f1982012240909c9a8345cd634a",
-                 3049, [10, 34, 32]),
+                 [4, 3, 6, 7, 7, 8, 9, 10, 10, 10, 10, 10, 34, 32],
+                 ("94a3aefb3dced1d910876933198d3ca2b4037f1982012240909c9a8345cd634a", 3049)),
     "gen-60x40": (25, "9ee755efacb96e78d786509be5d8d1345ad69b9420c8512ace3bc312e2e0244f",
-                  "3fdc4a6fc1ed28b2486bf0911838b137bd54bf41b2b520c3df7e50d8de61ad2f",
-                  11491, [28, 50, 50]),
+                  [4, 3, 6, 9, 9, 9, 10, 14, 15, 15, 18, 17, 16, 20, 21, 24, 24, 25, 29, 28,
+                   28, 26, 28, 26, 28, 50, 50], None),
 }
 
 
@@ -379,10 +382,12 @@ def test_gcs_picks_golden_across_the_preconditioner_switch(case):
         on.append(op.preconditioner() is not None)
     switch = on.index(False)
     assert not any(on[switch:])
-    sha = [hashlib.sha256(json.dumps(v).encode()).hexdigest() for v in
-           (ss.linear.tolist(), state.steps)]
-    total, iters = sum(state.iter_counts), state.iter_counts[switch - 1:switch + 2]
-    assert (switch, *sha, total, iters) == SWITCH_GOLDEN[case]
+    sha = lambda v: hashlib.sha256(json.dumps(v).encode()).hexdigest()
+    switch_golden, picks_sha, iters, full = SWITCH_GOLDEN[case]
+    assert (switch, sha(ss.linear.tolist())) == (switch_golden, picks_sha)
+    assert state.iter_counts[:switch + 2] == iters
+    if full is not None:
+        assert (sha(state.steps), sum(state.iter_counts)) == full
 
 
 # --------------------------------------------------------------------- IGCS
