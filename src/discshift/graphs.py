@@ -423,12 +423,11 @@ def product_apply(op: ProductOperator, x) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KronBasis:
-    """The matrix V (x) U on column-major vectors with U's columns for rows
-    and V's for columns, applied through reshapes; `T` is its transpose,
-    V' (x) U'. For orthogonal factor eigenvectors U and V, x = basis @ y
-    sums the modes V[:, j] (x) U[:, i] with weights y, whose n x m C-order
-    view is indexed (j, i). The arrays are shared, not copied; do not
-    modify them."""
+    """The matrix V (x) U (U m x m, V n x n) on column-major m x n vectors,
+    applied through reshapes; `T` is its transpose, V' (x) U'. With factor
+    eigenvectors U and V, x = basis @ y sums the modes V[:, j] (x) U[:, i]
+    with weights y, whose n x m C-order view is indexed (j, i). The arrays
+    are shared, not copied; do not modify them."""
 
     U: np.ndarray
     V: np.ndarray
