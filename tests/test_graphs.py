@@ -539,12 +539,6 @@ def test_eigenbasis_operator_matches_the_dense_product(case):
             assert np.max(np.abs(eig.precond(y) - B.T @ T(B @ y))) <= 1e-12 * np.abs(y).max()
 
 
-def test_eigenbasis_operator_none_above_factor_cap():
-    rg = path_graph(301)
-    op = ProductOperator(rg, trivial_graph(), 1.0, 1.0)
-    assert op.eigenbasis() is None and "spectrum" not in vars(rg)
-
-
 @pytest.mark.parametrize("shape", [(301, 1), (2, 301)])
 def test_preconditioner_none_above_factor_cap(shape):
     # 300 nodes is the largest factor the preconditioner's cost was measured
@@ -554,5 +548,5 @@ def test_preconditioner_none_above_factor_cap(shape):
     cg = path_graph(shape[1]) if shape[1] > 1 else trivial_graph()
     op = ProductOperator(rg, cg, 1.0, 1.0)
     op.sample_diag[0] = 1.0
-    assert op.preconditioner() is None
+    assert op.preconditioner() is None and op.eigenbasis() is None
     assert "spectrum" not in vars(rg) and "spectrum" not in vars(cg)
