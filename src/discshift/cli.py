@@ -56,6 +56,15 @@ def _read(reader, path, *args, **kwargs):
         raise _exit(e, path)
 
 
+def _write(writer, *args, **kwargs):
+    """writer(*args, **kwargs) for every file or directory the CLI writes;
+    one it cannot create exits with `<path>: <reason>`, as _read's do."""
+    try:
+        return writer(*args, **kwargs)
+    except OSError as e:
+        raise SystemExit(f"{e.filename}: {e.strerror}" if e.filename else str(e))
+
+
 def _load_graph(path):
     return _read(lambda p: laplacian_from_weights(load_edge_list(p)), path)
 
@@ -72,15 +81,15 @@ def _cmd_gen(args):
                                    p_in=args.p_in, p_out=args.p_out)
     except RuntimeError as e:
         raise SystemExit(f"{e}; raise --p-in or lower --row-comm/--col-comm")
-    os.makedirs(args.out_dir, exist_ok=True)
+    _write(os.makedirs, args.out_dir, exist_ok=True)
     ratings = os.path.join(args.out_dir, "ratings.csv")
-    save_ratings(bundle.ratings, ratings)
+    _write(save_ratings, bundle.ratings, ratings)
     rg = os.path.join(args.out_dir, "row_graph.txt")
     cg = os.path.join(args.out_dir, "col_graph.txt")
-    save_edge_list(bundle.row_graph.weights, rg)
-    save_edge_list(bundle.col_graph.weights, cg)
+    _write(save_edge_list, bundle.row_graph.weights, rg)
+    _write(save_edge_list, bundle.col_graph.weights, cg)
     gt = os.path.join(args.out_dir, "ground_truth.csv")
-    _write_dense_csv(bundle.ground_truth, gt)
+    _write(_write_dense_csv, bundle.ground_truth, gt)
     for path in (ratings, rg, cg, gt):
         print(f"wrote {path}")
     return 0
@@ -99,7 +108,7 @@ def _cmd_graph(args):
     else:
         feats = _read(np.loadtxt, args.features, delimiter=",", ndmin=2)
         g = knn_feature_graph(feats, k=args.k)
-    save_edge_list(g.weights, args.out)
+    _write(save_edge_list, g.weights, args.out)
     print(f"wrote {args.out} ({g.n} nodes, {g.weights.csr.nnz // 2} edges, "
           f"{g.n_components()} component(s))")
     return 0
@@ -126,7 +135,7 @@ def _cmd_sample(args):
         raise SystemExit(f"--budget: {e}")
     ss, meta = run_sampler(args, args.method, K, args.seed, m, n,
                            row_graph, col_graph, allowed=allowed)
-    save_sample_set(ss, args.out, meta=meta)
+    _write(save_sample_set, ss, args.out, meta=meta)
     print(f"wrote {args.out} ({len(ss)} samples, {meta['wall_time_seconds']:.3f}s)")
     return 0
 
@@ -147,7 +156,7 @@ def _cmd_complete(args):
                              f"`sample --pool` their row,col pairs "
                              f"(`cut -d, -f1,2 {args.ratings}`)")
         raise SystemExit(str(e))
-    save_report(report, args.out, x_csv_path=args.x_out)
+    _write(save_report, report, args.out, x_csv_path=args.x_out)
     print(f"wrote {args.out} (residual {report.residual:.3e}, "
           f"lambda_min_est {report.lambda_min_est:.6f})")
     if args.x_out:
@@ -172,6 +181,7 @@ def _cmd_eval(args):
 
 def _cmd_experiment(args):
     cfg = _read(parse_config, args.config)
+    _write(os.makedirs, cfg.output_dir, exist_ok=True)
     try:
         rows = run_experiment(cfg)
     except (OSError, ValueError) as e:
@@ -183,7 +193,7 @@ def _cmd_experiment(args):
         raise _exit(e, args.config, files)
     out = os.path.join(cfg.output_dir, "metrics.csv")
     if rows:
-        export_metrics(rows, out)
+        _write(export_metrics, rows, out)
         print(f"wrote {out} ({len(rows)} rows)")
     failures = os.path.join(cfg.output_dir, "failures.log")
     if os.path.exists(failures):

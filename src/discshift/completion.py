@@ -1,10 +1,11 @@
 """Dual-graph regularized completion.
 
 Solves (diag(s) + alpha * I (x) L_r + beta * L_c (x) I) vec(X) = vec(Y) by
-conjugate gradient over the implicit product operator, preconditioned by
-fast diagonalization where that pays, where Y is the observed matrix
-zero-filled off the sample set. Also: the quadratic objective and its
-gradient, the reconstruction-error upper bound, and RMSE scoring.
+conjugate gradient, where Y is the observed matrix zero-filled off the
+sample set: in the eigenbasis of the operator's smooth part, preconditioned
+by fast diagonalization, where that pays, and on the implicit product
+operator otherwise. Also: the quadratic objective and its gradient, the
+reconstruction-error upper bound, and RMSE scoring.
 """
 
 from __future__ import annotations
@@ -110,9 +111,10 @@ def dglr_solve(p: CompletionProblem, opts: Optional[SolverOptions] = None,
                estimate_lambda_min: bool = True) -> CompletionReport:
     """Solve the completion system; returns X*, the final relative residual,
     and (optionally) a LOBPCG estimate of the operator's smallest eigenvalue.
-    CG takes the operator's preconditioner(); where there is one, the
-    estimate solves in the eigenbasis of the smooth part, where it is a
-    diagonal scale (ProductOperator.eigenbasis).
+    Where the operator's eigenbasis() is `preconditioned`, CG and the
+    estimate solve there, in y = (V (x) U)'x, where the preconditioner is a
+    diagonal scale, and x = (V (x) U)y; elsewhere both run on x,
+    unpreconditioned. The residual is that of x on the operator itself.
 
     Raises on a singular operator (unsampled product-graph component) and on
     CG non-convergence, which reports the final residual.
@@ -121,9 +123,13 @@ def dglr_solve(p: CompletionProblem, opts: Optional[SolverOptions] = None,
     opts = opts or SolverOptions()
     op = p.operator()
     b = p.rhs()
-    precond = op.preconditioner()
+    eig = op.eigenbasis()
+    eig = eig if eig is not None and eig.preconditioned else None
     try:
-        x = cg_solve(op.apply, b, opts, precond)
+        if eig is None:
+            x = cg_solve(op.apply, b, opts)
+        else:
+            x = eig.basis @ cg_solve(eig.apply, eig.basis.T @ b, opts, eig.precond)
     except ConvergenceError as e:
         raise ConvergenceError(
             f"completion CG did not converge ({e}); operator may be nearly "
@@ -136,7 +142,6 @@ def dglr_solve(p: CompletionProblem, opts: Optional[SolverOptions] = None,
     if estimate_lambda_min:
         eig_opts = SolverOptions(seed=opts.seed)
         x0 = random_unit(np.random.default_rng(eig_opts.seed), op.size)
-        eig = op.eigenbasis() if precond is not None else None
         if eig is None:
             pair = lobpcg_smallest(op.apply, x0, eig_opts)
         else:

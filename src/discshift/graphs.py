@@ -3,8 +3,8 @@
 Feature kNN graphs, content (co-rating) graphs, planted-partition community
 graphs, a synthetic block-smooth ratings generator, and the never-materialized
 operator  Q = diag(s) + alpha * I (x) L_r + beta * L_c (x) I  acting on
-column-major vectorized m x n matrices, with its fast-diagonalization
-preconditioner and its form in the eigenbasis of the smooth part.
+column-major vectorized m x n matrices, with its form in the eigenbasis of
+the smooth part, where the fast-diagonalization inverse is a diagonal scale.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from .linalg import EntryError, SparseSym, as_int64, checked_linear, entry_pairs
 
 COMMUNITY_DRAWS = 50
 PRODUCT_DENSE_CAP = 4096
-# fast_diag_preconditioner's rule (see there): no preconditioner when a factor
-# has more than FAST_DIAG_CAP nodes, the largest factor its cost was measured
-# on, or, for a product of two graphs, when the sampled fraction times the
-# fraction of low modes exceeds FAST_DIAG_SHARE. IGCS solves a block in its
-# factor's eigenbasis under the same cap (sampling._block).
+# The fast-diagonalization rule (EigenbasisOperator, _fast_diag_pays): no
+# eigenbasis above FAST_DIAG_CAP nodes per factor, the largest its cost was
+# measured on, and no preconditioned product solve past FAST_DIAG_SHARE.
+# IGCS solves a block in its factor's eigenbasis under the same cap.
 FAST_DIAG_CAP = 300
 FAST_DIAG_SHARE = 0.01
 
@@ -392,11 +391,6 @@ class ProductOperator:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return product_apply(self, x)
 
-    def preconditioner(self) -> Optional[FastDiagPreconditioner]:
-        """fast_diag_preconditioner for Q as it stands."""
-        return fast_diag_preconditioner(self.row_graph, self.col_graph, self.alpha,
-                                        self.beta, self.sample_diag)
-
     def eigenbasis(self) -> Optional[EigenbasisOperator]:
         """Q as it stands in the eigenbasis of its smooth part, or None where
         a factor has more than FAST_DIAG_CAP nodes (EigenbasisOperator)."""
@@ -440,19 +434,6 @@ class KronBasis:
         return (self.V @ x.reshape((self.V.shape[1], self.U.shape[1])) @ self.U.T).ravel()
 
 
-@dataclass(frozen=True, eq=False)
-class FastDiagPreconditioner:
-    """x -> (S + cI)^-1 x = B (inv * B'x), B the KronBasis of S's
-    eigenvectors, built by fast_diag_preconditioner (see there). The arrays
-    are shared, not copied; do not modify them."""
-
-    basis: KronBasis
-    inv: np.ndarray
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.basis @ (self.inv * (self.basis.T @ x))
-
-
 def _smooth_spectrum(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
                      alpha: float, beta: float):
     """(U, V, smooth) for S = alpha I (x) L_r + beta L_c (x) I: the factor
@@ -467,67 +448,45 @@ def _smooth_spectrum(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
     return U, V, beta * mu[:, None] + alpha * lam
 
 
-def _fast_diag_pays(smooth: np.ndarray, nonzero: int, top: float) -> bool:
-    """fast_diag_preconditioner's rule on S's eigenvalues `smooth`, for a
-    diagonal term with `nonzero` nonzero entries, the largest being `top`."""
-    low = np.count_nonzero(smooth < top)
-    return min(smooth.shape) <= 1 or nonzero * low <= FAST_DIAG_SHARE * smooth.size ** 2
+def _fast_diag_pays(smooth: np.ndarray, nonzero: int, low: int) -> bool:
+    """The fast-diagonalization rule (EigenbasisOperator.preconditioned) on
+    S's eigenvalues `smooth`, for a diagonal term d with `nonzero` nonzero
+    entries and `low` modes of S below max(d).
 
-
-def fast_diag_preconditioner(row_graph: GraphLaplacian, col_graph: GraphLaplacian,
-                             alpha: float, beta: float, diag: np.ndarray
-                             ) -> Optional[FastDiagPreconditioner]:
-    """x -> (S + cI)^-1 x for A = diag(d) + S, S = alpha I (x) L_r + beta L_c (x) I,
-    on column-major m x n vectors, or None where the rule below says so.
-
-    With L_r = U diag(lam) U' and L_c = V diag(mu) V' (GraphLaplacian.spectrum),
-    S is diagonal in V (x) U, so the inverse is four dense products of factor
-    size (fast diagonalization; Lynch, Rice & Thomas, Numer. Math. 6, 1964).
-    c = max(sum(d), 1) / mn, the mean of the diagonal term, floored so the
-    inverse stays bounded on S's null space.
-
-    The rule: samples on the low modes, those where S is below max(d), cost
-    the preconditioned solvers iterations, and on a product of two graphs a
-    preconditioned CG iteration costs about 2.5 plain ones. So None when
-    (#nonzero d / mn) * (#low modes / mn) exceeds FAST_DIAG_SHARE there, as at
-    alpha = beta = 0.01 with 10% of the grid sampled. On one graph (the other
-    a point, as in check [11]'s single-graph products) it won at every density
-    measured. A factor above FAST_DIAG_CAP nodes gives None, before any
-    spectrum is computed: the dense products grow as mn(m + n) against the
-    sparse matvec's nnz, and the 2.5 above was measured at 120 x 80 only.
-    The rule still pays for CG: at 120 x 80, alpha = beta = 0.01 and 10%
-    sampled, preconditioned CG took 13.5 ms against 8.3 ms plain; at 300 x
-    200 and 20% sampled, 130 ms against 64 ms. The eigensolvers never pay
-    for the four products: wherever the rule gives a preconditioner, GCS,
-    A-opt and the lambda_min estimate solve in the coordinates y = (V (x)
-    U)'x (EigenbasisOperator), and IGCS its blocks in the factor's
-    eigenbasis (`sampling._block`), where the same inverse is a diagonal
-    scale. There the rule's cost model no longer fits: on check [12]'s
-    seed-0 GCS run (30 x 20, alpha = beta = 0.1, K = 100), solving every
-    pick preconditioned took 1,438 LOBPCG iterations against the rule's
-    3,049.
+    Samples on the low modes cost the preconditioned solvers iterations. The
+    rule was set when a preconditioned CG iteration on x cost about 2.5
+    plain ones: on a product of two graphs, False when (#nonzero d / mn) *
+    (#low modes / mn) exceeds FAST_DIAG_SHARE, as at alpha = beta = 0.01
+    with 10% of the grid sampled; on one graph (the other a point) it won at
+    every density measured. It still pays for CG in the eigenbasis (random
+    samples, 2-core EPYC, one BLAS thread): past it, at 120 x 80, alpha =
+    beta = 0.01 and 10% sampled, CG there took 5.0 ms against 3.4 ms plain,
+    and at 300 x 200 and 20% sampled 31 ms against 20 ms. It no longer fits
+    GCS: on check [12]'s seed-0 run (30 x 20, alpha = beta = 0.1, K = 100),
+    solving every pick preconditioned took 1,438 LOBPCG iterations against
+    the rule's 3,049. A re-tune changes picks, so the rule stays.
     """
-    spectra = _smooth_spectrum(row_graph, col_graph, alpha, beta)
-    if spectra is None or not _fast_diag_pays(spectra[2], np.count_nonzero(diag),
-                                              diag.max(initial=0.0)):
-        return None
-    U, V, smooth = spectra
-    c = max(float(diag.sum()), 1.0) / diag.size
-    return FastDiagPreconditioner(KronBasis(U, V), (1.0 / (smooth + c)).ravel())
+    return min(smooth.shape) <= 1 or nonzero * low <= FAST_DIAG_SHARE * smooth.size ** 2
 
 
 class EigenbasisOperator:
     """Q = S + diag(d) of a ProductOperator (d is 0/1), in the coordinates
     y = B'x of S's eigenbasis B = V (x) U, the KronBasis `basis`.
 
-    There Q = diag(smooth) + B'diag(d)B and fast_diag_preconditioner's
-    (S + cI)^-1 is the diagonal scale `precond`. The sampled term is applied
-    through reshapes on the g sampled columns of x alone, or on its sampled
-    rows where that costs less: x's g columns, masked by d and mapped back,
-    cost 4gm(n + m) flops, at most the four products' 4mn(m + n).
-    `preconditioned` is fast_diag_preconditioner's rule for Q as it stands.
-    Built once per run by ProductOperator.eigenbasis(); add(k) changes only
-    c and d.
+    With the factor spectra L_r = U diag(lam) U' and L_c = V diag(mu) V',
+    Q = diag(smooth) + B'diag(d)B there, and the fast-diagonalization
+    inverse (S + cI)^-1 (Lynch, Rice & Thomas, Numer. Math. 6, 1964), four
+    dense products of factor size on x, is the diagonal scale `precond`.
+    c = max(sum(d), 1) / mn, the mean of d floored so the inverse stays
+    bounded on S's null space. The sampled term runs on x's g sampled
+    columns alone, or its sampled rows where that costs less: 4gm(n + m)
+    flops, at most the four products' 4mn(m + n). `preconditioned` is the
+    rule `_fast_diag_pays` for Q as it stands: where it holds, GCS, A-opt
+    and dglr_solve solve here, elsewhere on x, unpreconditioned.
+    ProductOperator.eigenbasis() builds one per run, or None, before any
+    spectrum is computed, where a factor has more than FAST_DIAG_CAP nodes,
+    since the basis maps grow as mn(m + n) against the sparse matvec's nnz.
+    add(k) changes only c and d.
     """
 
     def __init__(self, U: np.ndarray, V: np.ndarray, smooth: np.ndarray, sampled):
@@ -535,6 +494,9 @@ class EigenbasisOperator:
         self.smooth = smooth
         self._d = np.zeros(smooth.shape)  # d in the n x m layout of y
         self._d.ravel()[sampled] = 1.0
+        # The rule's low modes: those below d's largest entry, which is 1
+        # once any entry is sampled (with none, the rule holds regardless).
+        self._low = np.count_nonzero(smooth < 1.0)
         self._set()
 
     def add(self, k: int) -> None:
@@ -555,7 +517,7 @@ class EigenbasisOperator:
 
     @property
     def preconditioned(self) -> bool:
-        return _fast_diag_pays(self.smooth, self._count, 1.0 if self._count else 0.0)
+        return _fast_diag_pays(self.smooth, self._count, self._low)
 
     def precond(self, r: np.ndarray) -> np.ndarray:
         return self._inv * r

@@ -8,13 +8,13 @@ schedule on the full product operator with their own pick rules; IGCS runs
 GCS's rule on a block schedule alternating per-column "cluster" and per-row
 "group" blocks of the split operator, so every eigensolve stays
 factor-sized. A step may carry a basis, in which the loop maps the start and
-the eigenvector: wherever fast_diag_preconditioner gives a preconditioner,
-the product operator is solved in the eigenbasis of its smooth part, and an
-IGCS block whose factor has at most FAST_DIAG_CAP nodes in the factor's
-eigenbasis; there the preconditioner is a diagonal scale. The loop alone
-warm-starts, names and records each step, mapping a warm start across a
-change of basis; each eigensolve runs once, and one that does not converge
-raises ConvergenceError.
+the eigenvector: wherever the fast-diagonalization rule holds
+(graphs.EigenbasisOperator), the product operator is solved in the
+eigenbasis of its smooth part, and an IGCS block whose factor has at most
+FAST_DIAG_CAP nodes in the factor's eigenbasis; there the preconditioner is
+a diagonal scale. The loop alone warm-starts, names and records each step,
+mapping a warm start across a change of basis; each eigensolve runs once,
+and one that does not converge raises ConvergenceError.
 A uniform random baseline rounds things out.
 """
 
@@ -207,8 +207,8 @@ def greedy_disc_shift(op: ProductOperator, K: int,
 
     Each of the K steps solves for the first eigenvector phi of the current
     operator, warm-started with the previous phi unless warm_start is off.
-    Where op.preconditioner() would give Q as it stands a preconditioner,
-    the step solves in op.eigenbasis(), built once per run, where it is a
+    Where op.eigenbasis(), built once per run, is `preconditioned` for Q as
+    it stands, the step solves there, where the preconditioner is a
     diagonal scale; elsewhere on x, unpreconditioned. It takes k =
     pick(phi, available, picks), available being the boolean mask of
     unsampled allowed indices and picks the run's picks so far (both read
@@ -250,11 +250,11 @@ def _block(G: GraphLaplacian, w_diag: float, w_lap: float, sampled: np.ndarray):
     """(apply, precond, basis) for the IGCS block w_diag * diag(sampled) +
     w_lap * L of the factor graph G, as `_disc_shift` takes them.
 
-    A factor within fast_diag_preconditioner's FAST_DIAG_CAP gets its
-    spectrum L = U diag(lam) U' and the coordinates y = U'x: there the block
-    is w_lap * diag(lam) plus a term of rank r, the number of sampled
-    entries, and the preconditioner (w_lap L + cI)^-1, with c as
-    fast_diag_preconditioner sets it, is a diagonal scale. A larger factor
+    A factor within graphs.FAST_DIAG_CAP gets its spectrum
+    L = U diag(lam) U' and the coordinates y = U'x: there the block is
+    w_lap * diag(lam) plus a term of rank r, the number of sampled entries,
+    and the preconditioner (w_lap L + cI)^-1, with c as
+    graphs.EigenbasisOperator sets it, is a diagonal scale. A larger factor
     runs on x itself, unpreconditioned, with the diagonal term added last.
     """
     diag = w_diag * sampled

@@ -9,7 +9,7 @@ from typing import List, Tuple
 import numpy as np
 
 from discshift.bandlimited import aopt_objective, aopt_pool
-from discshift.graphs import ProductOperator, product_dense
+from discshift.graphs import KronBasis, ProductOperator, product_dense
 from discshift.sampling import SampleSet
 
 ORACLE_CAP = 64
@@ -67,3 +67,16 @@ def aopt_pick_reference(basis, L_pool: int):
         return best_idx
 
     return pick
+
+
+def fast_diag_inverse(row_graph, col_graph, alpha: float, beta: float, diag):
+    """x -> (S + cI)^-1 x on column-major x, for S = alpha I (x) L_r +
+    beta L_c (x) I and c = max(sum(diag), 1) / mn: the inverse that
+    EigenbasisOperator.precond scales by, as four dense products of factor
+    size through graphs.KronBasis, with no rule deciding whether it pays."""
+    lam, U = row_graph.spectrum
+    mu, V = col_graph.spectrum
+    B = KronBasis(U, V)
+    c = max(float(np.sum(diag)), 1.0) / np.size(diag)
+    inv = (1.0 / (beta * mu[:, None] + alpha * lam + c)).ravel()
+    return lambda x: B @ (inv * (B.T @ x))

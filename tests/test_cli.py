@@ -450,6 +450,41 @@ def test_unreadable_file_exits_naming_it(dataset, tmp_path, reader, bad):
         main(argv)
 
 
+@pytest.mark.parametrize("writer", ["gen --out-dir", "graph --out", "sample --out",
+                                    "complete --out", "complete --x-out",
+                                    "experiment output_dir"])
+def test_unwritable_output_exits_naming_it(dataset, tmp_path, writer):
+    # Each of these used to end in a traceback. A file in a missing
+    # directory is `No such file or directory`; gen and experiment create a
+    # missing output directory, so theirs is one below a regular file.
+    (tmp_path / "file").write_text("")
+    if writer in ("gen --out-dir", "experiment output_dir"):
+        path, msg = tmp_path / "file" / "out", "Not a directory"
+    else:
+        path, msg = tmp_path / "missing" / "out", "No such file or directory"
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("0,0\n")
+    ratings, rg, cg = (str(dataset / name) for name in ("ratings.csv", "row_graph.txt",
+                                                         "col_graph.txt"))
+    complete = ["complete", "--ratings", ratings, "--omega", str(pairs), "--row-graph", rg,
+                "--col-graph", cg]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"dataset = {ratings}\nrow_graph = {rg}\ncol_graph = {cg}\n"
+                   f"output_dir = {path}\n")
+    argv = {
+        "gen --out-dir": ["gen", *GEN_ARGS, "--out-dir", str(path)],
+        "graph --out": ["graph", "--ratings", ratings, "--out", str(path)],
+        "sample --out": ["sample", "--method", "gcs", "--budget", "2", "--row-graph", rg,
+                         "--col-graph", cg, "--out", str(path)],
+        "complete --out": complete + ["--out", str(path)],
+        "complete --x-out": complete + ["--out", str(tmp_path / "r.json"),
+                                        "--x-out", str(path)],
+        "experiment output_dir": ["experiment", "--config", str(cfg)],
+    }[writer]
+    with pytest.raises(SystemExit, match="^" + re.escape(f"{path}: {msg}") + "$"):
+        main(argv)
+
+
 def test_experiment_subcommand(tmp_path, capsys):
     out_dir = tmp_path / "results"
     cfg = tmp_path / "exp.cfg"

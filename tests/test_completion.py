@@ -26,10 +26,12 @@ from discshift.completion import (
     write_dense_csv,
 )
 from discshift.graphs import (
+    EigenbasisOperator,
     ProductOperator,
     RatingMatrix,
     laplacian_from_weights,
     product_dense,
+    synthetic_netflix,
 )
 from discshift.linalg import ConvergenceError, SolverOptions, SparseSym
 from discshift.sampling import SampleSet, random_sample
@@ -252,6 +254,35 @@ def test_solve_matches_dense():
         ref = np.linalg.solve(Q, p.rhs()).reshape((4, 3), order="F")
         err = np.linalg.norm(rep.x_star - ref) / np.linalg.norm(ref)
         assert err <= 1e-8
+
+
+@pytest.mark.parametrize("weight,in_eigenbasis", [(1.0, True), (0.01, False)])
+def test_solve_matches_dense_on_both_cg_paths(monkeypatch, weight, in_eigenbasis):
+    # CG runs in the product eigenbasis where the fast-diagonalization rule
+    # holds (alpha = beta = 1), and on x, unpreconditioned, where it does not
+    # (alpha = beta = 0.01 with 10% of the grid sampled). At the default
+    # tolerance the residual of x itself meets it; at 1e-10, x matches a
+    # dense solve (the operator's condition number is about 460 at 0.01).
+    d = synthetic_netflix(40, 30, 4, 4, noise_sigma=0.6, seed=2)
+    omega = random_sample(40, 30, 120, seed=2)
+    p = CompletionProblem(d.ratings, omega, d.row_graph, d.col_graph, weight, weight)
+    op = p.operator()
+    assert op.eigenbasis().preconditioned == in_eigenbasis
+    real, operators = completion.cg_solve, []
+
+    def spy(apply, *args):
+        operators.append(apply.__self__)
+        return real(apply, *args)
+
+    monkeypatch.setattr(completion, "cg_solve", spy)
+    assert dglr_solve(p).residual <= 1e-8
+    rep = dglr_solve(p, SolverOptions(tol=1e-10))
+    assert rep.residual <= 1e-10
+    assert len(operators) == 2
+    assert all(isinstance(o, EigenbasisOperator if in_eigenbasis else ProductOperator)
+               for o in operators)
+    ref = np.linalg.solve(product_dense(op), p.rhs()).reshape((40, 30), order="F")
+    assert np.linalg.norm(rep.x_star - ref) <= 1e-7 * np.linalg.norm(ref)
 
 
 def test_solve_reports_small_residual_and_lambda():

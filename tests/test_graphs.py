@@ -7,13 +7,14 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.sparse.csgraph import connected_components
 
+import discshift.graphs as graphs
+import discshift.sampling as sampling
 from discshift.graphs import (
     GraphLaplacian,
     ProductOperator,
     RatingMatrix,
     community_graph,
     content_graph,
-    fast_diag_preconditioner,
     knn_feature_graph,
     laplacian_from_weights,
     product_apply,
@@ -451,35 +452,38 @@ def test_product_dense_cap():
 
 
 def test_preconditioner_inverts_shifted_smooth_part():
-    # T = (S + cI)^-1 with c the mean of the diagonal term, floored at 1/mn.
+    # The eigenbasis preconditioner, mapped to x, is (S + cI)^-1 with c the
+    # mean of the diagonal term, floored at 1/mn.
     rng = np.random.default_rng(8)
     for seed, k in enumerate([0, 1, 3]):
         op = ProductOperator(random_graph(7, seed), random_graph(5, 20 + seed), 2.3, 4.1)
         op.sample_diag[rng.choice(35, k, replace=False)] = 1.0
         smooth = product_dense(op) - np.diag(op.sample_diag)
-        T = op.preconditioner()
+        eig = op.eigenbasis()
         for _ in range(3):
             x = rng.standard_normal(35)
             want = np.linalg.solve(smooth + max(k, 1) / 35 * np.eye(35), x)
-            assert np.max(np.abs(T(x) - want)) <= 1e-10
+            got = eig.basis @ eig.precond(eig.basis.T @ x)
+            assert np.max(np.abs(got - want)) <= 1e-10
 
 
 @pytest.mark.parametrize("mode", ["cluster", "group"])
 def test_preconditioner_inverts_igcs_block(mode):
-    # An IGCS block w_diag * diag(ind) + w_lap * L is the product of its
-    # factor with a one-node graph.
+    # An IGCS block w_diag * diag(ind) + w_lap * L, solved in its factor's
+    # eigenbasis U: there the preconditioner, mapped to x, is
+    # (w_lap * L + cI)^-1 with c the mean of the diagonal term, floored at 1/n.
     rng = np.random.default_rng(9)
     G = random_graph(9, 3) if mode == "cluster" else random_graph(6, 4)
     w_diag, w_lap = (0.3, 0.8) if mode == "cluster" else (0.7, 1.9)
     for k in (0, 1, 4):
-        ind = np.zeros(G.n)
-        ind[rng.choice(G.n, k, replace=False)] = 1.0
-        diag = w_diag * ind
-        T = fast_diag_preconditioner(G, trivial_graph(), w_lap, 0.0, diag)
-        c = max(diag.sum(), 1.0) / G.n
+        ind = np.zeros(G.n, dtype=bool)
+        ind[rng.choice(G.n, k, replace=False)] = True
+        _, precond, U = sampling._block(G, w_diag, w_lap, ind)
+        c = max(w_diag * k, 1.0) / G.n
         block = w_lap * G.laplacian.toarray()
         x = rng.standard_normal(G.n)
-        assert np.max(np.abs(T(x) - np.linalg.solve(block + c * np.eye(G.n), x))) <= 1e-10
+        want = np.linalg.solve(block + c * np.eye(G.n), x)
+        assert np.max(np.abs(U @ precond(U.T @ x) - want)) <= 1e-10
 
 
 def test_preconditioner_rule_drops_it_on_dense_samples_at_weak_smoothing():
@@ -489,12 +493,17 @@ def test_preconditioner_rule_drops_it_on_dense_samples_at_weak_smoothing():
     rng = np.random.default_rng(1)
     sampled = np.zeros(120 * 80)
     sampled[rng.choice(sampled.size, 960, replace=False)] = 1.0
-    assert ProductOperator(d.row_graph, d.col_graph, 0.01, 0.01, sampled).preconditioner() is None
+
+    def preconditioned(alpha, diag):
+        op = ProductOperator(d.row_graph, d.col_graph, alpha, alpha, diag)
+        return op.eigenbasis().preconditioned
+
+    assert not preconditioned(0.01, sampled)
     # GCS's sparse samples, and strong smoothing at any density, keep it.
     few = np.zeros(120 * 80)
     few[:80] = 1.0
-    assert ProductOperator(d.row_graph, d.col_graph, 0.01, 0.01, few).preconditioner() is not None
-    assert ProductOperator(d.row_graph, d.col_graph, 1.0, 1.0, sampled).preconditioner() is not None
+    assert preconditioned(0.01, few)
+    assert preconditioned(1.0, sampled)
 
 
 EIGENBASIS_SAMPLES = {  # (rows, cols) of the sampled entries on a 12 x 9 grid
@@ -509,10 +518,10 @@ EIGENBASIS_SAMPLES = {  # (rows, cols) of the sampled entries on a 12 x 9 grid
 @pytest.mark.parametrize("case", sorted(EIGENBASIS_SAMPLES))
 def test_eigenbasis_operator_matches_the_dense_product(case):
     # Q in the coordinates y = B'x of its smooth part's eigenbasis B, against
-    # B formed column by column: B'B = I, B'QB, and B'TB for the
-    # preconditioner T, with the rule read the same way. The sampled term
-    # runs on x's sampled columns in "one column" and "three columns", and
-    # on its 4 sampled rows in "spread", 23 > m + n entries over all 9
+    # B formed column by column: B'B = I, B'QB, and B'TB for T = (S + cI)^-1
+    # formed densely, with the rule read off S's dense spectrum. The sampled
+    # term runs on x's sampled columns in "one column" and "three columns",
+    # and on its 4 sampled rows in "spread", 23 > m + n entries over all 9
     # columns. Two samples are set before the build and the rest added
     # after, as GCS adds its picks.
     d = synthetic_netflix(12, 9, 2, 2, seed=4, p_in=0.8, p_out=0.1)
@@ -526,27 +535,29 @@ def test_eigenbasis_operator_matches_the_dense_product(case):
         op.sample_diag[k] = 1.0
     B = np.column_stack([eig.basis @ e for e in np.eye(op.size)])
     assert np.max(np.abs(B.T @ B - np.eye(op.size))) <= 1e-12
-    QB = B.T @ product_dense(op) @ B
-    T = op.preconditioner()
-    assert eig.preconditioned == (T is not None)
+    Q = product_dense(op)
+    QB = B.T @ Q @ B
+    S = Q - np.diag(op.sample_diag)
+    TB = B.T @ np.linalg.inv(S + max(len(lin), 1) / op.size * np.eye(op.size)) @ B
+    low = np.count_nonzero(np.linalg.eigvalsh(S) < 1.0)
+    assert eig.preconditioned == (len(lin) * low <= graphs.FAST_DIAG_SHARE * op.size ** 2)
     rng = np.random.default_rng(4)
     for _ in range(3):
         y = rng.standard_normal(op.size)
         assert np.max(np.abs(eig.basis.T @ (eig.basis @ y) - y)) <= 1e-12
         assert np.max(np.abs(eig.basis.T @ y - B.T @ y)) <= 1e-12
         assert np.max(np.abs(eig.apply(y) - QB @ y)) <= 1e-12 * np.abs(QB @ y).max()
-        if T is not None:
-            assert np.max(np.abs(eig.precond(y) - B.T @ T(B @ y))) <= 1e-12 * np.abs(y).max()
+        assert np.max(np.abs(eig.precond(y) - TB @ y)) <= 1e-10 * np.abs(TB @ y).max()
 
 
 @pytest.mark.parametrize("shape", [(301, 1), (2, 301)])
 def test_preconditioner_none_above_factor_cap(shape):
-    # 300 nodes is the largest factor the preconditioner's cost was measured
+    # 300 nodes is the largest factor the eigenbasis's cost was measured
     # on. Above the cap the rule answers from the sizes alone: no factor
-    # spectrum (a dense eigh) is computed for a preconditioner not used.
+    # spectrum (a dense eigh) is computed for an eigenbasis not used.
     rg = path_graph(shape[0]) if shape[0] > 1 else trivial_graph()
     cg = path_graph(shape[1]) if shape[1] > 1 else trivial_graph()
     op = ProductOperator(rg, cg, 1.0, 1.0)
     op.sample_diag[0] = 1.0
-    assert op.preconditioner() is None and op.eigenbasis() is None
+    assert op.eigenbasis() is None
     assert "spectrum" not in vars(rg) and "spectrum" not in vars(cg)

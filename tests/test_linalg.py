@@ -39,6 +39,7 @@ from discshift.sampling import (
     load_sample_set,
     random_sample,
 )
+from oracles import fast_diag_inverse
 
 
 def path_laplacian(n):
@@ -337,16 +338,16 @@ def test_lobpcg_preconditioner_without_shift_applies_once_per_iteration():
 
 
 def sampled_products():
-    """Product operators with the fast-diagonalization preconditioner, from
-    no samples to a few."""
+    """Product operators where the fast-diagonalization rule holds, with
+    that inverse on x (oracles.fast_diag_inverse), from no samples to a few."""
     for seed, (alpha, k) in enumerate([(1.0, 0), (1.0, 3), (0.3, 1), (2.0, 12)]):
         d = synthetic_netflix(12, 9, 2, 2, seed=seed, p_in=0.8, p_out=0.1)
         op = ProductOperator(d.row_graph, d.col_graph, alpha, 0.5 * alpha)
         rng = np.random.default_rng(seed)
         op.sample_diag[rng.choice(op.size, k, replace=False)] = 1.0
-        T = op.preconditioner()
-        assert T is not None
-        yield op, T, rng
+        assert op.eigenbasis().preconditioned
+        yield op, fast_diag_inverse(op.row_graph, op.col_graph, op.alpha, op.beta,
+                                    op.sample_diag), rng
 
 
 def test_preconditioned_cg_matches_dense_solve():

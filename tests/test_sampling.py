@@ -14,7 +14,6 @@ from discshift.bandlimited import aopt_local_search, aopt_pick, bandlimited_basi
 from discshift.graphs import (
     ProductOperator,
     community_graph,
-    fast_diag_preconditioner,
     laplacian_from_weights,
     product_dense,
     synthetic_netflix,
@@ -38,7 +37,7 @@ from discshift.sampling import (
     random_sample,
     save_sample_set,
 )
-from oracles import exact_greedy_oracle
+from oracles import exact_greedy_oracle, fast_diag_inverse
 
 
 def path_graph(n):
@@ -229,7 +228,7 @@ def test_samplers_build_no_image_for_a_fresh_start(monkeypatch):
 @pytest.mark.parametrize("r", [0, 1, 5, 25])
 def test_igcs_block_in_eigen_coordinates_matches_x_coordinates(r):
     # One block w_diag * diag(sampled) + w_lap * L, solved in the factor's
-    # eigenbasis and on x with the fast-diagonalization preconditioner, from
+    # eigenbasis and on x with the fast-diagonalization inverse, from
     # the same start: the same iterations and, mapped back, the same |phi|.
     # r = 25 of 30 applies the sampled term through the 5 unsampled rows.
     G = synthetic_netflix(30, 20, 2, 2, seed=3).row_graph
@@ -240,7 +239,7 @@ def test_igcs_block_in_eigen_coordinates_matches_x_coordinates(r):
     diag = w_diag * sampled
     x0 = random_unit(rng, G.n)
     ref = lobpcg_smallest(lambda v: w_lap * (G.laplacian @ v) + diag * v, x0, SolverOptions(),
-                          fast_diag_preconditioner(G, trivial_graph(), w_lap, 0.0, diag))
+                          fast_diag_inverse(G, trivial_graph(), w_lap, 0.0, diag))
     apply, precond, U = sampling._block(G, w_diag, w_lap, sampled)
     pair = lobpcg_smallest(apply, U.T @ x0, SolverOptions(), precond)
     assert ref.converged and pair.converged
@@ -348,9 +347,9 @@ def test_gcs_resumes_from_preloaded_diag():
     assert 0 not in ss.linear
 
 
-# GCS where fast_diag_preconditioner's rule turns the preconditioner off
-# mid-run, so the warm start crosses from preconditioned to plain solves:
-# check [12]'s seed-0 input, and `gen --seed 1`'s 60x40 input at
+# GCS where the fast-diagonalization rule (EigenbasisOperator.preconditioned)
+# turns off mid-run, so the warm start crosses from preconditioned to plain
+# solves: check [12]'s seed-0 input, and `gen --seed 1`'s 60x40 input at
 # alpha = beta = 0.01. Per case: the first pick solved without the
 # preconditioner, the SHA-256 of the picks as JSON, the LOBPCG iterations of
 # every pick up to one past that switch, and the SHA-256 of all step records
@@ -376,10 +375,11 @@ def test_gcs_picks_golden_across_the_preconditioner_switch(case):
     }[case]
     op = ProductOperator(d.row_graph, d.col_graph, alpha, alpha)
     ss, state = gcs_sample(op, K, opts=SolverOptions(seed=0))
-    on = [True]
+    eig = op.eigenbasis()
+    on = [eig.preconditioned]
     for k in ss.linear.tolist():
-        op.sample_diag[k] = 1.0
-        on.append(op.preconditioner() is not None)
+        eig.add(k)
+        on.append(eig.preconditioned)
     switch = on.index(False)
     assert not any(on[switch:])
     sha = lambda v: hashlib.sha256(json.dumps(v).encode()).hexdigest()
