@@ -18,7 +18,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .graphs import ProductOperator, RatingMatrix, GraphLaplacian
-from .linalg import ConvergenceError, SolverOptions, cg_solve, lobpcg_smallest, random_unit
+from .linalg import (ConvergenceError, SolverOptions, cg_solve, lobpcg_smallest, open_new,
+                     random_unit)
 from .sampling import SampleSet, grid_pairs
 
 _log = logging.getLogger(__name__)
@@ -229,7 +230,7 @@ def save_report(report: CompletionReport, json_path, x_csv_path=None) -> None:
         "rmse": _clean(report.rmse),
         "shape": list(report.x_star.shape),
     }
-    with open(json_path, "w") as f:
+    with open_new(json_path) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
     if x_csv_path is not None:
@@ -239,6 +240,6 @@ def save_report(report: CompletionReport, json_path, x_csv_path=None) -> None:
 def write_dense_csv(X, path) -> None:
     """A dense matrix as row-major CSV with CRLF line ends, as csv.writer
     writes it; values round-trip exactly through repr."""
-    with open(path, "w", newline="") as f:
+    with open_new(path, newline="") as f:
         f.writelines(",".join(map(repr, row.tolist())) + "\r\n"
                      for row in np.asarray(X, dtype=np.float64))

@@ -7,6 +7,7 @@ entries the solver never saw. Wall time is measured around sampling only.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ from .graphs import (
     laplacian_from_weights,
     synthetic_netflix,
 )
-from .linalg import SolverOptions, load_edge_list, read_table
+from .linalg import SolverOptions, load_edge_list, open_new, read_table
 from .sampling import (
     SampleSet,
     gcs_sample,
@@ -120,7 +121,7 @@ def load_ratings(path) -> RatingMatrix:
 
 
 def save_ratings(data: RatingMatrix, path) -> None:
-    with open(path, "w") as f:
+    with open_new(path) as f:
         f.write(f"# m={data.m} n={data.n}\n")
         f.write("row,col,value\n")
         f.writelines(f"{i},{j},{v!r}\n" for i, j, v in
@@ -264,9 +265,13 @@ def run_experiment(cfg: ExperimentConfig) -> List[MetricsRow]:
 
     Each cell writes its SampleSet CSV/JSON and completion report under
     cfg.output_dir. A failing cell is recorded in failures.log and skipped;
-    the remaining cells still run.
+    the remaining cells still run. A failures.log or metrics.csv of an earlier
+    run is removed first, so both describe this run only.
     """
     os.makedirs(cfg.output_dir, exist_ok=True)
+    for name in ("failures.log", "metrics.csv"):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(cfg.output_dir, name))
     rows: List[MetricsRow] = []
     failures: List[str] = []
 
@@ -322,7 +327,7 @@ def run_experiment(cfg: ExperimentConfig) -> List[MetricsRow]:
                         f"{method},{seed},{budget},{type(e).__name__}: {e}")
 
     if failures:
-        with open(os.path.join(cfg.output_dir, "failures.log"), "w") as f:
+        with open_new(os.path.join(cfg.output_dir, "failures.log")) as f:
             f.write("\n".join(failures) + "\n")
     rows.sort(key=lambda r: (r.method, r.seed, r.K))
     return rows
@@ -332,7 +337,7 @@ def export_metrics(rows: Sequence[MetricsRow], path) -> None:
     """Plot-ready CSV, one row per experiment cell."""
     if not rows:
         raise ValueError("no metric rows to export")
-    with open(path, "w") as f:
+    with open_new(path) as f:
         f.write(METRICS_HEADER + "\n")
         for r in rows:
             f.write(f"{r.method},{r.seed},{r.K},{r.rmse!r},{r.lambda_min_est!r},"

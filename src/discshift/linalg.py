@@ -6,14 +6,17 @@ that confirms the final residual; its Rayleigh-Ritz step runs on Python
 floats around one LAPACK eigensolve), both optionally preconditioned,
 Gershgorin disc utilities, the one reader of the package's numeric text
 tables (it parses their `# k=<int>` directive and names the line of each
-entry fault), the one rule for matrix entries, and edge-list I/O.
+entry fault), the one rule for matrix entries, the one opener of every
+file the package writes, and edge-list I/O.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import os
 import re
+import stat
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
@@ -432,12 +435,27 @@ def gershgorin_bounds(A: SparseSym) -> Tuple[np.ndarray, np.ndarray]:
     return A.csr.diagonal(), radii
 
 
+def open_new(path, newline=None):
+    """open(path, "w", newline=newline) on a new file. A regular file at
+    `path` with one link, which the caller may write, is unlinked first: on
+    ext4, closing a file that was truncated (or renamed over) flushes it,
+    40-90 ms each. Anything else (a symlink, FIFO, device, hard-linked or
+    read-only file) is opened in place, as open(path, "w") opens it."""
+    try:
+        st = os.lstat(path)
+        if stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and os.access(path, os.W_OK):
+            os.unlink(path)
+    except OSError:
+        pass
+    return open(path, "w", newline=newline)
+
+
 def save_edge_list(A: SparseSym, path) -> None:
     """Write a `# n=<nodes>` line, then the upper triangle (incl. diagonal)
     as `i j value` lines, 0-based."""
     rows = np.repeat(np.arange(A.n), np.diff(A.row_offsets))
     upper = A.col_indices >= rows
-    with open(path, "w") as f:
+    with open_new(path) as f:
         f.write(f"# n={A.n}\n")
         f.writelines(f"{i} {c} {v!r}\n" for i, c, v in
                      zip(rows[upper].tolist(), A.col_indices[upper].tolist(),

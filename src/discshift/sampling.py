@@ -34,6 +34,7 @@ from .linalg import (
     checked_linear,
     entry_pairs,
     lobpcg_smallest,
+    open_new,
     random_unit,
     read_table,
 )
@@ -343,12 +344,13 @@ def save_sample_set(ss: SampleSet, csv_path, meta: Optional[dict] = None) -> Non
     iter_counts and wall_time_seconds (null when not applicable).
     """
     csv_path = str(csv_path)
-    np.savetxt(csv_path, ss.ij, fmt="%d", delimiter=",", newline="\r\n",  # as csv.writer
-               header="row,col", comments="")
+    with open_new(csv_path, newline="") as f:
+        np.savetxt(f, ss.ij, fmt="%d", delimiter=",", newline="\r\n",  # as csv.writer
+                   header="row,col", comments="")
     sidecar = {**dict.fromkeys(("method", "seed", "alpha", "beta", "q", "zeta",
                                 "iter_counts", "wall_time_seconds")),
                "K": ss.budget, **(meta or {})}
-    with open(_sidecar_path(csv_path), "w") as f:
+    with open_new(_sidecar_path(csv_path)) as f:
         json.dump(sidecar, f, indent=2, sort_keys=True)
         f.write("\n")
 

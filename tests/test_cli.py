@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
 import json
 import re
 import subprocess
@@ -485,6 +486,60 @@ def test_unwritable_output_exits_naming_it(dataset, tmp_path, writer):
         main(argv)
 
 
+
+def test_output_that_is_a_directory_exits_naming_it(tmp_path):
+    out = tmp_path / "picks.csv"
+    out.mkdir()
+    with pytest.raises(SystemExit, match="^" + re.escape(f"{out}: Is a directory") + "$"):
+        main(["sample", "--method", "random", "--budget", "2", "--m", "3", "--n", "3",
+              "--out", str(out)])
+    assert out.is_dir()
+
+
+SYNTHETIC = "synthetic:m=12,n=9,row_comm=3,col_comm=3,p_in=0.9,p_out=0.2"
+
+# Every file the package writes: the names a writer writes under a
+# directory, and a call that writes them with content that depends on v.
+WRITERS = {
+    "save_ratings": (["r.csv"], lambda d, v: experiments.save_ratings(
+        graphs.RatingMatrix(2, 2, [0, 1], [0, 1], [v, 2.5]), d / "r.csv")),
+    "save_edge_list": (["g.txt"], lambda d, v: linalg.save_edge_list(
+        linalg.SparseSym.from_dense(np.array([[0.0, v], [v, 0.0]])), d / "g.txt")),
+    "write_dense_csv": (["x.csv"], lambda d, v: completion.write_dense_csv(
+        np.full((2, 3), v), d / "x.csv")),
+    "save_report": (["r.json", "x.csv"], lambda d, v: completion.save_report(
+        completion.CompletionReport(np.full((2, 3), v), 1e-9, v), d / "r.json",
+        x_csv_path=d / "x.csv")),
+    "save_sample_set": (["s.csv", "s.json"], lambda d, v: sampling.save_sample_set(
+        sampling.SampleSet([(0, int(v))], m=2, budget=1), d / "s.csv", meta={"seed": v})),
+    "export_metrics": (["metrics.csv"], lambda d, v: experiments.export_metrics(
+        [experiments.MetricsRow("random", 0, 1, v, v, v, 0)], d / "metrics.csv")),
+    "failures.log": (["failures.log"], lambda d, v: experiments.run_experiment(ExperimentConfig(
+        dataset=SYNTHETIC, methods=["random"], budgets=[9998 + int(v)],
+        sample_budget_fraction=0.5, output_dir=str(d)))),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_writers_make_new_files(tmp_path, writer):
+    # A rewritten output is a new file, not the old one truncated: a handle
+    # on the old file still reads the old bytes, and the path reads what a
+    # fresh write gives.
+    names, write = WRITERS[writer]
+    rewritten, fresh = tmp_path / "rewritten", tmp_path / "fresh"
+    rewritten.mkdir()
+    fresh.mkdir()
+    write(rewritten, 1.0)
+    old = [(rewritten / name).read_bytes() for name in names]
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(rewritten / name, "rb")) for name in names]
+        write(rewritten, 2.0)
+        write(fresh, 2.0)
+        for name, before, h in zip(names, old, handles):
+            assert (rewritten / name).read_bytes() == (fresh / name).read_bytes() != before
+            assert h.read() == before
+
+
 def test_experiment_subcommand(tmp_path, capsys):
     out_dir = tmp_path / "results"
     cfg = tmp_path / "exp.cfg"
@@ -528,6 +583,24 @@ def test_experiment_reports_failures(tmp_path, capsys):
     assert code == 1
     assert (out_dir / "failures.log").exists()
     assert "failures.log" in capsys.readouterr().err
+
+
+
+def test_experiment_rerun_describes_only_that_run(tmp_path, capsys):
+    # A clean run into the directory of a failing one used to exit 1 on the
+    # old failures.log, and a failing run kept an earlier metrics.csv.
+    out_dir, cfg = tmp_path / "results", tmp_path / "exp.cfg"
+
+    def run(budget):
+        cfg.write_text(f"dataset = {SYNTHETIC}\nmethods = random\nbudgets = {budget}\n"
+                       f"sample_budget_fraction = 0.5\noutput_dir = {out_dir}\n")
+        return main(["experiment", "--config", str(cfg)])
+
+    assert run(9999) == 1 and (out_dir / "failures.log").exists()
+    assert run(6) == 0
+    assert (out_dir / "metrics.csv").exists() and not (out_dir / "failures.log").exists()
+    assert run(9999) == 1
+    assert not (out_dir / "metrics.csv").exists()
 
 
 def test_experiment_without_methods_runs_no_cells(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import os
 import re
+import stat
 import warnings
 
 import numpy as np
@@ -527,6 +528,53 @@ def test_edge_list_pins_float_bytes(tmp_path):
     save_edge_list(A, path)
     assert path.read_bytes() == (b"# n=4\n0 1 5e-324\n0 2 1.7976931348623157e+308\n1 1 -0.0\n1 3 -2.5\n"
                                  b"2 2 0.1\n2 3 1e-300\n3 3 0.3333333333333333\n")
+
+
+
+def test_open_new_replaces_a_regular_file(tmp_path):
+    # Unlinked and made anew, not truncated: a handle on the old file still
+    # reads the old bytes.
+    path = tmp_path / "out.txt"
+    path.write_text("old")
+    with open(path) as old:
+        with linalg.open_new(path) as f:
+            f.write("new")
+        assert old.read() == "old"
+    assert path.read_text() == "new"
+
+
+def test_open_new_writes_links_and_special_files_in_place(tmp_path):
+    target, link, other = tmp_path / "target.txt", tmp_path / "link.txt", tmp_path / "other.txt"
+    target.write_text("old")
+    link.symlink_to(target)
+    with linalg.open_new(link) as f:
+        f.write("via link")
+    assert link.is_symlink() and target.read_text() == "via link"
+    os.link(target, other)
+    with linalg.open_new(other) as f:
+        f.write("via hard link")
+    assert os.path.samefile(target, other) and target.read_text() == "via hard link"
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with linalg.open_new(fifo) as f:
+            f.write("via fifo")
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and os.read(reader, 64) == b"via fifo"
+    finally:
+        os.close(reader)
+
+
+def test_open_new_leaves_a_read_only_file_to_open(tmp_path, monkeypatch):
+    # Not unlinked, so open's PermissionError stands; os.access is patched
+    # because root may write any file.
+    path = tmp_path / "out.txt"
+    path.write_text("old")
+    inode = path.stat().st_ino
+    monkeypatch.setattr(linalg.os, "access", lambda p, mode: False)
+    with linalg.open_new(path) as f:
+        f.write("new")
+    assert path.stat().st_ino == inode and path.read_text() == "new"
 
 
 def test_edge_list_rejects_malformed(tmp_path):
